@@ -1,9 +1,10 @@
 """Compile a validated experiment into a deployment plan.
 
 The plan carries one deduplicated environment spec per distinct
-(pipeline digest, node kind) pair, a per-node execution bundle, and cleanup
-command sequences per node kind. Compilation is a pure function: identical
-experiment and registry yield a byte-identical plan document.
+(pipeline digest, node kind) pair, each distinct pipeline once (keyed by
+digest), a per-node execution bundle that names its pipeline by digest, and
+cleanup command sequences per node kind. Compilation is a pure function:
+identical experiment and registry yield a byte-identical plan document.
 """
 
 from __future__ import annotations
@@ -80,9 +81,16 @@ def resolve_implementation(task_type: str, kind: str,
     return registry.resolve(task_type, kind)
 
 
+def join_bundle(bundle: Mapping[str, Any],
+                pipelines: Mapping[str, dict]) -> dict:
+    """A node's executable bundle: its plan entry plus its pipeline doc."""
+    return {**bundle, "pipeline": pipelines[bundle["pipeline_digest"]]}
+
+
 @dataclass(frozen=True)
 class DeploymentPlan:
     environment_specs: tuple[EnvironmentSpec, ...]
+    pipelines: Mapping[str, dict]  # pipeline digest -> pipeline doc
     node_bundles: Mapping[str, dict]
     cleanup_commands: Mapping[str, tuple[str, ...]]
 
@@ -92,12 +100,10 @@ class DeploymentPlan:
                 return spec
         raise KeyError((pipeline_digest, kind))
 
-    def bundle_for(self, node_id: str) -> dict:
-        return self.node_bundles[node_id]
-
     def to_doc(self) -> dict:
         return {
             "environment_specs": [s.to_doc() for s in self.environment_specs],
+            "pipelines": dict(self.pipelines),
             "node_bundles": {n: dict(b) for n, b in self.node_bundles.items()},
             "cleanup_commands": {k: list(v)
                                  for k, v in self.cleanup_commands.items()},
@@ -108,6 +114,7 @@ class DeploymentPlan:
         return cls(
             environment_specs=tuple(EnvironmentSpec.from_doc(s)
                                     for s in doc.get("environment_specs", ())),
+            pipelines=dict(doc.get("pipelines", {})),
             node_bundles=dict(doc.get("node_bundles", {})),
             cleanup_commands={k: tuple(v) for k, v in
                               doc.get("cleanup_commands", {}).items()},
@@ -144,13 +151,14 @@ def compile_experiment(exp: Experiment, registry: TaskRegistry) -> DeploymentPla
         raise ValidationFailed(issues)
 
     specs: dict[tuple[str, str], EnvironmentSpec] = {}
+    pipelines: dict[str, dict] = {}
     bundles: dict[str, dict] = {}
     cleanup: dict[str, list[str]] = {}
 
     for assignment in exp.assignments:
         pipeline = assignment.pipeline
-        pipeline_doc = pipeline.to_doc()
         pipeline_digest = pipeline.digest()
+        pipelines.setdefault(pipeline_digest, pipeline.to_doc())
         for node in assignment.nodes:
             key = (pipeline_digest, node.kind)
             impl_ids = {
@@ -180,7 +188,6 @@ def compile_experiment(exp: Experiment, registry: TaskRegistry) -> DeploymentPla
                 "experiment_id": exp.experiment_id,
                 "node_id": node.node_id,
                 "node_kind": node.kind,
-                "pipeline": pipeline_doc,
                 "pipeline_digest": pipeline_digest,
                 "impl_ids": impl_ids,
                 "early_stop": pipeline.early_stop,
@@ -193,6 +200,7 @@ def compile_experiment(exp: Experiment, registry: TaskRegistry) -> DeploymentPla
 
     return DeploymentPlan(
         environment_specs=tuple(specs.values()),
+        pipelines=pipelines,
         node_bundles=bundles,
         cleanup_commands={k: tuple(v) for k, v in cleanup.items()},
     )

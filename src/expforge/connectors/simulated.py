@@ -18,9 +18,11 @@ import hashlib
 import logging
 import random
 import shlex
+import shutil
 import tempfile
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -308,6 +310,10 @@ class SimulatedConnector(Connector):
             node_prefix=name)
         self.fault = self.infra.fault
         self.spool_root = Path(tempfile.mkdtemp(prefix=f"expforge-{name}-spool-"))
+        # Removed with the connector, not at Director.close: a restarted
+        # director reuses the connector, and spooled reports with it.
+        weakref.finalize(self, shutil.rmtree, self.spool_root,
+                         ignore_errors=True)
 
     # -- inventory -------------------------------------------------------------
 

@@ -1,11 +1,13 @@
 """Mediation service: experiment lifecycle, persistence, orchestration.
 
-The director owns every experiment record. All record mutation funnels
-through one re-entrant lock per experiment (one logical writer, many
-readers); the gateway's ingestion path uses the same lock, so reports,
-flags, and lifecycle moves never race. deploy() and execute() return as
-soon as the corresponding transition is persisted and the real work
-proceeds on background threads; clients poll status().
+The director is the only writer of experiment records; the store owns their
+committed copies. All record mutation funnels through one re-entrant lock
+per experiment (one logical writer, many readers); the gateway's ingestion
+path uses the same lock, so reports, flags, and lifecycle moves never race.
+Readers that need a field or two (status, the completion monitor) read the
+committed record in place instead of taking a snapshot. deploy() and
+execute() return as soon as the corresponding transition is persisted and
+the real work proceeds on background threads; clients poll status().
 
 Restarting a director over the same store recovers every record unchanged:
 in-flight deployments resume preparing only still-pending nodes, RUNNING
@@ -108,7 +110,7 @@ class Director:
                                                threading.Condition())
 
     def record(self, experiment_id: str) -> ExperimentRecord:
-        """Read-only snapshot; raises UnknownExperiment."""
+        """A snapshot of the committed record; raises UnknownExperiment."""
         return self.store.load(experiment_id)
 
     @contextmanager
@@ -172,8 +174,11 @@ class Director:
                     name=f"execute-{experiment_id}")
 
     def status(self, experiment_id: str) -> dict:
-        """Read-only snapshot view of one experiment record."""
-        record = self.record(experiment_id)
+        """A fresh view of one experiment record."""
+        return self.store.read(experiment_id, self._status_view)
+
+    @staticmethod
+    def _status_view(record: ExperimentRecord) -> dict:
         nodes = {}
         for node_id, deploy in record.deploy_state.items():
             execution = record.exec_state.get(node_id, {})
@@ -188,15 +193,15 @@ class Director:
             "experiment_id": record.experiment_id,
             "status": record.status.value,
             "created_at": record.created_at,
-            "policies": record.experiment_doc.get("policies", {}),
-            "transitions": list(record.transitions),
+            "policies": dict(record.experiment_doc.get("policies", {})),
+            "transitions": [dict(t) for t in record.transitions],
             "nodes": nodes,
             "prepared_count": len(record.prepared_nodes()),
             "reported_count": len(record.reports),
             "result_count": len(record.results),
-            "errors": list(record.errors),
+            "errors": [dict(e) for e in record.errors],
             "deadline_wall": record.deadline_wall,
-            "cleanup": dict(record.cleanup),
+            "cleanup": {n: dict(o) for n, o in record.cleanup.items()},
         }
 
     def results(self, experiment_id: str) -> dict:
@@ -341,8 +346,8 @@ class Director:
             connector = self.connectors.get(node.connector_ref)
             if connector is not None:
                 try:
-                    bundle = plan.bundle_for(node.node_id)
-                    spec = plan.spec_for(bundle["pipeline_digest"], node.kind)
+                    digest = plan.node_bundles[node.node_id]["pipeline_digest"]
+                    spec = plan.spec_for(digest, node.kind)
                     result = connector.prepare(node, spec)
                     outcome = ({"state": DEPLOY_PREPARED} if result.prepared
                                else {"state": DEPLOY_FAILED,
@@ -380,7 +385,7 @@ class Director:
                                f"{policies.deploy_strictness}"})
                 rec.transition(Status.FAILED)
         log.info("experiment %s deployment finished: %s", experiment_id,
-                 self.record(experiment_id).status.value)
+                 rec.status.value)
 
     def _executor_config(self, record: ExperimentRecord,
                          node_id: str) -> ExecutorConfig:
@@ -449,15 +454,17 @@ class Director:
         cond = self._completion_cond(experiment_id)
         try:
             while not self._closed.is_set():
-                record = self.record(experiment_id)
-                if record.status is not Status.RUNNING:
+                status, pending, deadline = self.store.read(
+                    experiment_id, lambda r: (r.status,
+                                              bool(r.pending_execution()),
+                                              r.deadline_wall))
+                if status is not Status.RUNNING:
                     return
-                pending = record.pending_execution()
                 if not pending:
                     self._finish(experiment_id)
                     return
                 now = time.time()
-                if record.deadline_wall is not None and now >= record.deadline_wall:
+                if deadline is not None and now >= deadline:
                     with self.mutate(experiment_id) as rec:
                         if rec.status is not Status.RUNNING:
                             return
@@ -468,8 +475,8 @@ class Director:
                     self._finish(experiment_id)
                     return
                 wait = self.monitor_poll_s
-                if record.deadline_wall is not None:
-                    wait = min(wait, max(record.deadline_wall - now, 0.01))
+                if deadline is not None:
+                    wait = min(wait, max(deadline - now, 0.01))
                 with cond:
                     cond.wait(wait)
         finally:
@@ -486,8 +493,7 @@ class Director:
                 rec.errors.append({"phase": "execute",
                                    "message": "no node delivered a report"})
                 rec.transition(Status.FAILED)
-        log.info("experiment %s finished: %s", experiment_id,
-                 self.record(experiment_id).status.value)
+        log.info("experiment %s finished: %s", experiment_id, rec.status.value)
 
     def _stop_handles(self, experiment_id: str) -> None:
         with self._handles_guard:

@@ -3,15 +3,21 @@
 The gateway is a thin facade over the director's experiment records: report
 ingestion and flag writes go through the director's per-experiment ownership
 lock, so there is exactly one logical writer per record no matter how many
-executors connect. Flags are monotone (set once, never unset within an
-experiment), namespaced per experiment, and destroyed at cleanup; their
-timestamps come from the gateway's clock so cross-node ordering has a single
-authority.
+executors connect. Bundle and flag reads look at the one field they need in
+the store's committed record and copy nothing else. Flags are monotone (set
+once, never unset within an experiment), namespaced per experiment, and
+destroyed at cleanup; their timestamps come from the gateway's clock so
+cross-node ordering has a single authority.
+
+Uploads, reports and node flag sets are accepted only from nodes the
+experiment assigns, and every artifact is written under
+``artifact_root/<experiment>/``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import threading
 import time
 import urllib.parse
@@ -20,6 +26,7 @@ from typing import Any, Mapping, TYPE_CHECKING
 
 import requests
 
+from .compiler import join_bundle
 from .errors import (
     TransportError,
     UnknownAssignment,
@@ -27,7 +34,7 @@ from .errors import (
     WrongPhase,
 )
 from .model import Status
-from .store import EXEC_REPORTED, EXEC_TIMED_OUT
+from .store import EXEC_REPORTED, EXEC_TIMED_OUT, path_component
 
 if TYPE_CHECKING:  # pragma: no cover
     from .director import Director
@@ -46,17 +53,27 @@ class Gateway:
     # -- bundles ---------------------------------------------------------------
 
     def fetch_bundle(self, experiment_id: str, node_id: str) -> dict:
-        """The node's execution bundle; an idempotent read, repeatable at will."""
-        record = self._director.record(experiment_id)
-        if record.status is not Status.RUNNING:
-            raise WrongPhase(
-                f"bundle fetch requires RUNNING, {experiment_id} is "
-                f"{record.status.value}")
-        bundles = (record.plan_doc or {}).get("node_bundles", {})
-        if node_id not in bundles:
-            raise UnknownAssignment(
-                f"node {node_id!r} has no assignment in {experiment_id!r}")
-        return bundles[node_id]
+        """The node's execution bundle, a fresh document; an idempotent read."""
+        def encoded_bundle(record) -> str:
+            if record.status is not Status.RUNNING:
+                raise WrongPhase(
+                    f"bundle fetch requires RUNNING, {experiment_id} is "
+                    f"{record.status.value}")
+            plan = record.plan_doc or {}
+            bundle = plan.get("node_bundles", {}).get(node_id)
+            if bundle is None:
+                raise _unassigned(experiment_id, node_id)
+            return json.dumps(join_bundle(bundle, plan["pipelines"]))
+
+        return json.loads(self._director.store.read(experiment_id,
+                                                    encoded_bundle))
+
+    def require_assigned(self, experiment_id: str, node_id: str) -> None:
+        """Raise UnknownAssignment unless the experiment assigns the node."""
+        assigned = self._director.store.read(
+            experiment_id, lambda record: record.assigned_nodes)
+        if node_id not in assigned:
+            raise _unassigned(experiment_id, node_id)
 
     # -- reports ---------------------------------------------------------------
 
@@ -69,12 +86,8 @@ class Gateway:
         experiment_id = report_doc.get("experiment_id", "")
         node_id = report_doc.get("node_id", "")
         with self._director.mutate(experiment_id) as record:
-            assigned = {n["node_id"]
-                        for a in record.experiment_doc.get("assignments", ())
-                        for n in a.get("nodes", ())}
-            if node_id not in assigned:
-                raise UnknownAssignment(
-                    f"node {node_id!r} has no assignment in {experiment_id!r}")
+            if node_id not in record.assigned_nodes:
+                raise _unassigned(experiment_id, node_id)
             if node_id in record.reports:
                 return "duplicate"
             state = record.node_exec(node_id)
@@ -102,7 +115,12 @@ class Gateway:
                                                threading.Condition())
 
     def set_flag(self, experiment_id: str, key: str, node_id: str) -> dict:
-        """Set a monotone flag; idempotent, the first set's timestamp wins."""
+        """Set a monotone flag; idempotent, the first set's timestamp wins.
+
+        The setter is not checked here, so the platform and its operator can
+        set flags; the node-facing clients and routes call
+        :meth:`require_assigned` first.
+        """
         with self._director.mutate(experiment_id) as record:
             if record.status is not Status.RUNNING:
                 raise WrongPhase(
@@ -120,8 +138,8 @@ class Gateway:
         return flag
 
     def get_flag(self, experiment_id: str, key: str) -> dict:
-        record = self._director.record(experiment_id)
-        flag = record.flags.get(key)
+        flag = self._director.store.read(
+            experiment_id, lambda record: record.flags.get(key))
         if flag is None:
             return {"set": False}
         return {"set": True, **flag}
@@ -130,8 +148,9 @@ class Gateway:
                   timeout_s: float) -> dict | None:
         """Block until the flag is set or the timeout elapses.
 
-        The happens-before guarantee comes from reading through the store:
-        a returned flag was durably written by the setter's set_flag.
+        Each check reads the store's committed record, and a save publishes
+        a record only after writing it durably, so a returned flag was
+        durably written by the setter's set_flag.
         """
         deadline = time.monotonic() + timeout_s
         cond = self._condition(experiment_id, key)
@@ -156,16 +175,20 @@ class Gateway:
 
     # -- artifacts ---------------------------------------------------------
 
+    def _artifact_path(self, experiment_id: str, node_id: str,
+                       name: str) -> Path:
+        return (self._artifact_root / path_component(experiment_id)
+                / path_component(node_id) / path_component(name))
+
     def store_artifact(self, experiment_id: str, node_id: str, name: str,
                        data: bytes) -> dict:
-        self._director.record(experiment_id)  # existence check
+        self.require_assigned(experiment_id, node_id)
         digest = hashlib.sha256(data).hexdigest()
         meta = {"node_id": node_id, "name": name, "size": len(data),
                 "digest": digest}
         with self._artifact_lock:
             if self._artifact_root is not None:
-                safe = name.replace("/", "_")
-                path = self._artifact_root / experiment_id / node_id / safe
+                path = self._artifact_path(experiment_id, node_id, name)
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_bytes(data)
             else:
@@ -183,10 +206,14 @@ class Gateway:
     def artifact_data(self, experiment_id: str, node_id: str, name: str) -> bytes:
         with self._artifact_lock:
             if self._artifact_root is not None:
-                safe = name.replace("/", "_")
-                return (self._artifact_root / experiment_id / node_id
-                        / safe).read_bytes()
+                return self._artifact_path(experiment_id, node_id,
+                                           name).read_bytes()
             return self._artifacts[(experiment_id, node_id, name)]
+
+
+def _unassigned(experiment_id: str, node_id: str) -> UnknownAssignment:
+    return UnknownAssignment(
+        f"node {node_id!r} has no assignment in {experiment_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +233,7 @@ class InProcessGatewayClient:
         return self._gateway.ingest_report(report_doc)
 
     def set_flag(self, experiment_id: str, key: str, node_id: str) -> dict:
+        self._gateway.require_assigned(experiment_id, node_id)
         return self._gateway.set_flag(experiment_id, key, node_id)
 
     def get_flag(self, experiment_id: str, key: str) -> dict:

@@ -208,8 +208,9 @@ class _Handler(BaseHTTPRequestHandler):
             experiment_id, key = match.group(1), match.group(2)
             if method == "POST":
                 body = self._body() or {}
-                flag = gateway.set_flag(experiment_id, key,
-                                        str(body.get("node_id", "")))
+                node_id = str(body.get("node_id", ""))
+                gateway.require_assigned(experiment_id, node_id)
+                flag = gateway.set_flag(experiment_id, key, node_id)
                 self._reply(200, {"set": True, **flag})
             else:
                 self._reply(200, gateway.get_flag(experiment_id, key))

@@ -1,24 +1,47 @@
 """Experiment records and their pluggable persistence.
 
-Two stores ship with the platform: an in-memory store for tests and a
-file-backed store (one JSON document per experiment, atomic replace via
-rename) as the self-contained default. Store operations are atomic per
-record; serializing writers per experiment is the director's job.
+A store owns the committed copy of each record it holds. ``load`` hands out
+a snapshot whose containers the caller may change; ``save`` commits a
+changed snapshot, durably first and then in memory; ``read`` applies a
+function to the committed record without copying it. The documents inside
+a record (experiment and plan docs, transition entries, results, report
+metadata, flags, errors, cleanup outcomes) are never changed in place, so
+snapshots share them, and a committed record is never changed at all: a
+save replaces it. Serializing writers per experiment is the director's job.
+
+``MemoryStore`` keeps records as objects. ``FileStore`` keeps one directory
+per experiment::
+
+    experiment.json        the experiment doc, written once
+    plan.json              the compiled plan, written once
+    results-000001.json    results, one append-only chunk per save that adds some
+    head.json              everything else, and the list of result chunks
+
+Every file is written to a temp file, fsynced and renamed into place. A save
+writes its new results as a chunk before the head; the head is the commit
+point, so a chunk it does not list (left by a crash between the two writes)
+is ignored. The FileStore keeps non-terminal records in memory and reads
+terminal ones from disk.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import hashlib
 import json
 import os
+import string
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 from .errors import DuplicateExperimentName, InvalidTransition, UnknownExperiment
-from .model import Status, is_valid_transition
+from .model import Status, TERMINAL_STATUSES, is_valid_transition
 
 # Per-node deployment states
 DEPLOY_PENDING = "pending"
@@ -33,6 +56,25 @@ EXEC_UNREACHABLE = "unreachable"
 EXEC_TIMED_OUT = "timed-out"
 
 TERMINAL_EXEC_STATES = frozenset({EXEC_REPORTED, EXEC_UNREACHABLE, EXEC_TIMED_OUT})
+
+T = TypeVar("T")
+
+_SAFE_CHARS = frozenset(string.ascii_letters + string.digits + "-_.")
+
+
+def path_component(name: str) -> str:
+    """One file name for an arbitrary id; distinct ids get distinct names.
+
+    An id of at most 64 characters from ``[A-Za-z0-9._-]``, and not made of
+    dots only, is its own name. Any other id keeps its first safe characters
+    and gains ``~`` and a digest of the id, so the name holds no separator
+    or NUL and is never empty, ``.`` or ``..``.
+    """
+    if len(name) <= 64 and name.strip(".") and _SAFE_CHARS.issuperset(name):
+        return name
+    kept = "".join(c if c in _SAFE_CHARS else "_" for c in name[:32])
+    digest = hashlib.sha256(name.encode("utf-8", "surrogatepass")).hexdigest()
+    return f"{kept}~{digest[:24]}"
 
 
 @dataclass
@@ -89,6 +131,30 @@ class ExperimentRecord:
                 if self.exec_state.get(n, {}).get("state")
                 not in TERMINAL_EXEC_STATES]
 
+    @cached_property
+    def assigned_nodes(self) -> frozenset[str]:
+        """Ids of the nodes the experiment assigns (its doc never changes)."""
+        return frozenset(n["node_id"]
+                         for a in self.experiment_doc.get("assignments", ())
+                         for n in a.get("nodes", ()))
+
+    def snapshot(self) -> "ExperimentRecord":
+        """A copy whose containers can change without touching this record.
+
+        The documents inside the containers are shared; nothing changes them
+        in place.
+        """
+        clone = copy.copy(self)
+        clone.transitions = list(self.transitions)
+        clone.deploy_state = {n: dict(s) for n, s in self.deploy_state.items()}
+        clone.exec_state = {n: dict(s) for n, s in self.exec_state.items()}
+        clone.results = list(self.results)
+        clone.reports = dict(self.reports)
+        clone.flags = dict(self.flags)
+        clone.errors = list(self.errors)
+        clone.cleanup = dict(self.cleanup)
+        return clone
+
     def to_doc(self) -> dict:
         return {
             "experiment_id": self.experiment_id,
@@ -128,113 +194,225 @@ class ExperimentRecord:
 
 
 class Store:
-    """Persistence interface. All operations are atomic per record."""
+    """Persistence interface; the store owns each record's committed copy."""
 
     def create(self, record: ExperimentRecord) -> None:
         raise NotImplementedError
 
-    def load(self, experiment_id: str) -> ExperimentRecord:
-        raise NotImplementedError
-
     def save(self, record: ExperimentRecord) -> None:
+        """Commit ``record``: durably first, then in memory."""
         raise NotImplementedError
 
     def list_ids(self) -> list[str]:
         raise NotImplementedError
 
+    def _committed(self, experiment_id: str) -> ExperimentRecord:
+        """The committed record, which nobody may change; raises
+        UnknownExperiment."""
+        raise NotImplementedError
+
+    def load(self, experiment_id: str) -> ExperimentRecord:
+        """A snapshot of the committed record, free to change and save."""
+        return self._committed(experiment_id).snapshot()
+
+    def read(self, experiment_id: str,
+             view: Callable[[ExperimentRecord], T]) -> T:
+        """``view`` applied to the committed record, which is not copied.
+
+        ``view`` must not change the record, nor return a container of it
+        that its caller will change.
+        """
+        return view(self._committed(experiment_id))
+
     def exists(self, experiment_id: str) -> bool:
         try:
-            self.load(experiment_id)
+            self._committed(experiment_id)
             return True
         except UnknownExperiment:
             return False
 
 
+def _unknown(experiment_id: str) -> UnknownExperiment:
+    return UnknownExperiment(f"unknown experiment {experiment_id!r}")
+
+
+def _duplicate(experiment_id: str) -> DuplicateExperimentName:
+    return DuplicateExperimentName(
+        f"experiment name {experiment_id!r} already exists")
+
+
 class MemoryStore(Store):
     def __init__(self):
-        self._docs: dict[str, str] = {}
+        self._records: dict[str, ExperimentRecord] = {}
         self._lock = threading.Lock()
 
     def create(self, record: ExperimentRecord) -> None:
+        committed = record.snapshot()
         with self._lock:
-            if record.experiment_id in self._docs:
-                raise DuplicateExperimentName(
-                    f"experiment name {record.experiment_id!r} already exists")
-            self._docs[record.experiment_id] = json.dumps(record.to_doc())
-
-    def load(self, experiment_id: str) -> ExperimentRecord:
-        with self._lock:
-            doc = self._docs.get(experiment_id)
-        if doc is None:
-            raise UnknownExperiment(f"unknown experiment {experiment_id!r}")
-        return ExperimentRecord.from_doc(json.loads(doc))
+            if record.experiment_id in self._records:
+                raise _duplicate(record.experiment_id)
+            self._records[record.experiment_id] = committed
 
     def save(self, record: ExperimentRecord) -> None:
+        committed = record.snapshot()
         with self._lock:
-            self._docs[record.experiment_id] = json.dumps(record.to_doc())
+            self._records[record.experiment_id] = committed
+
+    def _committed(self, experiment_id: str) -> ExperimentRecord:
+        try:
+            return self._records[experiment_id]
+        except KeyError:
+            raise _unknown(experiment_id) from None
 
     def list_ids(self) -> list[str]:
         with self._lock:
-            return sorted(self._docs)
+            return sorted(self._records)
+
+
+HEAD = "head.json"
+EXPERIMENT = "experiment.json"
+PLAN = "plan.json"
+
+# Record fields kept outside the head, in files of their own.
+_SPLIT_FIELDS = ("experiment_doc", "plan_doc", "results")
+
+
+def _chunk_name(seq: int) -> str:
+    return f"results-{seq:06d}.json"
+
+
+def _encode(doc: Any) -> bytes:
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+def _write_file(path: Path, data: bytes) -> None:
+    """Replace ``path`` by ``data``: temp file, fsync, rename."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _changed(new: Any, old: Any) -> bool:
+    return new is not old and new != old
 
 
 class FileStore(Store):
-    """One JSON file per experiment under ``root``; writes go through a
-    temp file + rename so readers never observe a torn record."""
+    """One directory per experiment under ``root`` (see the module doc)."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # writes, and reads that go to disk
+        # Committed non-terminal records, and the chunks each one's head lists.
+        self._records: dict[str, ExperimentRecord] = {}
+        self._chunks: dict[str, list[int]] = {}
 
-    def _path(self, experiment_id: str) -> Path:
-        safe = "".join(c if c.isalnum() or c in "-_." else "_"
-                       for c in experiment_id)
-        return self.root / f"{safe}.json"
+    def _dir(self, experiment_id: str) -> Path:
+        return self.root / path_component(experiment_id)
 
     def create(self, record: ExperimentRecord) -> None:
         with self._lock:
-            path = self._path(record.experiment_id)
-            if path.exists():
-                raise DuplicateExperimentName(
-                    f"experiment name {record.experiment_id!r} already exists")
-            self._write(path, record)
-
-    def load(self, experiment_id: str) -> ExperimentRecord:
-        path = self._path(experiment_id)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise UnknownExperiment(
-                f"unknown experiment {experiment_id!r}") from None
-        return ExperimentRecord.from_doc(json.loads(text))
+            if (record.experiment_id in self._records
+                    or (self._dir(record.experiment_id) / HEAD).exists()):
+                raise _duplicate(record.experiment_id)
+            self._commit(record, None, [])
 
     def save(self, record: ExperimentRecord) -> None:
         with self._lock:
-            self._write(self._path(record.experiment_id), record)
-
-    def _write(self, path: Path, record: ExperimentRecord) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record.to_doc(), handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+                base, chunks = self._current(record.experiment_id)
+            except UnknownExperiment:
+                base, chunks = None, []
+            self._commit(record, base, chunks)
+
+    def _committed(self, experiment_id: str) -> ExperimentRecord:
+        record = self._records.get(experiment_id)
+        if record is None:
+            with self._lock:
+                record, _ = self._current(experiment_id)
+        return record
 
     def list_ids(self) -> list[str]:
         ids = []
-        for path in sorted(self.root.glob("*.json")):
-            if path.name.startswith(".tmp-"):
-                continue
+        for head in self.root.glob(f"*/{HEAD}"):
             try:
-                ids.append(json.loads(path.read_text(encoding="utf-8"))["experiment_id"])
+                ids.append(json.loads(head.read_bytes())["experiment_id"])
             except (json.JSONDecodeError, KeyError):
                 continue
-        return ids
+        return sorted(ids)
+
+    # -- under self._lock ---------------------------------------------------
+
+    def _current(self, experiment_id: str) -> tuple[ExperimentRecord, list[int]]:
+        record = self._records.get(experiment_id)
+        if record is not None:
+            return record, self._chunks[experiment_id]
+        record, chunks = self._read(experiment_id)
+        self._publish(record, chunks)
+        return record, chunks
+
+    def _publish(self, record: ExperimentRecord, chunks: list[int]) -> None:
+        experiment_id = record.experiment_id
+        if record.status in TERMINAL_STATUSES:
+            self._records.pop(experiment_id, None)
+            self._chunks.pop(experiment_id, None)
+        else:
+            self._chunks[experiment_id] = chunks
+            self._records[experiment_id] = record
+
+    def _read(self, experiment_id: str) -> tuple[ExperimentRecord, list[int]]:
+        directory = self._dir(experiment_id)
+        try:
+            head = json.loads((directory / HEAD).read_bytes())
+        except FileNotFoundError:
+            raise _unknown(experiment_id) from None
+        results: list[dict] = []
+        for seq in head["chunks"]:
+            results.extend(json.loads((directory / _chunk_name(seq)).read_bytes()))
+        plan = (json.loads((directory / PLAN).read_bytes())
+                if head["has_plan"] else None)
+        record = ExperimentRecord.from_doc({
+            **head,
+            "experiment_doc": json.loads((directory / EXPERIMENT).read_bytes()),
+            "plan_doc": plan,
+            "results": results,
+        })
+        return record, head["chunks"]
+
+    def _commit(self, record: ExperimentRecord, base: ExperimentRecord | None,
+                chunks: list[int]) -> None:
+        """Write what changed since ``base``, then publish the record."""
+        new = record.snapshot()
+        directory = self._dir(new.experiment_id)
+        directory.mkdir(exist_ok=True)
+        if base is None or _changed(new.experiment_doc, base.experiment_doc):
+            _write_file(directory / EXPERIMENT, _encode(new.experiment_doc))
+        if new.plan_doc is not None and (
+                base is None or _changed(new.plan_doc, base.plan_doc)):
+            _write_file(directory / PLAN, _encode(new.plan_doc))
+        stored = base.results if base is not None else []
+        if new.results[:len(stored)] == stored:
+            fresh, kept = new.results[len(stored):], chunks
+        else:  # not an append: one chunk replaces them all
+            fresh, kept = new.results, []
+        if fresh:
+            seq = max(chunks, default=0) + 1
+            _write_file(directory / _chunk_name(seq), _encode(fresh))
+            kept = kept + [seq]
+        head = new.to_doc()
+        for key in _SPLIT_FIELDS:
+            del head[key]
+        head["has_plan"] = new.plan_doc is not None
+        head["chunks"] = kept
+        _write_file(directory / HEAD, _encode(head))
+        for seq in set(chunks) - set(kept):
+            (directory / _chunk_name(seq)).unlink(missing_ok=True)
+        self._publish(new, kept)

@@ -338,9 +338,11 @@ def test_c08_kill_and_recover_every_non_terminal_status(tmp_path):
             f"kill at {target.value} persisted a different status"
 
         reborn = Director(raw_store, builtin_registry(), {"sim": connector},
-                          flag_poll_interval=0.02, monitor_poll_s=0.02)
+                          flag_poll_interval=0.02, monitor_poll_s=0.02,
+                          recover=False)
         try:
             assert reborn.record(eid).status is target
+            reborn.recover()
             if target is Status.SUBMITTED:
                 reborn.deploy(eid)
             if target in (Status.SUBMITTED, Status.COMPILING,

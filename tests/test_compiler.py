@@ -153,6 +153,18 @@ class TestCompile:
         assert len(plan.environment_specs) == 1
         assert len(plan.node_bundles) == 20
 
+    def test_plan_stores_each_pipeline_once(self, registry):
+        nodes = [node(i) for i in range(6)]
+        exp = (Experiment("shared")
+               .map(shell_pipeline("p1", "a"), nodes[:4])
+               .map(shell_pipeline("p2", "b"), nodes[4:]))
+        plan = compile_experiment(exp, registry)
+        assert set(plan.pipelines) == {a.pipeline.digest()
+                                       for a in exp.assignments}
+        for bundle in plan.node_bundles.values():
+            assert "pipeline" not in bundle
+            assert bundle["pipeline_digest"] in plan.pipelines
+
     def test_two_pipelines_two_kinds_four_specs(self, registry):
         sims = [node(i, "simulated") for i in range(2)]
         shells = [node(i, "linux-shell") for i in range(2)]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import socket
+import tempfile
 
 import pytest
 
@@ -370,3 +372,14 @@ def test_infrastructure_seeded_attribute_layout():
         5, per_node_attributes=[{"g": "a"}, {"g": "b"}], seed=1)
     groups = [infra.node(f"sim-{i:03d}").attributes["g"] for i in range(5)]
     assert groups == ["a", "b", "a", "b", "a"]
+
+
+def test_dropped_simulated_connectors_leave_no_spool_dir(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    connectors = [SimulatedConnector(f"leak{i}", node_count=2)
+                  for i in range(3)]
+    assert len(list(tmp_path.iterdir())) == 3
+    del connectors
+    gc.collect()
+    assert list(tmp_path.iterdir()) == []

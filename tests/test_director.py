@@ -398,8 +398,9 @@ def test_kill_and_recover_at_status(target, make_director, tmp_path):
     # durably persisted status is exactly where we killed
     assert raw_store.load(eid).status is target
 
-    reborn = make_director({"sim": connector}, store=raw_store)
+    reborn = make_director({"sim": connector}, store=raw_store, recover=False)
     assert reborn.record(eid).status is target
+    reborn.recover()
 
     if target is Status.SUBMITTED:
         reborn.deploy(eid)

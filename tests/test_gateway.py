@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import drive, wait_status
+from expforge import Director, MemoryStore, builtin_registry
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
 from expforge.errors import (
     UnknownAssignment,
@@ -15,8 +20,10 @@ from expforge.errors import (
     WrongPhase,
 )
 from expforge.executor import PipelineReport
+from expforge.gateway import InProcessGatewayClient
 from expforge.model import (
     Experiment,
+    NodeDescriptor,
     Outcome,
     Pipeline,
     Policies,
@@ -24,6 +31,7 @@ from expforge.model import (
     TaskResult,
     TaskSpec,
 )
+from expforge.store import path_component
 
 FAST = FaultModel(sleep_scale=0.01)
 
@@ -278,3 +286,57 @@ class TestArtifacts:
         director, _ = platform
         with pytest.raises(UnknownExperiment):
             director.gateway.store_artifact("ghost", "n", "a", b"")
+
+    def test_unassigned_node_cannot_upload(self, platform):
+        director, connector = platform
+        eid = submit_sleep_experiment(director, connector, name="stranger")
+        with pytest.raises(UnknownAssignment):
+            director.gateway.store_artifact(eid, "sim-002", "t.pcap", b"x")
+        with pytest.raises(UnknownAssignment):
+            director.gateway.store_artifact(eid, "..", "t.pcap", b"x")
+        assert director.gateway.list_artifacts(eid) == []
+
+
+class TestNodeFlags:
+    def test_unassigned_node_cannot_set_flag(self, platform):
+        director, connector = platform
+        eid = submit_held_experiment(director, connector, name="node-flags")
+        deploy_and_start(director, eid)
+        client = InProcessGatewayClient(director.gateway)
+        with pytest.raises(UnknownAssignment):
+            client.set_flag(eid, "release", "sim-002")
+        assert client.get_flag(eid, "release") == {"set": False}
+        assert client.set_flag(eid, "release", "sim-001")["node_id"] \
+            == "sim-001"
+        wait_status(director, eid, {Status.FINISHED})
+
+
+HOSTILE = st.text(max_size=40) | st.sampled_from(
+    ["..", ".", "/", "../..", "a/../../b", "\x00", "é", ""])
+
+
+@settings(max_examples=40, deadline=None)
+@given(experiment_id=HOSTILE.filter(bool), node_id=HOSTILE, name=HOSTILE,
+       stranger=HOSTILE)
+@example(experiment_id="..", node_id="..", name="../../x", stranger="/")
+@example(experiment_id="e", node_id="", name="", stranger="\x00")
+def test_artifacts_stay_in_the_experiment_namespace(experiment_id, node_id,
+                                                     name, stranger):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "artifacts"
+        director = Director(MemoryStore(), builtin_registry(), {},
+                            artifact_root=root, recover=False)
+        pipeline = Pipeline("p").then(TaskSpec("sleep",
+                                               params={"seconds": 0}))
+        eid = director.submit(Experiment(experiment_id).map(
+            pipeline, [NodeDescriptor(node_id, "simulated", {}, "sim")]))
+        gateway = director.gateway
+        gateway.store_artifact(eid, node_id, name, b"data")
+        assert gateway.artifact_data(eid, node_id, name) == b"data"
+        if stranger != node_id:
+            with pytest.raises(UnknownAssignment):
+                gateway.store_artifact(eid, stranger, name, b"stranger")
+        namespace = root / path_component(eid)
+        written = [p for p in Path(tmp).rglob("*") if p.is_file()]
+        assert len(written) == 1
+        assert written[0].resolve().is_relative_to(namespace.resolve())

@@ -21,7 +21,7 @@ from expforge.cli import (
     main as cli_main,
 )
 from expforge.connectors.simulated import SimulatedConnector
-from expforge.errors import UnknownExperiment, WrongPhase
+from expforge.errors import UnknownAssignment, UnknownExperiment, WrongPhase
 from expforge.gateway import HttpGatewayClient
 from expforge.manifest import load_bundled_example
 from expforge.model import Status
@@ -204,6 +204,18 @@ class TestGatewayHttp:
                   "results": [], "executor_version": "t"}
         assert client.deliver_report(report) in ("accepted", "duplicate")
         assert client.deliver_report(report) == "duplicate"
+        wait_status(server.director, eid, {Status.FINISHED})
+
+    def test_unassigned_node_rejected_on_the_wire(self, server):
+        eid = self.start_held(server)
+        client = HttpGatewayClient(server.url)
+        for node_id in ("", "sim-999", ".."):
+            with pytest.raises(UnknownAssignment):
+                client.set_flag(eid, "release", node_id)
+        with pytest.raises(UnknownAssignment):
+            client.upload_artifact(eid, "sim-999", "t.pcap", b"x")
+        assert client.get_flag(eid, "release") == {"set": False}
+        client.set_flag(eid, "release", "sim-000")
         wait_status(server.director, eid, {Status.FINISHED})
 
 

@@ -3,17 +3,37 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import threading
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import expforge.store as store_module
+from expforge import Director, builtin_registry
+from expforge.compiler import compile_experiment
 from expforge.errors import (
     DuplicateExperimentName,
     InvalidTransition,
     UnknownExperiment,
 )
-from expforge.model import Status
-from expforge.store import ExperimentRecord, FileStore, MemoryStore
+from expforge.model import (
+    Experiment,
+    NodeDescriptor,
+    Pipeline,
+    Policies,
+    Status,
+    TaskSpec,
+)
+from expforge.store import (
+    ExperimentRecord,
+    FileStore,
+    MemoryStore,
+    path_component,
+)
 
 
 def record(name: str = "exp") -> ExperimentRecord:
@@ -55,6 +75,20 @@ class TestStores:
         loaded = store.load("a")
         assert loaded.status is Status.COMPILING
         assert loaded.results == [{"task_name": "t"}]
+
+    def test_results_changed_other_than_by_append_persist(self, store):
+        store.create(record("a"))
+        for batch in ([{"n": 1}, {"n": 2}], [{"n": 3}]):
+            rec = store.load("a")
+            rec.results.extend(batch)
+            store.save(rec)
+        rec = store.load("a")
+        rec.results[1:] = [{"n": 9}]
+        store.save(rec)
+        for view in (store, reopened(store)):
+            assert view.load("a").results == [{"n": 1}, {"n": 9}]
+        if isinstance(store, FileStore):
+            assert len(list((store.root / "a").glob("results-*"))) == 1
 
     def test_list_ids(self, store):
         for name in ("b", "a", "c"):
@@ -140,3 +174,231 @@ class TestRecordTransitions:
         rec.exec_state = {"a": {"state": "reported"},
                           "c": {"state": "running"}}
         assert rec.pending_execution() == ["c"]
+
+
+# ---------------------------------------------------------------------------
+# the store contract, on a record driven through its whole life
+# ---------------------------------------------------------------------------
+
+NODES = ("n-0", "n-1", "n-2")
+
+
+def life_experiment() -> Experiment:
+    pipeline = Pipeline("p").then(TaskSpec("sleep", params={"seconds": 0}))
+    return Experiment("life", policies=Policies(experiment_timeout_s=30)).map(
+        pipeline, [NodeDescriptor(n, "simulated", {}, "sim") for n in NODES])
+
+
+def report(node_id: str, results: int = 1, payload: str = "") -> dict:
+    now = time.time()
+    return {"experiment_id": "life", "node_id": node_id,
+            "executor_version": "t",
+            "results": [{"task_name": f"t{i}", "node_id": node_id,
+                         "stage_index": 0, "outcome": "success",
+                         "started_wall": now, "finished_wall": now,
+                         "started_mono": 1.0, "finished_mono": 2.0,
+                         "error_text": "", "payload": payload}
+                        for i in range(results)]}
+
+
+def lifecycle(director: Director):
+    """Drive experiment ``life`` through every step; yield after each."""
+    exp = life_experiment()
+    director.submit(exp)
+    yield "submitted"
+
+    def plan(record):
+        record.plan_doc = compile_experiment(exp, builtin_registry()).to_doc()
+        for node_id in NODES:
+            record.node_deploy(node_id)
+        record.transition(Status.DEPLOYING)
+
+    def run(record):
+        record.deadline_wall = time.time() + 30
+        record.transition(Status.RUNNING)
+
+    steps = [("compiling", lambda r: r.transition(Status.COMPILING)),
+             ("planned", plan)]
+    steps += [(f"prepared {n}", lambda r, n=n: r.deploy_state.update(
+        {n: {"state": "prepared"}})) for n in NODES]
+    steps += [("ready", lambda r: r.transition(Status.READY)),
+              ("running", run)]
+    steps += [(f"token {n}", lambda r, n=n: r.node_exec(n).update(
+        {"token": n * 4, "token_at": 1.0, "state": "running"}))
+        for n in NODES]
+    for name, change in steps:
+        with director.mutate("life") as record:
+            change(record)
+        yield name
+    director.gateway.set_flag("life", "go", "n-0")
+    yield "flag"
+    for node_id in NODES:
+        assert director.gateway.ingest_report(report(node_id, 2)) \
+            == "accepted"
+        yield f"report {node_id}"
+    with director.mutate("life") as record:
+        record.transition(Status.FINISHED)
+    yield "finished"
+    with director.mutate("life") as record:
+        record.cleanup = {n: {"ok": True} for n in NODES}
+        record.flags.clear()
+    yield "cleaned"
+
+
+def frozen(record: ExperimentRecord) -> str:
+    return json.dumps(record.to_doc(), sort_keys=True)
+
+
+def reopened(store) -> MemoryStore | FileStore:
+    """What a restarted process would see: a new FileStore on the same root;
+    a MemoryStore has no disk, so it is its own answer."""
+    return FileStore(store.root) if isinstance(store, FileStore) else store
+
+
+@pytest.fixture
+def director_on(store):
+    return Director(store, builtin_registry(), {}, recover=False)
+
+
+class TestStoreContract:
+    def test_failed_mutate_leaves_record_unchanged(self, store, director_on):
+        for step in lifecycle(director_on):
+            if step == "report n-0":
+                break
+        before = frozen(store.load("life"))
+        with pytest.raises(RuntimeError):
+            with director_on.mutate("life") as record:
+                record.transition(Status.FINISHED)
+                record.results.append({"node_id": "n-1"})
+                record.exec_state["n-1"]["state"] = "reported"
+                record.flags["stop"] = {"set_wall": 1.0}
+                raise RuntimeError("body failed")
+        assert frozen(store.load("life")) == before
+        assert frozen(reopened(store).load("life")) == before
+
+    def test_returned_documents_do_not_alias_the_record(self, store,
+                                                        director_on):
+        for step in lifecycle(director_on):
+            if step == "report n-0":
+                break
+        before = frozen(store.load("life"))
+
+        snapshot = store.load("life")
+        snapshot.transition(Status.FINISHED)
+        snapshot.results.append({"node_id": "n-1"})
+        snapshot.exec_state["n-0"]["state"] = "tampered"
+        snapshot.deploy_state["n-0"]["state"] = "tampered"
+        snapshot.reports["n-1"] = {}
+        snapshot.flags["go"] = {}
+        snapshot.errors.append({})
+        snapshot.cleanup["n-0"] = {}
+
+        bundle = director_on.gateway.fetch_bundle("life", "n-0")
+        bundle["pipeline"]["stages"].clear()
+        bundle["impl_ids"].clear()
+        result = director_on.results("life")["pipelines"]["p"]["n-0"][0]
+        result["outcome"] = "tampered"
+        view = director_on.status("life")
+        view["transitions"][0]["to"] = "tampered"
+        view["policies"]["experiment_timeout_s"] = 0
+        view["nodes"]["n-0"]["execution"] = "tampered"
+
+        assert frozen(store.load("life")) == before
+        assert director_on.gateway.fetch_bundle("life", "n-0")["pipeline"][
+            "stages"]
+
+    def test_fresh_store_loads_every_step_equal(self, tmp_path):
+        store = FileStore(tmp_path / "records")
+        director = Director(store, builtin_registry(), {}, recover=False)
+        steps = []
+        for step in lifecycle(director):
+            steps.append(step)
+            assert frozen(FileStore(store.root).load("life")) \
+                == frozen(store.load("life")), f"differs after {step}"
+        assert steps[-1] == "cleaned"
+        assert FileStore(store.root).list_ids() == ["life"]
+
+    def test_orphan_chunk_is_ignored(self, tmp_path, monkeypatch):
+        store = FileStore(tmp_path / "records")
+        director = Director(store, builtin_registry(), {}, recover=False)
+        for step in lifecycle(director):
+            if step == "report n-0":
+                break
+        before = frozen(store.load("life"))
+        real_write = store_module._write_file
+
+        def crash_at_head(path, data):
+            if path.name == store_module.HEAD:
+                raise OSError("crashed before the head was written")
+            real_write(path, data)
+
+        monkeypatch.setattr(store_module, "_write_file", crash_at_head)
+        with pytest.raises(OSError):
+            director.gateway.ingest_report(report("n-1", 2))
+        monkeypatch.setattr(store_module, "_write_file", real_write)
+
+        directory = store.root / "life"
+        listed = json.loads((directory / store_module.HEAD).read_bytes())[
+            "chunks"]
+        on_disk = {p.name for p in directory.glob("results-*.json")}
+        assert len(on_disk) == len(listed) + 1  # the orphan
+        assert frozen(store.load("life")) == before
+        assert frozen(FileStore(store.root).load("life")) == before
+
+        assert director.gateway.ingest_report(report("n-1", 2)) == "accepted"
+        assert frozen(FileStore(store.root).load("life")) \
+            == frozen(store.load("life"))
+        assert len(store.load("life").results) == 4
+
+    def test_bytes_per_report_do_not_grow_with_stored_results(
+            self, tmp_path, monkeypatch):
+        store = FileStore(tmp_path / "records")
+        director = Director(store, builtin_registry(), {}, recover=False)
+        for step in lifecycle(director):
+            if step == "flag":
+                break
+        written: list[int] = []
+        real_write = store_module._write_file
+
+        def counting(path, data):
+            written[-1] += len(data)
+            real_write(path, data)
+
+        monkeypatch.setattr(store_module, "_write_file", counting)
+        for node_id in NODES:
+            written.append(0)
+            director.gateway.ingest_report(report(node_id, 20, "x" * 200))
+        one_report = len(json.dumps(report("n-0", 20, "x" * 200)["results"]))
+        # The head grows by one node's metadata per report; rewriting the
+        # stored results would add a whole report's worth each time.
+        assert max(written) - min(written) < one_report / 4, written
+
+
+HOSTILE_IDS = st.text(max_size=80)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(HOSTILE_IDS, min_size=1, max_size=4, unique=True))
+@example(["..", ".", "/", "a/../../b", "\x00", "é", "", "a_b", "a/b"])
+def test_hostile_ids_stay_inside_root_and_apart(ids):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "records"
+        store = FileStore(root)
+        for experiment_id in ids:
+            store.create(record(experiment_id))
+        assert list(Path(tmp).iterdir()) == [root]
+        assert len(list(root.iterdir())) == len(ids)
+        fresh = FileStore(root)
+        assert fresh.list_ids() == sorted(ids)
+        for experiment_id in ids:
+            assert fresh.load(experiment_id).experiment_id == experiment_id
+
+
+@given(HOSTILE_IDS)
+@example("..")
+@example("")
+def test_path_component_is_one_plain_name(name):
+    component = path_component(name)
+    assert component not in ("", ".", "..")
+    assert "/" not in component and "\x00" not in component
+    assert Path(component).name == component
