@@ -1,11 +1,14 @@
 """Node-resident executor: runs one pipeline, reports once at the end.
 
 Stages run sequentially with a hard barrier between them; tasks inside a
-stage run concurrently, each on its own thread with its own cancellation
-event and timeout. Every task anomaly becomes a TaskResult; nothing
-propagates to the caller. The finished report is flushed to a local spool
-file before the first delivery attempt and removed only after the gateway
-acknowledged it, so a crash or an unreachable gateway never loses results.
+stage run concurrently, one thread per task, each with its own cancellation
+event and timeout. The stage's own thread starts the tasks and enforces
+their deadlines: it fires each task's cancel event at that task's deadline
+and only then waits out the cancel grace of the tasks that timed out. Every
+task anomaly becomes a TaskResult; nothing propagates to the caller. The
+finished report is flushed to a local spool file before the first delivery
+attempt and removed only after the gateway acknowledged it, so a crash or an
+unreachable gateway never loses results.
 
 As a child process (``python -m expforge.executor``) configuration comes from
 environment variables: EXPFORGE_GATEWAY, EXPFORGE_EXPERIMENT_ID,
@@ -24,7 +27,6 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, TYPE_CHECKING
@@ -40,6 +42,7 @@ from .model import (
     digest_doc,
 )
 from .registry import TaskError, TaskRegistry
+from .store import path_component
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gateway import GatewayClient
@@ -292,6 +295,92 @@ def _task_scope(stage_index: int, task_name: str) -> str:
     return f"task:{stage_index}:{task_name}"
 
 
+class _TaskRun:
+    """One task started on its own worker thread.
+
+    The worker records the outcome and its own finish time; the thread that
+    started the task enforces the deadline (see ``_await_tasks``).
+    """
+
+    def __init__(self, task: TaskSpec, registry: TaskRegistry,
+                 impl_id: str | None, ctx: TaskContext):
+        self.task = task
+        self.ctx = ctx
+        self.scope = _task_scope(ctx.stage_index, task.name)
+        ctx.runtime = ctx.runtime.scoped(self.scope)
+        ctx.runtime.log_event(self.scope, "task-start",
+                              {"task_type": task.task_type})
+        self.payload: Any = None
+        self.error: str | None = None
+        self.timed_out = False
+        self.done = threading.Event()
+        self.started_wall, self.started_mono = time.time(), time.monotonic()
+        self.deadline = self.started_mono + task.timeout_s
+        threading.Thread(target=self._work, args=(registry, impl_id),
+                         daemon=True,
+                         name=f"task-{ctx.node.node_id}-{task.name}").start()
+
+    def _work(self, registry: TaskRegistry, impl_id: str | None) -> None:
+        try:
+            if impl_id is None:
+                raise TaskError(
+                    f"no implementation resolved for task {self.task.name!r}")
+            impl = registry.implementation(impl_id)
+            self.payload = impl.run(self.task.params, self.ctx)
+        except TaskError as exc:
+            self.error = str(exc)
+            self.payload = exc.payload
+        except BaseException as exc:  # noqa: BLE001 - every anomaly is a result
+            self.error = f"{type(exc).__name__}: {exc}"
+        finally:
+            self.finished_wall, self.finished_mono = time.time(), time.monotonic()
+            self.done.set()
+
+    def result(self) -> TaskResult:
+        outcome, error_text, payload = Outcome.SUCCESS, None, self.payload
+        if self.timed_out:
+            outcome, error_text, payload = (
+                Outcome.TIMEOUT, f"timed out after {self.task.timeout_s}s", None)
+        elif self.error is not None:
+            outcome, error_text = Outcome.FAILURE, self.error
+        if self.done.is_set():
+            finished_wall, finished_mono = self.finished_wall, self.finished_mono
+        else:  # still running after its grace: it ignored the cancel
+            finished_wall, finished_mono = time.time(), time.monotonic()
+        self.ctx.runtime.log_event(self.scope, "task-finish",
+                                   {"outcome": outcome.value})
+        return TaskResult(
+            task_name=self.task.name,
+            node_id=self.ctx.node.node_id,
+            stage_index=self.ctx.stage_index,
+            outcome=outcome,
+            started_wall=self.started_wall,
+            finished_wall=finished_wall,
+            started_mono=self.started_mono,
+            finished_mono=finished_mono,
+            payload=payload,
+            error_text=error_text,
+        )
+
+
+def _await_tasks(runs: list[_TaskRun]) -> list[TaskResult]:
+    """Wait for started tasks; results come back in the order of ``runs``.
+
+    Deadlines are checked in deadline order, each task's cancel event firing
+    at its own deadline. Only then are the grace periods of the timed-out
+    tasks waited out, so one task's grace never delays another's cancel.
+    """
+    graces: list[tuple[_TaskRun, float]] = []
+    for run in sorted(runs, key=lambda r: r.deadline):
+        if not run.done.wait(max(0.0, run.deadline - time.monotonic())):
+            run.timed_out = True
+            run.ctx.cancel.set()
+            graces.append((run, time.monotonic() + CANCEL_GRACE_S))
+    for run, grace_end in graces:
+        run.done.wait(max(0.0, grace_end - time.monotonic()))
+    return [run.result() for run in runs]
+
+
 def run_task(task: TaskSpec, registry: TaskRegistry, impl_id: str | None,
              ctx: TaskContext) -> TaskResult:
     """Run one task with its timeout; anomalies become result outcomes.
@@ -300,87 +389,22 @@ def run_task(task: TaskSpec, registry: TaskRegistry, impl_id: str | None,
     On timeout the task's cancel event fires: builtin tasks cancel
     cooperatively, shell tasks get their process killed.
     """
-    scope = _task_scope(ctx.stage_index, task.name)
-    ctx.runtime = ctx.runtime.scoped(scope)
-    ctx.runtime.log_event(scope, "task-start",
-                          {"task_type": task.task_type})
-    started_wall, started_mono = time.time(), time.monotonic()
-
-    holder: dict[str, Any] = {}
-    done = threading.Event()
-
-    def work() -> None:
-        try:
-            if impl_id is None:
-                raise TaskError(
-                    f"no implementation resolved for task {task.name!r}")
-            impl = registry.implementation(impl_id)
-            holder["payload"] = impl.run(task.params, ctx)
-        except TaskError as exc:
-            holder["error"] = str(exc)
-            holder["payload"] = exc.payload
-        except BaseException as exc:  # noqa: BLE001 - every anomaly is a result
-            holder["error"] = f"{type(exc).__name__}: {exc}"
-        finally:
-            done.set()
-
-    worker = threading.Thread(target=work, daemon=True,
-                              name=f"task-{ctx.node.node_id}-{task.name}")
-    worker.start()
-    completed = done.wait(task.timeout_s)
-    if not completed:
-        ctx.cancel.set()
-        done.wait(CANCEL_GRACE_S)
-
-    finished_wall, finished_mono = time.time(), time.monotonic()
-    if not completed:
-        outcome = Outcome.TIMEOUT
-        error_text = f"timed out after {task.timeout_s}s"
-        payload = None
-    elif "error" in holder:
-        outcome = Outcome.FAILURE
-        error_text = holder["error"]
-        payload = holder.get("payload")
-    else:
-        outcome = Outcome.SUCCESS
-        error_text = None
-        payload = holder.get("payload")
-
-    ctx.runtime.log_event(scope, "task-finish", {"outcome": outcome.value})
-    return TaskResult(
-        task_name=task.name,
-        node_id=ctx.node.node_id,
-        stage_index=ctx.stage_index,
-        outcome=outcome,
-        started_wall=started_wall,
-        finished_wall=finished_wall,
-        started_mono=started_mono,
-        finished_mono=finished_mono,
-        payload=payload,
-        error_text=error_text,
-    )
+    return _await_tasks([_TaskRun(task, registry, impl_id, ctx)])[0]
 
 
 def run_stage(stage: Stage, stage_index: int, bundle: PipelineBundle,
               registry: TaskRegistry, base_ctx: TaskContext) -> list[TaskResult]:
     """Run all tasks of a stage concurrently; ends when the last task ends.
 
-    Every task is submitted before any is awaited, so an n-task stage of
+    Every task is started before any is awaited, so an n-task stage of
     equal-duration work completes in roughly one task's duration.
     """
-    contexts = [
-        replace(base_ctx, cancel=threading.Event(),
-                stage_index=stage_index, task_name=task.name)
+    return _await_tasks([
+        _TaskRun(task, registry, bundle.impl_ids.get(task.name),
+                 replace(base_ctx, cancel=threading.Event(),
+                         stage_index=stage_index, task_name=task.name))
         for task in stage.tasks
-    ]
-    with ThreadPoolExecutor(max_workers=len(stage.tasks),
-                            thread_name_prefix="stage") as pool:
-        futures = [
-            pool.submit(run_task, task, registry,
-                        bundle.impl_ids.get(task.name), ctx)
-            for task, ctx in zip(stage.tasks, contexts)
-        ]
-        return [f.result() for f in futures]
+    ])
 
 
 def _skipped(task: TaskSpec, stage_index: int, node_id: str) -> TaskResult:
@@ -428,9 +452,12 @@ def run_pipeline(bundle: PipelineBundle, registry: TaskRegistry,
 # ---------------------------------------------------------------------------
 
 def spool_path(spool_dir: str | Path, experiment_id: str, node_id: str) -> Path:
-    safe = "".join(c if c.isalnum() or c in "-_." else "_"
-                   for c in f"{experiment_id}-{node_id}")
-    return Path(spool_dir) / f"{safe}.report.json"
+    """One spool file per (experiment, node); distinct pairs never share one.
+
+    ``path_component`` never emits ``+``, so the joined name is unambiguous.
+    """
+    name = f"{path_component(experiment_id)}+{path_component(node_id)}"
+    return Path(spool_dir) / f"{name}.report.json"
 
 
 def write_spool(spool_dir: str | Path, report_doc: dict) -> Path:
@@ -441,7 +468,7 @@ def write_spool(spool_dir: str | Path, report_doc: dict) -> Path:
                       report_doc["node_id"])
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        json.dump(report_doc, handle)
+        handle.write(json.dumps(report_doc))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

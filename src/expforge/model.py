@@ -50,7 +50,15 @@ def _normalize_newlines(value: Any) -> Any:
 
 
 def canonical_json(doc: Any) -> str:
-    """Deterministic text form of a document: sorted keys, normalized newlines."""
+    """Deterministic text form of a document: sorted keys, normalized newlines.
+
+    ``ensure_ascii`` writes every CR as ``\\r``, so text without that escape
+    holds no string that newline normalization would change.
+    """
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=True)
+    if "\\r" not in text:
+        return text
     return json.dumps(_normalize_newlines(doc), sort_keys=True,
                       separators=(",", ":"), ensure_ascii=True)
 

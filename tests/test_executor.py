@@ -11,6 +11,7 @@ import pytest
 from conftest import FakeGatewayClient, make_bundle
 from expforge.connectors.simulated import FaultModel, SimNode, SimRuntime
 from expforge.executor import (
+    CANCEL_GRACE_S,
     EXIT_OK,
     EXIT_STARTUP_ERROR,
     LocalRuntime,
@@ -28,6 +29,7 @@ from expforge.executor import (
     write_spool,
 )
 from expforge.model import NodeDescriptor, Outcome, Pipeline, TaskSpec
+from expforge.registry import TaskImplementation
 
 
 @pytest.fixture
@@ -338,3 +340,87 @@ def test_bundle_env_override_path_and_inline(registry, tmp_path, monkeypatch):
 
     monkeypatch.setenv("EXPFORGE_BUNDLE", json.dumps(bundle.to_doc()))
     assert _load_bundle_from_env(gateway=None) == bundle
+
+
+# ---------------------------------------------------------------------------
+# threading contract: one thread per task, deadlines before graces
+# ---------------------------------------------------------------------------
+
+class _IgnoresCancel(TaskImplementation):
+    """Notes when its cancel fires, then blocks until the test releases it."""
+
+    task_type = "ignores-cancel"
+    kind = "simulated"
+
+    def __init__(self):
+        self.release = threading.Event()
+        self.cancelled_at: dict[str, float] = {}
+
+    def run(self, params, ctx):
+        if ctx.cancel.wait(5.0):
+            self.cancelled_at[ctx.task_name] = time.monotonic()
+        self.release.wait(5.0)
+
+
+@pytest.fixture
+def ignores_cancel(registry):
+    impl = _IgnoresCancel()
+    registry.register(impl)
+    yield impl
+    impl.release.set()
+
+
+def test_run_stage_starts_one_thread_per_task(registry, sim_runtime,
+                                              monkeypatch):
+    pipeline = Pipeline("p").then(
+        [TaskSpec("sleep", params={"seconds": 0}) for _ in range(5)])
+    bundle = make_bundle(pipeline, registry)
+    # threads started by this thread or, transitively, by threads it started
+    ours = {threading.current_thread()}
+    real_start = threading.Thread.start
+
+    def start(thread, *args, **kwargs):
+        if threading.current_thread() in ours:
+            ours.add(thread)
+        return real_start(thread, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    results = run_stage(pipeline.stages[0], 0, bundle, registry,
+                        make_ctx(sim_runtime))
+    assert [r.outcome for r in results] == [Outcome.SUCCESS] * 5
+    assert len(ours) - 1 == 5
+
+
+@pytest.mark.parametrize("order", [("long", "short"), ("short", "long")])
+def test_each_cancel_fires_at_its_own_deadline(registry, sim_runtime,
+                                               ignores_cancel, order):
+    timeouts = {"short": 0.2, "long": 0.4}
+    pipeline = Pipeline("p").then([
+        TaskSpec("ignores-cancel", name=name, timeout_s=timeouts[name])
+        for name in order])
+    bundle = make_bundle(pipeline, registry)
+    started = time.monotonic()
+    results = run_stage(pipeline.stages[0], 0, bundle, registry,
+                        make_ctx(sim_runtime))
+    wall = time.monotonic() - started
+    assert [r.task_name for r in results] == list(order)
+    for result in results:
+        assert result.outcome is Outcome.TIMEOUT
+        deadline = result.started_mono + timeouts[result.task_name]
+        fired = ignores_cancel.cancelled_at[result.task_name]
+        assert deadline <= fired < deadline + 0.15, (
+            f"{result.task_name}: cancel {fired - deadline:+.3f}s "
+            f"from its deadline")
+    assert wall < 0.4 + CANCEL_GRACE_S + 0.3
+
+
+def test_spool_names_keep_distinct_ids_apart(tmp_path):
+    pairs = [("a/b", "n"), ("a_b", "n"), ("a-b", "c"), ("a", "b-c")]
+    paths = {spool_path(tmp_path, eid, nid) for eid, nid in pairs}
+    assert len(paths) == len(pairs)
+    assert all(path.parent == tmp_path for path in paths)
+    assert spool_path(tmp_path, "exp", "sim-000").name == \
+        "exp+sim-000.report.json"
+    for eid, nid in pairs:
+        write_spool(tmp_path, small_report(eid, nid))
+    assert len(list(tmp_path.glob("*.report.json"))) == len(pairs)

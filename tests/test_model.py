@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from expforge.model import (
     TaskResult,
     TaskSpec,
     VALID_TRANSITIONS,
+    canonical_json,
     is_valid_transition,
     validate_experiment,
 )
@@ -368,3 +370,35 @@ def test_identical_recipes_identical_digests(recipe):
 
     assert build().digest() == build().digest()
     assert build().to_doc() == build().to_doc()
+
+
+# ---------------------------------------------------------------------------
+# canonical_json fast path against the normalize-then-dump form
+# ---------------------------------------------------------------------------
+
+def _normalized_reference(value):
+    if isinstance(value, str):
+        return value.replace("\r\n", "\n").replace("\r", "\n")
+    if isinstance(value, dict):
+        return {k: _normalized_reference(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_normalized_reference(v) for v in value]
+    return value
+
+
+CR_TEXT = st.lists(
+    st.sampled_from(["\r", "\r\n", "\\r", "\\", "r", "\n", "a", "é", "😀"]),
+    max_size=6).map("".join)
+CR_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | CR_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(CR_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CR_DOCS)
+def test_canonical_json_equals_normalize_then_dump(doc):
+    expected = json.dumps(_normalized_reference(doc), sort_keys=True,
+                          separators=(",", ":"), ensure_ascii=True)
+    assert canonical_json(doc) == expected
