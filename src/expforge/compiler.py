@@ -204,8 +204,3 @@ def compile_experiment(exp: Experiment, registry: TaskRegistry) -> DeploymentPla
         node_bundles=bundles,
         cleanup_commands={k: tuple(v) for k, v in cleanup.items()},
     )
-
-
-# Spec-facing alias; "compile" shadows a builtin, so the module-level name
-# carries the noun.
-compile = compile_experiment

@@ -65,7 +65,6 @@ class ExecutorConfig:
     gateway_client: Any = None
     registry: "TaskRegistry | None" = None
     bundle_doc: dict | None = None
-    flag_poll_interval: float = 0.5
     extra_env: dict[str, str] = field(default_factory=dict)
 
 

@@ -123,7 +123,6 @@ class LocalConnector(Connector):
             "EXPFORGE_NODE_ID": config.node_id,
             "EXPFORGE_SCRATCH": str(scratch),
             "EXPFORGE_SPOOL": str(scratch / ".spool"),
-            "EXPFORGE_POLL_INTERVAL": str(config.flag_poll_interval),
         })
         env.update(config.extra_env)
         try:

@@ -398,7 +398,6 @@ class SimulatedConnector(Connector):
                 bundle = PipelineBundle.from_doc(bundle_doc)
                 run_executor(bundle, config.registry, runtime, proxy,
                              spool_dir, stop=stop,
-                             flag_poll_interval=config.flag_poll_interval,
                              sleeper=lambda s: time.sleep(s * scale))
             except Exception:  # noqa: BLE001 - a dead node, not a dead platform
                 log.exception("simulated executor for %s crashed", sim.node_id)

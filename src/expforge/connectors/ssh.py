@@ -152,7 +152,6 @@ class SshConnector(Connector):
                 "EXPFORGE_NODE_ID": config.node_id,
                 "EXPFORGE_SCRATCH": ".",
                 "EXPFORGE_SPOOL": "./.spool",
-                "EXPFORGE_POLL_INTERVAL": str(config.flag_poll_interval),
                 **config.extra_env,
             }.items())
         launch = (f"{env_assignments} nohup {self.python} -m expforge.executor "

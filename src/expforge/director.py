@@ -72,7 +72,6 @@ class Director:
                  connectors: Mapping[str, Connector], *,
                  gateway_url: str | None = None,
                  artifact_root=None,
-                 flag_poll_interval: float = 0.5,
                  monitor_poll_s: float = 0.25,
                  prepare_workers: int = 8,
                  recover: bool = True):
@@ -80,7 +79,6 @@ class Director:
         self.registry = registry
         self.connectors = dict(connectors)
         self.gateway_url = gateway_url
-        self.flag_poll_interval = flag_poll_interval
         self.monitor_poll_s = monitor_poll_s
         self.prepare_workers = prepare_workers
         self.gateway = Gateway(self, artifact_root=artifact_root)
@@ -224,12 +222,15 @@ class Director:
         }
 
     def cancel(self, experiment_id: str) -> None:
+        """Stop the executors, then commit CANCELLED, under the experiment
+        lock: a flag waiter released by the status change finds its
+        executor already stopped, so no later stage starts."""
         with self.mutate(experiment_id) as record:
             if record.status in TERMINAL_STATUSES:
                 raise AlreadyTerminal(
                     f"{experiment_id} is already {record.status.value}")
+            self._stop_handles(experiment_id)
             record.transition(Status.CANCELLED)
-        self._stop_handles(experiment_id)
         self.notify_completion(experiment_id)
         log.info("experiment %s cancelled", experiment_id)
 
@@ -397,7 +398,6 @@ class Director:
             gateway_url=self.gateway_url,
             gateway_client=InProcessGatewayClient(self.gateway),
             registry=self.registry,
-            flag_poll_interval=self.flag_poll_interval,
         )
 
     def _execute_worker(self, experiment_id: str) -> None:
@@ -425,12 +425,18 @@ class Director:
             elif connector.health(node) != HEALTH_REACHABLE:
                 failure = "node unreachable at launch"
             else:
+                # Launch and register under the experiment lock, as cancel
+                # stops and commits: none sees CANCELLED with stop unset.
                 try:
-                    handle = connector.launch_executor(
-                        node, self._executor_config(record, node_id))
-                    with self._handles_guard:
-                        self._handles[(experiment_id, node_id)] = (connector,
-                                                                   handle)
+                    with self._lock_for(experiment_id):
+                        if self.store.read(experiment_id, lambda r: r.status) \
+                                is not Status.RUNNING:
+                            return
+                        handle = connector.launch_executor(
+                            node, self._executor_config(record, node_id))
+                        with self._handles_guard:
+                            self._handles[(experiment_id, node_id)] = (
+                                connector, handle)
                 except ExpforgeError as exc:
                     failure = str(exc)
             if failure is not None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -259,13 +258,6 @@ class LocalRuntime(NodeRuntime):
         return sorted(str(p.relative_to(self.scratch))
                       for p in self.scratch.rglob("*") if p.is_file())
 
-    def wipe_scratch(self) -> None:
-        for entry in self.scratch.iterdir():
-            if entry.is_dir():
-                shutil.rmtree(entry, ignore_errors=True)
-            else:
-                entry.unlink(missing_ok=True)
-
 
 # ---------------------------------------------------------------------------
 # task context and execution
@@ -288,7 +280,6 @@ class TaskContext:
     cancel: threading.Event = field(default_factory=threading.Event)
     stage_index: int = 0
     task_name: str = ""
-    flag_poll_interval: float = 0.5
 
 
 def _task_scope(stage_index: int, task_name: str) -> str:
@@ -415,8 +406,7 @@ def _skipped(task: TaskSpec, stage_index: int, node_id: str) -> TaskResult:
 def run_pipeline(bundle: PipelineBundle, registry: TaskRegistry,
                  runtime: NodeRuntime,
                  gateway: "GatewayClient | None" = None,
-                 stop: threading.Event | None = None,
-                 flag_poll_interval: float = 0.5) -> list[TaskResult]:
+                 stop: threading.Event | None = None) -> list[TaskResult]:
     """Execute the bundle's stages in order and return one result per task.
 
     A failed or timed-out task aborts the remaining stages when the pipeline
@@ -428,7 +418,6 @@ def run_pipeline(bundle: PipelineBundle, registry: TaskRegistry,
         node=NodeDescriptor(node_id=bundle.node_id, kind=bundle.node_kind),
         runtime=runtime,
         gateway=gateway,
-        flag_poll_interval=flag_poll_interval,
     )
     results: list[TaskResult] = []
     abort = False
@@ -520,7 +509,6 @@ def run_executor(bundle: PipelineBundle, registry: TaskRegistry,
                  runtime: NodeRuntime, gateway: "GatewayClient",
                  spool_dir: str | Path,
                  stop: threading.Event | None = None,
-                 flag_poll_interval: float = 0.5,
                  sleeper=time.sleep) -> int:
     """Full executor run: spool replay, digest check, pipeline, report."""
     redeliver_spooled(spool_dir, gateway)
@@ -531,8 +519,7 @@ def run_executor(bundle: PipelineBundle, registry: TaskRegistry,
         return EXIT_STARTUP_ERROR
 
     started_wall, started_mono = time.time(), time.monotonic()
-    results = run_pipeline(bundle, registry, runtime, gateway, stop,
-                           flag_poll_interval)
+    results = run_pipeline(bundle, registry, runtime, gateway, stop)
     finished_wall, finished_mono = time.time(), time.monotonic()
 
     if stop is not None and stop.is_set():
@@ -588,9 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         log.error("could not obtain bundle: %s", exc)
         return EXIT_STARTUP_ERROR
     runtime = LocalRuntime(scratch)
-    poll = float(os.environ.get("EXPFORGE_POLL_INTERVAL", "0.5"))
-    return run_executor(bundle, builtin_registry(), runtime, gateway, spool,
-                        flag_poll_interval=poll)
+    return run_executor(bundle, builtin_registry(), runtime, gateway, spool)
 
 
 if __name__ == "__main__":  # pragma: no cover

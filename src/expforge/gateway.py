@@ -36,6 +36,13 @@ from .errors import (
 from .model import Status
 from .store import EXEC_REPORTED, EXEC_TIMED_OUT, path_component
 
+# How often a blocked flag wait re-reads the flag and status and looks at
+# its cancel event; a set flag wakes it at once.
+FLAG_WAIT_SLICE_S = 0.1
+# The longest flag long-poll the HTTP client asks for: a cancelled wait
+# ends within the executor's one-second cancel grace.
+CLIENT_LONG_POLL_S = 0.5
+
 if TYPE_CHECKING:  # pragma: no cover
     from .director import Director
 
@@ -144,34 +151,37 @@ class Gateway:
             return {"set": False}
         return {"set": True, **flag}
 
-    def wait_flag(self, experiment_id: str, key: str,
-                  timeout_s: float) -> dict | None:
-        """Block until the flag is set or the timeout elapses.
-
-        Each check reads the store's committed record, and a save publishes
-        a record only after writing it durably, so a returned flag was
-        durably written by the setter's set_flag.
-        """
+    def wait_flag(self, experiment_id: str, key: str, timeout_s: float,
+                  cancel: threading.Event | None = None) -> dict | None:
+        """The flag's state once set; None at the deadline or once ``cancel``
+        is set; WrongPhase once the experiment leaves RUNNING. Every client
+        waits here. The flag, then the status, is read under the condition
+        lock that ``set_flag`` notifies after its durable save, so no
+        wake-up is lost and a returned flag is durable."""
         deadline = time.monotonic() + timeout_s
         cond = self._condition(experiment_id, key)
-        while True:
-            state = self.get_flag(experiment_id, key)
-            if state["set"]:
-                return state
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            with cond:
-                cond.wait(min(remaining, 0.5))
+        with cond:
+            while True:
+                state = self.get_flag(experiment_id, key)
+                if state["set"]:
+                    return state
+                status = self._director.store.read(
+                    experiment_id, lambda record: record.status)
+                if status is not Status.RUNNING:
+                    raise WrongPhase(
+                        f"flag wait requires RUNNING, {experiment_id} is "
+                        f"{status.value}")
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or (cancel is not None and cancel.is_set()):
+                    return None
+                cond.wait(min(remaining, FLAG_WAIT_SLICE_S))
 
     def drop_flags(self, experiment_id: str) -> None:
         """Forget the experiment's flag conditions (record flags are cleared
-        by the director's cleanup)."""
+        by the director's cleanup; its waiters already saw it terminal)."""
         with self._flag_lock:
             for key in [k for k in self._flag_conds if k[0] == experiment_id]:
-                cond = self._flag_conds.pop(key)
-                with cond:
-                    cond.notify_all()
+                del self._flag_conds[key]
 
     # -- artifacts ---------------------------------------------------------
 
@@ -240,19 +250,8 @@ class InProcessGatewayClient:
         return self._gateway.get_flag(experiment_id, key)
 
     def wait_flag(self, experiment_id: str, key: str, timeout_s: float,
-                  poll_interval: float = 0.5,
                   cancel: threading.Event | None = None) -> dict | None:
-        deadline = time.monotonic() + timeout_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            if cancel is not None and cancel.is_set():
-                return None
-            flag = self._gateway.wait_flag(experiment_id, key,
-                                           min(remaining, 0.1))
-            if flag is not None:
-                return flag
+        return self._gateway.wait_flag(experiment_id, key, timeout_s, cancel)
 
     def upload_artifact(self, experiment_id: str, node_id: str, name: str,
                         data: bytes) -> dict:
@@ -313,19 +312,20 @@ class HttpGatewayClient:
         return self._request("GET", f"/gw/v1/flags/{experiment_id}/{key}")
 
     def wait_flag(self, experiment_id: str, key: str, timeout_s: float,
-                  poll_interval: float = 0.5,
                   cancel: threading.Event | None = None) -> dict | None:
-        """Client-side polling against the cheap flag read endpoint."""
-        waiter = cancel or threading.Event()
+        """A loop of server-side waits (long-polls) of at most
+        ``CLIENT_LONG_POLL_S`` each; ``cancel`` is checked between them."""
         deadline = time.monotonic() + timeout_s
+        path = f"/gw/v1/flags/{experiment_id}/{key}"
         while True:
-            state = self.get_flag(experiment_id, key)
+            remaining = deadline - time.monotonic()
+            wait_s = max(0.0, min(remaining, CLIENT_LONG_POLL_S))
+            state = self._request("GET", f"{path}?wait_s={wait_s:.3f}",
+                                  timeout=self.timeout_s + wait_s)
             if state.get("set"):
                 return state
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or (cancel is not None and cancel.is_set()):
+            if remaining <= wait_s or (cancel is not None and cancel.is_set()):
                 return None
-            waiter.wait(min(poll_interval, remaining))
 
     def upload_artifact(self, experiment_id: str, node_id: str, name: str,
                         data: bytes) -> dict:

@@ -145,14 +145,6 @@ class NodePool:
         return list(self.nodes[:n])
 
 
-def nodes_filter(pool: NodePool, key: str, value: str) -> NodePool:
-    return pool.filter(key, value)
-
-
-def nodes_take(pool: NodePool, n: int, strict: bool = False) -> list[NodeDescriptor]:
-    return pool.take(n, strict=strict)
-
-
 # ---------------------------------------------------------------------------
 # environment requirements
 # ---------------------------------------------------------------------------
@@ -404,10 +396,6 @@ class Pipeline:
         return digest_doc(self.to_doc())
 
 
-def pipeline_then(pipeline: Pipeline, tasks: TaskSpec | Iterable[TaskSpec]) -> Pipeline:
-    return pipeline.then(tasks)
-
-
 # ---------------------------------------------------------------------------
 # lifecycle statuses
 # ---------------------------------------------------------------------------
@@ -627,11 +615,6 @@ class Experiment:
                               for a in doc.get("assignments", ())),
             policies=Policies.from_doc(doc.get("policies", {})),
         )
-
-
-def experiment_map(exp: Experiment, pipeline: Pipeline,
-                   nodes: Sequence[NodeDescriptor]) -> Experiment:
-    return exp.map(pipeline, nodes)
 
 
 # ---------------------------------------------------------------------------

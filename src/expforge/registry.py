@@ -75,12 +75,6 @@ class TaskRegistry:
     def task_types(self) -> list[str]:
         return sorted({t for t, _ in self._by_key})
 
-    def kinds_for(self, task_type: str) -> list[str]:
-        return sorted(k for t, k in self._by_key if t == task_type)
-
-    def supports(self, task_type: str) -> bool:
-        return any(t == task_type for t, _ in self._by_key)
-
     def resolve(self, task_type: str, kind: str) -> str:
         """Implementation id for (task_type, kind); exact match wins, then
         the kind's fallback chain. Deterministic by construction."""

@@ -12,10 +12,12 @@ Routes (JSON bodies throughout; report payloads may embed base64 binary):
     POST /gw/v1/report                      end-of-pipeline report
     POST /gw/v1/flags/{exp}/{key}           set coordination flag
     GET  /gw/v1/flags/{exp}/{key}           read coordination flag
+    GET  /gw/v1/flags/{exp}/{key}?wait_s=.. wait up to wait_s (capped) for it
     POST /gw/v1/artifacts/{exp}/{node}?name=..  upload artifact bytes
     GET  /gw/v1/artifacts/{exp}             list stored artifacts
 
-Lifecycle conflicts answer 409, unknown ids 404, validation problems 400.
+Lifecycle conflicts answer 409, unknown ids 404, validation problems 400,
+bodies over ``MAX_BODY_BYTES`` 413 (before any byte is read).
 Endpoints are idempotent wherever the lifecycle allows (deploy while
 deploying, execute while running, duplicate reports).
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import re
 import signal
 import threading
@@ -53,11 +56,30 @@ from .store import FileStore
 
 log = logging.getLogger("expforge.server")
 
+# Far above the largest legitimate report or artifact upload.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+# The longest one flag long-poll may hold a server thread.
+MAX_FLAG_WAIT_S = 25.0
+
 _CONFLICTS = (InvalidTransition, NotReady, AlreadyTerminal, WrongPhase,
               DuplicateExperimentName)
 _NOT_FOUND = (UnknownExperiment, UnknownAssignment)
 _BAD_REQUEST = (ManifestError, ValidationFailed, InsufficientNodes,
                 ConnectorUnavailable)
+
+
+class _Rejected(Exception):
+    """Answer with status ``args[0]`` and the message ``args[1]``."""
+
+
+def _wait_seconds(text: str) -> float:
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not 0 <= seconds < math.inf:
+        raise _Rejected(400, f"wait_s must be a finite number >= 0: {text!r}")
+    return min(seconds, MAX_FLAG_WAIT_S)
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -71,6 +93,9 @@ def _error_payload(exc: Exception) -> dict:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "expforge/0.1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, the body waits
+    # for the client's delayed ACK (about 40 ms per round trip).
+    disable_nagle_algorithm = True
     director: Director  # assigned by PlatformServer
 
     # -- plumbing ------------------------------------------------------------
@@ -79,7 +104,13 @@ class _Handler(BaseHTTPRequestHandler):
         log.debug("%s %s", self.address_string(), fmt % args)
 
     def _body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        length = int(declared) if declared.isdecimal() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self.close_connection = True  # the unread body stays unread
+            raise _Rejected(413 if length > MAX_BODY_BYTES else 400,
+                            f"Content-Length {declared!r} is not in "
+                            f"0..{MAX_BODY_BYTES}")
         raw = self.rfile.read(length) if length else b""
         content_type = self.headers.get("Content-Type", "")
         if "json" in content_type or not raw:
@@ -94,6 +125,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -102,6 +135,9 @@ class _Handler(BaseHTTPRequestHandler):
         query = dict(urllib.parse.parse_qsl(parsed.query))
         try:
             handled = self._route(method, parsed.path, query)
+        except _Rejected as exc:
+            self._reply(exc.args[0], {"error": "RequestRejected",
+                                      "message": exc.args[1]})
         except _BAD_REQUEST as exc:
             self._reply(400, _error_payload(exc))
         except _NOT_FOUND as exc:
@@ -212,6 +248,10 @@ class _Handler(BaseHTTPRequestHandler):
                 gateway.require_assigned(experiment_id, node_id)
                 flag = gateway.set_flag(experiment_id, key, node_id)
                 self._reply(200, {"set": True, **flag})
+            elif "wait_s" in query:
+                flag = gateway.wait_flag(experiment_id, key,
+                                         _wait_seconds(query["wait_s"]))
+                self._reply(200, flag or {"set": False})
             else:
                 self._reply(200, gateway.get_flag(experiment_id, key))
             return True

@@ -113,9 +113,8 @@ class WaitFlagTask(TaskImplementation):
         timeout_s = _number(params, "timeout_s", 60.0)
         if ctx.gateway is None:
             raise TaskError("gateway unreachable: no client configured")
-        flag = ctx.gateway.wait_flag(
-            ctx.experiment_id, key, timeout_s,
-            poll_interval=ctx.flag_poll_interval, cancel=ctx.cancel)
+        flag = ctx.gateway.wait_flag(ctx.experiment_id, key, timeout_s,
+                                     cancel=ctx.cancel)
         if flag is None:
             raise TaskError(f"flag {key!r} not set within {timeout_s}s")
         return json.dumps({"key": key, "flag": flag})

@@ -30,7 +30,6 @@ def make_director():
     created: list[Director] = []
 
     def factory(connectors, store=None, **kwargs) -> Director:
-        kwargs.setdefault("flag_poll_interval", 0.02)
         kwargs.setdefault("monitor_poll_s", 0.02)
         director = Director(store or MemoryStore(), builtin_registry(),
                             connectors, **kwargs)
@@ -159,7 +158,7 @@ def kill_director_at(target: Status, experiment, connectors, raw_store,
     """Run the lifecycle on a doomed director and kill it the moment
     ``target`` is durably persisted. Returns the experiment id; the caller
     restarts on ``raw_store``."""
-    kwargs = {"flag_poll_interval": 0.02, "monitor_poll_s": 0.02,
+    kwargs = {"monitor_poll_s": 0.02,
               **(director_kwargs or {})}
     store = KillSwitchStore(
         raw_store, lambda record: Status(record.status) is target)

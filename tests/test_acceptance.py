@@ -80,7 +80,7 @@ def listing1_platform(seed: int):
     connector = listing1_connector(seed=seed)
     director = Director(MemoryStore(), builtin_registry(),
                         {"sim": connector},
-                        flag_poll_interval=0.02, monitor_poll_s=0.02)
+                        monitor_poll_s=0.02)
     manifest = parse_manifest(load_bundled_example())
     experiment = resolve_experiment(manifest, director.query_nodes)
     return director, connector, experiment
@@ -273,7 +273,7 @@ def test_c07_prepare_faults_and_silent_node():
                                        fault=fault)
         director = Director(MemoryStore(), builtin_registry(),
                             {"sim": connector},
-                            flag_poll_interval=0.02, monitor_poll_s=0.02)
+                            monitor_poll_s=0.02)
         try:
             eid = director.submit(_fault_experiment(connector, strictness))
             director.deploy(eid)
@@ -301,7 +301,7 @@ def test_c07_prepare_faults_and_silent_node():
         fault=FaultModel(silent_nodes=frozenset({"sim-002"}),
                          sleep_scale=0.01))
     director = Director(MemoryStore(), builtin_registry(), {"sim": silent},
-                        flag_poll_interval=0.02, monitor_poll_s=0.02)
+                        monitor_poll_s=0.02)
     try:
         eid = director.submit(_fault_experiment(silent, "all-or-nothing",
                                                 timeout_s=1.5))
@@ -338,7 +338,7 @@ def test_c08_kill_and_recover_every_non_terminal_status(tmp_path):
             f"kill at {target.value} persisted a different status"
 
         reborn = Director(raw_store, builtin_registry(), {"sim": connector},
-                          flag_poll_interval=0.02, monitor_poll_s=0.02,
+                          monitor_poll_s=0.02,
                           recover=False)
         try:
             assert reborn.record(eid).status is target
@@ -399,7 +399,7 @@ def test_c10_report_idempotence_and_spool(tmp_path):
     connector = SimulatedConnector("sim", node_count=2, fault=FAST_SIM)
     director = Director(MemoryStore(), builtin_registry(),
                         {"sim": connector},
-                        flag_poll_interval=0.02, monitor_poll_s=0.02)
+                        monitor_poll_s=0.02)
     try:
         pool = connector.list_nodes()
         eid = director.submit(Experiment(
@@ -477,7 +477,7 @@ def _single_node_suite(connector_name: str, connector) -> dict:
     """The single-node end-to-end suite, identical for every connector."""
     director = Director(MemoryStore(), builtin_registry(),
                         {connector_name: connector},
-                        flag_poll_interval=0.05, monitor_poll_s=0.05)
+                        monitor_poll_s=0.05)
     platform = PlatformServer(director).start()
     try:
         pool = connector.list_nodes()

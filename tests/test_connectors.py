@@ -144,7 +144,7 @@ def run_workload(seed: int) -> list[tuple]:
         config = ExecutorConfig(
             experiment_id="exp", node_id=node.node_id,
             gateway_client=gateway, registry=registry,
-            bundle_doc=bundle.to_doc(), flag_poll_interval=0.01)
+            bundle_doc=bundle.to_doc())
         handles.append(connector.launch_executor(node, config))
     for handle in handles:
         handle.thread.join(timeout=20)

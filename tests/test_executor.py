@@ -48,7 +48,6 @@ def make_ctx(runtime, gateway=None, **kwargs) -> TaskContext:
         node=NodeDescriptor("sim-000", runtime.kind),
         runtime=runtime,
         gateway=gateway,
-        flag_poll_interval=0.02,
         **kwargs)
 
 

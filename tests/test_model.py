@@ -44,7 +44,7 @@ def pool_of(n: int, **attrs) -> NodePool:
 
 
 # ---------------------------------------------------------------------------
-# pipeline_then
+# Pipeline.then
 # ---------------------------------------------------------------------------
 
 class TestPipelineThen:
@@ -115,7 +115,7 @@ class TestPipelineThen:
 
 
 # ---------------------------------------------------------------------------
-# nodes_filter / nodes_take
+# NodePool.filter / NodePool.take
 # ---------------------------------------------------------------------------
 
 class TestNodePool:
@@ -180,7 +180,7 @@ class TestNodePool:
 
 
 # ---------------------------------------------------------------------------
-# experiment_map
+# Experiment.map
 # ---------------------------------------------------------------------------
 
 def two_stage_pipeline(pid: str) -> Pipeline:

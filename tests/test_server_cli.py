@@ -33,7 +33,7 @@ def server():
     connector = listing1_connector()
     director = Director(MemoryStore(), builtin_registry(),
                         {"sim": connector},
-                        flag_poll_interval=0.02, monitor_poll_s=0.02)
+                        monitor_poll_s=0.02)
     platform = PlatformServer(director).start()
     yield platform
     platform.stop()
@@ -313,7 +313,7 @@ class TestCli:
             fault=FaultModel(prepare_fail_prob=1.0, sleep_scale=0.01))
         director = Director(MemoryStore(), builtin_registry(),
                             {"sim": connector},
-                            flag_poll_interval=0.02, monitor_poll_s=0.02)
+                            monitor_poll_s=0.02)
         platform = PlatformServer(director).start()
         try:
             path = tmp_path / "m.yaml"

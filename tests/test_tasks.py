@@ -29,8 +29,7 @@ def sim_ctx(sim_node, registry):
     runtime = SimRuntime(sim_node, FaultModel())
     return TaskContext(experiment_id="exp",
                        node=NodeDescriptor("sim-000", "simulated"),
-                       runtime=runtime, gateway=FakeGatewayClient(),
-                       flag_poll_interval=0.02)
+                       runtime=runtime, gateway=FakeGatewayClient())
 
 
 @pytest.fixture
@@ -38,8 +37,7 @@ def local_ctx(tmp_path):
     runtime = LocalRuntime(tmp_path / "scratch")
     return TaskContext(experiment_id="exp",
                        node=NodeDescriptor("local-host", "linux-shell"),
-                       runtime=runtime, gateway=FakeGatewayClient(),
-                       flag_poll_interval=0.02)
+                       runtime=runtime, gateway=FakeGatewayClient())
 
 
 def impl(registry, task_type, kind):
