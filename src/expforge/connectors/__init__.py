@@ -12,8 +12,9 @@ each instance, its type, and its parameters (see :func:`load_connectors`).
 
 from __future__ import annotations
 
+import subprocess
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence, TYPE_CHECKING
 
@@ -26,8 +27,23 @@ from ..model import NodeDescriptor, NodePool
 if TYPE_CHECKING:  # pragma: no cover
     from ..registry import TaskRegistry
 
+# The longest any one node command (setup, verify, cleanup, ssh) may run.
+COMMAND_TIMEOUT_S = 120.0
+
 HEALTH_REACHABLE = "reachable"
 HEALTH_UNREACHABLE = "unreachable"
+
+
+def run_bounded(args: str | Sequence[str], **kwargs) -> tuple[int, str]:
+    """(exit code, output) of a command; one that runs past
+    ``COMMAND_TIMEOUT_S`` is killed and answers exit -1."""
+    try:
+        proc = subprocess.run(args, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True,
+                              timeout=COMMAND_TIMEOUT_S, **kwargs)
+    except subprocess.TimeoutExpired:
+        return -1, f"timed out after {COMMAND_TIMEOUT_S:g} s"
+    return proc.returncode, proc.stdout or ""
 
 
 @dataclass(frozen=True)
@@ -65,7 +81,6 @@ class ExecutorConfig:
     gateway_client: Any = None
     registry: "TaskRegistry | None" = None
     bundle_doc: dict | None = None
-    extra_env: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Setup/verify commands run in a per-node scratch directory; executors are
 child processes (``python -m expforge.executor``) configured through
-environment variables and reporting to the gateway over HTTP.
+environment variables and reporting to the gateway over HTTP. A child's
+stderr goes to ``.logs/<experiment>.stderr`` in the node's scratch directory.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Sequence
 from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from ..errors import LaunchFailed
 from ..model import NodeDescriptor, NodePool
+from ..store import path_component
 from . import (
     CommandResult,
     Connector,
@@ -26,11 +28,10 @@ from . import (
     HEALTH_REACHABLE,
     LaunchHandle,
     PrepareResult,
+    run_bounded,
 )
 
 log = logging.getLogger("expforge.local")
-
-COMMAND_TIMEOUT_S = 120.0
 
 # Directory that holds the running expforge package. The child starts in the
 # node's scratch directory, where a relative PYTHONPATH entry of the parent
@@ -63,11 +64,9 @@ class LocalConnector(Connector):
         return HEALTH_REACHABLE
 
     def _run(self, node_id: str, command: str) -> CommandResult:
-        proc = subprocess.run(
-            command, shell=True, cwd=str(self.scratch_dir(node_id)),
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, timeout=COMMAND_TIMEOUT_S)
-        return CommandResult(command, proc.returncode, proc.stdout or "")
+        code, output = run_bounded(command, shell=True,
+                                   cwd=str(self.scratch_dir(node_id)))
+        return CommandResult(command, code, output)
 
     def prepare(self, node: NodeDescriptor, env: EnvironmentSpec) -> PrepareResult:
         scratch = self.scratch_dir(node.node_id)
@@ -93,10 +92,7 @@ class LocalConnector(Connector):
                 self._wipe_scratch(node.node_id)
                 results.append(CommandResult(command, 0))
                 continue
-            try:
-                results.append(self._run(node.node_id, command))
-            except subprocess.TimeoutExpired:
-                results.append(CommandResult(command, -1, "timed out"))
+            results.append(self._run(node.node_id, command))
         return results
 
     def _wipe_scratch(self, node_id: str) -> None:
@@ -124,12 +120,14 @@ class LocalConnector(Connector):
             "EXPFORGE_SCRATCH": str(scratch),
             "EXPFORGE_SPOOL": str(scratch / ".spool"),
         })
-        env.update(config.extra_env)
+        log_name = f"{path_component(config.experiment_id)}.stderr"
+        (scratch / ".logs").mkdir(exist_ok=True)
         try:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "expforge.executor"],
-                cwd=str(scratch), env=env,
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            with open(scratch / ".logs" / log_name, "wb") as stderr:
+                proc = subprocess.Popen(
+                    [sys.executable, "-m", "expforge.executor"],
+                    cwd=str(scratch), env=env,
+                    stdout=subprocess.DEVNULL, stderr=stderr)
         except OSError as exc:
             raise LaunchFailed(f"could not spawn executor: {exc}") from exc
         return LaunchHandle(node_id=node.node_id,

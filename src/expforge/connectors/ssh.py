@@ -4,7 +4,8 @@ Host lists and credentials come from connector configuration, never from
 experiments. All node interaction happens through a runner callable
 ``(host, command) -> (exit_code, output)`` so the remote-session plumbing can
 be swapped out in tests; the default runner shells out to the ``ssh`` binary
-in batch mode over an established key-authenticated channel.
+in batch mode over an established key-authenticated channel, and kills a
+command that runs past ``COMMAND_TIMEOUT_S``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import base64
 import logging
 import shlex
-import subprocess
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -27,6 +27,7 @@ from . import (
     HEALTH_UNREACHABLE,
     LaunchHandle,
     PrepareResult,
+    run_bounded,
 )
 
 log = logging.getLogger("expforge.ssh")
@@ -80,9 +81,7 @@ class SshConnector(Connector):
             argv += ["-p", str(host.port)]
         target = f"{self.user}@{host.host}" if self.user else host.host
         argv += [target, "--", command]
-        proc = subprocess.run(argv, stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, text=True)
-        return proc.returncode, proc.stdout or ""
+        return run_bounded(argv)
 
     def _host(self, node: NodeDescriptor) -> SshHost:
         try:
@@ -152,7 +151,6 @@ class SshConnector(Connector):
                 "EXPFORGE_NODE_ID": config.node_id,
                 "EXPFORGE_SCRATCH": ".",
                 "EXPFORGE_SPOOL": "./.spool",
-                **config.extra_env,
             }.items())
         launch = (f"{env_assignments} nohup {self.python} -m expforge.executor "
                   f">/dev/null 2>&1 & echo $!")

@@ -4,10 +4,13 @@ The director is the only writer of experiment records; the store owns their
 committed copies. All record mutation funnels through one re-entrant lock
 per experiment (one logical writer, many readers); the gateway's ingestion
 path uses the same lock, so reports, flags, and lifecycle moves never race.
-Readers that need a field or two (status, the completion monitor) read the
+Readers that need a field or two (status, bundle and flag reads) read the
 committed record in place instead of taking a snapshot. deploy() and
 execute() return as soon as the corresponding transition is persisted and
 the real work proceeds on background threads; clients poll status().
+
+A RUNNING experiment ends in the mutate that settles its last pending node,
+and a terminal save drops what the director and gateway held for it.
 
 Restarting a director over the same store recovers every record unchanged:
 in-flight deployments resume preparing only still-pending nodes, RUNNING
@@ -72,24 +75,20 @@ class Director:
                  connectors: Mapping[str, Connector], *,
                  gateway_url: str | None = None,
                  artifact_root=None,
-                 monitor_poll_s: float = 0.25,
                  prepare_workers: int = 8,
                  recover: bool = True):
         self.store = store
         self.registry = registry
         self.connectors = dict(connectors)
         self.gateway_url = gateway_url
-        self.monitor_poll_s = monitor_poll_s
         self.prepare_workers = prepare_workers
         self.gateway = Gateway(self, artifact_root=artifact_root)
 
         self._locks: dict[str, threading.RLock] = {}
         self._locks_guard = threading.Lock()
-        self._completion: dict[str, threading.Condition] = {}
-        self._completion_guard = threading.Lock()
         self._handles: dict[tuple[str, str], tuple[Connector, LaunchHandle]] = {}
-        self._handles_guard = threading.Lock()
-        self._monitored: set[str] = set()
+        self._wakeups: dict[str, threading.Event] = {}  # deadline waits
+        self._guard = threading.Lock()  # guards _handles and _wakeups
         self._closed = threading.Event()
         if recover:
             self.recover()
@@ -102,27 +101,52 @@ class Director:
         with self._locks_guard:
             return self._locks.setdefault(experiment_id, threading.RLock())
 
-    def _completion_cond(self, experiment_id: str) -> threading.Condition:
-        with self._completion_guard:
-            return self._completion.setdefault(experiment_id,
-                                               threading.Condition())
-
     def record(self, experiment_id: str) -> ExperimentRecord:
         """A snapshot of the committed record; raises UnknownExperiment."""
         return self.store.load(experiment_id)
 
     @contextmanager
     def mutate(self, experiment_id: str) -> Iterator[ExperimentRecord]:
-        """Load-modify-save under the experiment's ownership lock."""
+        """Load-modify-save under the experiment's ownership lock; the save
+        that makes the experiment terminal releases what it held."""
         with self._lock_for(experiment_id):
             record = self.store.load(experiment_id)
+            was_terminal = record.status in TERMINAL_STATUSES
             yield record
             self.store.save(record)
+            if record.status in TERMINAL_STATUSES and not was_terminal:
+                self._release(experiment_id)
 
-    def notify_completion(self, experiment_id: str) -> None:
-        cond = self._completion_cond(experiment_id)
-        with cond:
-            cond.notify_all()
+    def settle(self, record: ExperimentRecord) -> None:
+        """Inside a mutate: end a RUNNING record once no prepared node is
+        pending, FINISHED if any node reported and FAILED if none did."""
+        if record.status is not Status.RUNNING or record.pending_execution():
+            return
+        if record.reports:
+            record.transition(Status.FINISHED)
+        else:
+            record.errors.append({"phase": "execute",
+                                  "message": "no node delivered a report"})
+            record.transition(Status.FAILED)
+        log.info("experiment %s finished: %s", record.experiment_id,
+                 record.status.value)
+
+    def _pop_handles(self, experiment_id: str) -> list[tuple[Connector,
+                                                             LaunchHandle]]:
+        with self._guard:
+            keys = [key for key in self._handles if key[0] == experiment_id]
+            return [self._handles.pop(key) for key in keys]
+
+    def _release(self, experiment_id: str) -> None:
+        """Drop the handles, deadline wake-up and flag conditions of an
+        experiment that has just ended; executors are left running, so a
+        timed-out node's late report is still stored."""
+        self._pop_handles(experiment_id)
+        with self._guard:
+            wakeup = self._wakeups.pop(experiment_id, None)
+        if wakeup is not None:
+            wakeup.set()
+        self.gateway.drop_flags(experiment_id)
 
     # ------------------------------------------------------------------
     # experimenter-facing operations
@@ -229,9 +253,13 @@ class Director:
             if record.status in TERMINAL_STATUSES:
                 raise AlreadyTerminal(
                     f"{experiment_id} is already {record.status.value}")
-            self._stop_handles(experiment_id)
+            for connector, handle in self._pop_handles(experiment_id):
+                try:
+                    connector.stop_executor(handle)
+                except ExpforgeError:
+                    log.warning("could not stop executor on %s",
+                                handle.node_id)
             record.transition(Status.CANCELLED)
-        self.notify_completion(experiment_id)
         log.info("experiment %s cancelled", experiment_id)
 
     def cleanup(self, experiment_id: str) -> dict:
@@ -267,7 +295,6 @@ class Director:
         with self.mutate(experiment_id) as record:
             record.cleanup = outcomes
             record.flags.clear()
-        self.gateway.drop_flags(experiment_id)
         return outcomes
 
     # ------------------------------------------------------------------
@@ -434,7 +461,7 @@ class Director:
                             return
                         handle = connector.launch_executor(
                             node, self._executor_config(record, node_id))
-                        with self._handles_guard:
+                        with self._guard:
                             self._handles[(experiment_id, node_id)] = (
                                 connector, handle)
                 except ExpforgeError as exc:
@@ -443,75 +470,31 @@ class Director:
                 with self.mutate(experiment_id) as rec:
                     rec.node_exec(node_id).update(
                         {"state": EXEC_UNREACHABLE, "reason": failure})
+                    self.settle(rec)
                 log.warning("experiment %s node %s not launched: %s",
                             experiment_id, node_id, failure)
-        self._ensure_monitor(experiment_id)
-
-    def _ensure_monitor(self, experiment_id: str) -> None:
-        with self._completion_guard:
-            if experiment_id in self._monitored:
+        # Block until the release or the deadline. The release pops the
+        # wake-up under the guard after its terminal save, so this status
+        # read misses none. With nothing pending (a recovery where every
+        # node had already ended), settle at once.
+        with self._guard:
+            status, pending, deadline = self.store.read(
+                experiment_id, lambda r: (r.status,
+                                          bool(r.pending_execution()),
+                                          r.deadline_wall))
+            if self._closed.is_set() or status is not Status.RUNNING:
                 return
-            self._monitored.add(experiment_id)
-        self._spawn(self._monitor, experiment_id,
-                    name=f"monitor-{experiment_id}")
-
-    def _monitor(self, experiment_id: str) -> None:
-        """Completion monitor: one per RUNNING experiment."""
-        cond = self._completion_cond(experiment_id)
-        try:
-            while not self._closed.is_set():
-                status, pending, deadline = self.store.read(
-                    experiment_id, lambda r: (r.status,
-                                              bool(r.pending_execution()),
-                                              r.deadline_wall))
-                if status is not Status.RUNNING:
-                    return
-                if not pending:
-                    self._finish(experiment_id)
-                    return
-                now = time.time()
-                if deadline is not None and now >= deadline:
-                    with self.mutate(experiment_id) as rec:
-                        if rec.status is not Status.RUNNING:
-                            return
-                        for node_id in rec.pending_execution():
-                            rec.node_exec(node_id)["state"] = EXEC_TIMED_OUT
-                            log.warning("experiment %s node %s timed out",
-                                        experiment_id, node_id)
-                    self._finish(experiment_id)
-                    return
-                wait = self.monitor_poll_s
-                if deadline is not None:
-                    wait = min(wait, max(deadline - now, 0.01))
-                with cond:
-                    cond.wait(wait)
-        finally:
-            with self._completion_guard:
-                self._monitored.discard(experiment_id)
-
-    def _finish(self, experiment_id: str) -> None:
+            wakeup = self._wakeups.setdefault(experiment_id, threading.Event())
+        if pending and (wakeup.wait(max(deadline - time.time(), 0))
+                        or self._closed.is_set()):
+            return
         with self.mutate(experiment_id) as rec:
-            if rec.status is not Status.RUNNING:
-                return
-            if rec.reports:
-                rec.transition(Status.FINISHED)
-            else:
-                rec.errors.append({"phase": "execute",
-                                   "message": "no node delivered a report"})
-                rec.transition(Status.FAILED)
-        log.info("experiment %s finished: %s", experiment_id, rec.status.value)
-
-    def _stop_handles(self, experiment_id: str) -> None:
-        with self._handles_guard:
-            entries = [(key, value) for key, value in self._handles.items()
-                       if key[0] == experiment_id]
-            for key, _ in entries:
-                del self._handles[key]
-        for (_, node_id), (connector, handle) in entries:
-            try:
-                connector.stop_executor(handle)
-            except ExpforgeError:
-                log.warning("could not stop executor on %s", node_id)
+            if rec.status is Status.RUNNING:
+                for node_id in rec.pending_execution():
+                    rec.node_exec(node_id)["state"] = EXEC_TIMED_OUT
+                    log.warning("experiment %s node %s timed out",
+                                experiment_id, node_id)
+            self.settle(rec)
 
     # ------------------------------------------------------------------
     # recovery / shutdown
@@ -536,8 +519,7 @@ class Director:
     def close(self) -> None:
         """Stop background work; records stay as persisted."""
         self._closed.set()
-        with self._completion_guard:
-            conditions = list(self._completion.values())
-        for cond in conditions:
-            with cond:
-                cond.notify_all()
+        with self._guard:
+            wakeups = list(self._wakeups.values())
+        for wakeup in wakeups:
+            wakeup.set()

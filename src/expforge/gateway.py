@@ -37,7 +37,7 @@ from .model import Status
 from .store import EXEC_REPORTED, EXEC_TIMED_OUT, path_component
 
 # How often a blocked flag wait re-reads the flag and status and looks at
-# its cancel event; a set flag wakes it at once.
+# its cancel event; a set flag, or the experiment's end, wakes it at once.
 FLAG_WAIT_SLICE_S = 0.1
 # The longest flag long-poll the HTTP client asks for: a cancelled wait
 # ends within the executor's one-second cancel grace.
@@ -111,7 +111,7 @@ class Gateway:
                 state["late"] = True
             for result in report_doc.get("results", ()):
                 record.results.append(dict(result))
-        self._director.notify_completion(experiment_id)
+            self._director.settle(record)
         return "accepted"
 
     # -- flags -------------------------------------------------------------
@@ -177,11 +177,14 @@ class Gateway:
                 cond.wait(min(remaining, FLAG_WAIT_SLICE_S))
 
     def drop_flags(self, experiment_id: str) -> None:
-        """Forget the experiment's flag conditions (record flags are cleared
-        by the director's cleanup; its waiters already saw it terminal)."""
+        """Forget the flag conditions of an experiment that has just ended
+        and wake their waiters, which then raise WrongPhase (record flags
+        are cleared by the director's cleanup)."""
         with self._flag_lock:
             for key in [k for k in self._flag_conds if k[0] == experiment_id]:
-                del self._flag_conds[key]
+                cond = self._flag_conds.pop(key)
+                with cond:
+                    cond.notify_all()
 
     # -- artifacts ---------------------------------------------------------
 

@@ -19,6 +19,23 @@ LISTING1_ATTRS = ([{"location": "azure"}]
 FAST_SIM = FaultModel(sleep_scale=0.01)
 
 
+@pytest.fixture(autouse=True)
+def no_stray_execute_threads():
+    """No execute worker a test starts is alive 2 s after its teardown."""
+    before = set(threading.enumerate())
+
+    def stray() -> list[str]:
+        return [t.name for t in threading.enumerate()
+                if t not in before
+                and t.name.startswith(("execute-", "recover-execute-"))]
+
+    yield
+    deadline = time.monotonic() + 2.0
+    while stray() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert stray() == []
+
+
 @pytest.fixture
 def registry():
     return builtin_registry()
@@ -30,7 +47,6 @@ def make_director():
     created: list[Director] = []
 
     def factory(connectors, store=None, **kwargs) -> Director:
-        kwargs.setdefault("monitor_poll_s", 0.02)
         director = Director(store or MemoryStore(), builtin_registry(),
                             connectors, **kwargs)
         created.append(director)
@@ -158,8 +174,7 @@ def kill_director_at(target: Status, experiment, connectors, raw_store,
     """Run the lifecycle on a doomed director and kill it the moment
     ``target`` is durably persisted. Returns the experiment id; the caller
     restarts on ``raw_store``."""
-    kwargs = {"monitor_poll_s": 0.02,
-              **(director_kwargs or {})}
+    kwargs = dict(director_kwargs or {})
     store = KillSwitchStore(
         raw_store, lambda record: Status(record.status) is target)
     doomed = Director(store, builtin_registry(), connectors, **kwargs)

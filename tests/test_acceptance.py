@@ -79,8 +79,7 @@ def run_shape(stages: int, tasks: int, seed: int, scale: float = SCALE):
 def listing1_platform(seed: int):
     connector = listing1_connector(seed=seed)
     director = Director(MemoryStore(), builtin_registry(),
-                        {"sim": connector},
-                        monitor_poll_s=0.02)
+                        {"sim": connector})
     manifest = parse_manifest(load_bundled_example())
     experiment = resolve_experiment(manifest, director.query_nodes)
     return director, connector, experiment
@@ -272,8 +271,7 @@ def test_c07_prepare_faults_and_silent_node():
         connector = SimulatedConnector("sim", node_count=20, seed=0,
                                        fault=fault)
         director = Director(MemoryStore(), builtin_registry(),
-                            {"sim": connector},
-                            monitor_poll_s=0.02)
+                            {"sim": connector})
         try:
             eid = director.submit(_fault_experiment(connector, strictness))
             director.deploy(eid)
@@ -300,8 +298,7 @@ def test_c07_prepare_faults_and_silent_node():
         "sim", node_count=3,
         fault=FaultModel(silent_nodes=frozenset({"sim-002"}),
                          sleep_scale=0.01))
-    director = Director(MemoryStore(), builtin_registry(), {"sim": silent},
-                        monitor_poll_s=0.02)
+    director = Director(MemoryStore(), builtin_registry(), {"sim": silent})
     try:
         eid = director.submit(_fault_experiment(silent, "all-or-nothing",
                                                 timeout_s=1.5))
@@ -338,7 +335,6 @@ def test_c08_kill_and_recover_every_non_terminal_status(tmp_path):
             f"kill at {target.value} persisted a different status"
 
         reborn = Director(raw_store, builtin_registry(), {"sim": connector},
-                          monitor_poll_s=0.02,
                           recover=False)
         try:
             assert reborn.record(eid).status is target
@@ -398,8 +394,7 @@ def test_c10_report_idempotence_and_spool(tmp_path):
     # idempotence against the real gateway
     connector = SimulatedConnector("sim", node_count=2, fault=FAST_SIM)
     director = Director(MemoryStore(), builtin_registry(),
-                        {"sim": connector},
-                        monitor_poll_s=0.02)
+                        {"sim": connector})
     try:
         pool = connector.list_nodes()
         eid = director.submit(Experiment(
@@ -476,8 +471,7 @@ def test_c11_filter_take_matches_linear_scan_on_1000_triples():
 def _single_node_suite(connector_name: str, connector) -> dict:
     """The single-node end-to-end suite, identical for every connector."""
     director = Director(MemoryStore(), builtin_registry(),
-                        {connector_name: connector},
-                        monitor_poll_s=0.05)
+                        {connector_name: connector})
     platform = PlatformServer(director).start()
     try:
         pool = connector.list_nodes()

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import gc
+import os
 import socket
 import tempfile
+import time
 
 import pytest
 
 from conftest import FakeGatewayClient, make_bundle
+import expforge.connectors as connectors_module
 from expforge.compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from expforge.connectors import ExecutorConfig, load_connectors
 from expforge.connectors.local import LocalConnector
@@ -21,6 +24,7 @@ from expforge.connectors.ssh import SshConnector, SshHost
 from expforge.errors import ConnectorUnavailable, LaunchFailed, NodeUnreachable
 from expforge.executor import EXIT_STARTUP_ERROR
 from expforge.model import Pipeline, StagedFile, TaskSpec
+from expforge.store import path_component
 from expforge.tasks import builtin_registry
 
 
@@ -268,6 +272,34 @@ class TestSshConnector:
         connector.stop_executor(handle)
         assert "kill 4242" in runner.calls[-1][1]
 
+    @pytest.fixture
+    def hung_ssh(self, tmp_path, monkeypatch):
+        """An ``ssh`` first on PATH that never answers; commands get 0.5 s."""
+        script = tmp_path / "bin" / "ssh"
+        script.parent.mkdir()
+        script.write_text("#!/bin/sh\nexec sleep 30\n")
+        script.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{script.parent}:{os.environ['PATH']}")
+        monkeypatch.setattr(connectors_module, "COMMAND_TIMEOUT_S", 0.5)
+        connector = SshConnector("lab", hosts=[SshHost("h1")])
+        return connector, connector.list_nodes().nodes[0]
+
+    def test_hung_health_check_answers_unreachable(self, hung_ssh):
+        connector, node = hung_ssh
+        started = time.monotonic()
+        assert connector.health(node) == "unreachable"
+        assert time.monotonic() - started < 5
+
+    def test_hung_setup_command_fails_prepare(self, hung_ssh):
+        connector, node = hung_ssh
+        started = time.monotonic()
+        result = connector.prepare(node, env_spec(
+            setup=("apt-get install -y tcpdump",), kind="ssh-host"))
+        assert time.monotonic() - started < 5
+        assert not result.prepared
+        assert result.failed_command == "apt-get install -y tcpdump"
+        assert "timed out" in result.output
+
     def test_health(self):
         runner = ScriptedRunner(unreachable={"down"})
         connector = SshConnector("lab", hosts=[SshHost("h1"),
@@ -307,6 +339,24 @@ def test_local_child_imports_expforge_under_relative_pythonpath(
         assert handle.process.wait(timeout=30) == EXIT_STARTUP_ERROR
     finally:
         connector.stop_executor(handle)
+
+
+def test_local_child_stderr_is_kept(tmp_path):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    connector = LocalConnector("local", workdir=tmp_path)
+    node = connector.list_nodes().nodes[0]
+    handle = connector.launch_executor(node, ExecutorConfig(
+        experiment_id="exp/1", node_id=node.node_id,
+        gateway_url=f"http://127.0.0.1:{port}"))
+    try:
+        assert handle.process.wait(timeout=30) == EXIT_STARTUP_ERROR
+    finally:
+        connector.stop_executor(handle)
+    log = (connector.scratch_dir(node.node_id) / ".logs"
+           / f"{path_component('exp/1')}.stderr")
+    assert "could not obtain bundle" in log.read_text()
 
 
 def test_sim_launch_requires_client_and_registry():

@@ -290,6 +290,50 @@ class TestCancelCleanup:
         with pytest.raises(AlreadyTerminal):
             director.cancel(eid)
 
+    def test_terminal_save_releases_experiment_state(self, make_director,
+                                                     sim20):
+        """Finishing and cancelling each drop the experiment's handles,
+        deadline wake-up and flag conditions; no director thread polls."""
+        director = make_director({"sim": sim20})
+        pipeline = Pipeline("p").then(
+            TaskSpec("wait-flag", params={"key": "go", "timeout_s": 30}))
+        eids = []
+        for name in ("ends-finished", "ends-cancelled"):
+            eid = director.submit(Experiment(
+                name, policies=Policies(experiment_timeout_s=60)).map(
+                pipeline, sim20.list_nodes().take(2)))
+            director.deploy(eid)
+            wait_status(director, eid, {Status.READY})
+            director.execute(eid)
+            eids.append(eid)
+
+        def held(eid: str) -> list:
+            return ([k for k in list(director._handles) if k[0] == eid]
+                    + [e for e in list(director._wakeups) if e == eid]
+                    + [k for k in list(director.gateway._flag_conds)
+                       if k[0] == eid])
+
+        def director_threads(eid: str) -> list[str]:
+            return [t.name for t in threading.enumerate()
+                    if t.name in (f"execute-{eid}", f"monitor-{eid}")]
+
+        deadline = time.monotonic() + 5
+        while any(len(held(eid)) < 4 for eid in eids):
+            assert time.monotonic() < deadline, [held(e) for e in eids]
+            time.sleep(0.01)
+        assert all(director_threads(eid) == [f"execute-{eid}"]
+                   for eid in eids)
+
+        finished, cancelled = eids
+        director.gateway.set_flag(finished, "go", "test")
+        wait_status(director, finished, {Status.FINISHED})
+        director.cancel(cancelled)
+        deadline = time.monotonic() + 2
+        while any(held(e) or director_threads(e) for e in eids):
+            assert time.monotonic() < deadline, [
+                (held(e), director_threads(e)) for e in eids]
+            time.sleep(0.01)
+
     def test_cleanup_requires_terminal(self, make_director, sim20):
         director = make_director({"sim": sim20})
         eid = director.submit(sleep_experiment(sim20))

@@ -83,11 +83,39 @@ def test_no_lost_wake_up_under_contention(make_director, monkeypatch):
     director.gateway.set_flag(eid, "release", "test")
 
 
+def test_cancel_ends_blocked_wait_at_once(make_director, monkeypatch):
+    """With the re-check slice raised to 30 s, only the notify of the
+    cancel's release can end the wait within a second."""
+    monkeypatch.setattr(gateway_module, "FLAG_WAIT_SLICE_S", 30.0)
+    connector = SimulatedConnector("sim", node_count=1, fault=FAST_SIM)
+    director = make_director({"sim": connector})
+    eid = start_held(director, connector, "cancel-wakes")
+    raised: list[Exception] = []
+
+    def waiter():
+        try:
+            director.gateway.wait_flag(eid, "never", timeout_s=20)
+        except WrongPhase as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=waiter)
+    thread.start()
+    deadline = time.monotonic() + 5.0
+    while (eid, "never") not in director.gateway._flag_conds:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    started = time.monotonic()
+    director.cancel(eid)
+    thread.join(timeout=1.0)
+    assert not thread.is_alive()
+    assert time.monotonic() - started < 1.0
+    assert len(raised) == 1
+
+
 @pytest.fixture
 def served():
     connector = SimulatedConnector("sim", node_count=2, fault=FAST_SIM)
-    director = Director(MemoryStore(), builtin_registry(), {"sim": connector},
-                        monitor_poll_s=0.02)
+    director = Director(MemoryStore(), builtin_registry(), {"sim": connector})
     platform = PlatformServer(director).start()
     yield platform, connector
     platform.stop()

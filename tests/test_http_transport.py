@@ -19,7 +19,7 @@ from expforge.server import MAX_BODY_BYTES, PlatformServer
 @pytest.fixture
 def server():
     director = Director(MemoryStore(), builtin_registry(),
-                        {"sim": listing1_connector()}, monitor_poll_s=0.02)
+                        {"sim": listing1_connector()})
     platform = PlatformServer(director).start()
     yield platform
     platform.stop()

@@ -32,8 +32,7 @@ from expforge.server import PlatformServer
 def server():
     connector = listing1_connector()
     director = Director(MemoryStore(), builtin_registry(),
-                        {"sim": connector},
-                        monitor_poll_s=0.02)
+                        {"sim": connector})
     platform = PlatformServer(director).start()
     yield platform
     platform.stop()
@@ -312,8 +311,7 @@ class TestCli:
                 + [{"location": "cloud"}] * 10),
             fault=FaultModel(prepare_fail_prob=1.0, sleep_scale=0.01))
         director = Director(MemoryStore(), builtin_registry(),
-                            {"sim": connector},
-                            monitor_poll_s=0.02)
+                            {"sim": connector})
         platform = PlatformServer(director).start()
         try:
             path = tmp_path / "m.yaml"

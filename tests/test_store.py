@@ -236,8 +236,7 @@ def lifecycle(director: Director):
         assert director.gateway.ingest_report(report(node_id, 2)) \
             == "accepted"
         yield f"report {node_id}"
-    with director.mutate("life") as record:
-        record.transition(Status.FINISHED)
+    assert director.record("life").status is Status.FINISHED
     yield "finished"
     with director.mutate("life") as record:
         record.cleanup = {n: {"ok": True} for n in NODES}
@@ -317,6 +316,16 @@ class TestStoreContract:
                 == frozen(store.load("life")), f"differs after {step}"
         assert steps[-1] == "cleaned"
         assert FileStore(store.root).list_ids() == ["life"]
+
+    def test_last_report_commits_finished(self, tmp_path):
+        """The save that stores the last report also commits FINISHED."""
+        store = FileStore(tmp_path / "records")
+        director = Director(store, builtin_registry(), {}, recover=False)
+        for step in lifecycle(director):
+            if step == f"report {NODES[-1]}":
+                break
+        assert director.record("life").status is Status.FINISHED
+        assert FileStore(store.root).load("life").status is Status.FINISHED
 
     def test_orphan_chunk_is_ignored(self, tmp_path, monkeypatch):
         store = FileStore(tmp_path / "records")
