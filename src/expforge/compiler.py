@@ -10,17 +10,10 @@ identical experiment and registry yield a byte-identical plan document.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .errors import ValidationFailed
-from .model import (
-    EnvironmentRequirement,
-    Experiment,
-    StagedFile,
-    canonical_json,
-    merge_requirements,
-    validate_experiment,
-)
+from .model import Experiment, StagedFile, canonical_json, check_experiment
 from .registry import TaskRegistry
 
 # Connector-interpreted token: wipe the node's scratch area. Kept symbolic so
@@ -66,21 +59,6 @@ class EnvironmentSpec:
         )
 
 
-def merge_environments(reqs: Sequence[EnvironmentRequirement]) -> EnvironmentRequirement:
-    """Stage-ordered union of requirements; see :func:`model.merge_requirements`.
-
-    Binary requirements fold into verify commands when specs are built, so the
-    merged body is directly executable by a connector.
-    """
-    return merge_requirements(reqs)
-
-
-def resolve_implementation(task_type: str, kind: str,
-                           registry: TaskRegistry) -> str:
-    """Preferred implementation id for (task_type, kind); deterministic."""
-    return registry.resolve(task_type, kind)
-
-
 def join_bundle(bundle: Mapping[str, Any],
                 pipelines: Mapping[str, dict]) -> dict:
     """A node's executable bundle: its plan entry plus its pipeline doc."""
@@ -124,29 +102,16 @@ class DeploymentPlan:
         return canonical_json(self.to_doc())
 
 
-def _environment_body(pipeline, kind: str,
-                      registry: TaskRegistry) -> EnvironmentRequirement:
-    reqs: list[EnvironmentRequirement] = []
-    for stage in pipeline.stages:
-        for task in stage.tasks:
-            impl = registry.implementation(registry.resolve(task.task_type, kind))
-            reqs.append(impl.environment)
-            reqs.append(task.environment)
-    return merge_environments(reqs)
-
-
 def _binary_verify_command(name: str) -> str:
     return f"command -v {name}"
 
 
 def compile_experiment(exp: Experiment, registry: TaskRegistry) -> DeploymentPlan:
-    """Build the deployment plan for a validated experiment.
+    """Build the deployment plan from the validation walk's resolutions.
 
-    Raises :class:`ValidationFailed` when the experiment does not validate,
-    and :class:`UnsupportedTaskForKind` / :class:`EnvironmentConflict` if the
-    registry changed underneath the validator.
+    Raises :class:`ValidationFailed` when the experiment does not validate.
     """
-    issues = validate_experiment(exp, registry)
+    issues, resolved = check_experiment(exp, registry)
     if issues:
         raise ValidationFailed(issues)
 
@@ -155,18 +120,14 @@ def compile_experiment(exp: Experiment, registry: TaskRegistry) -> DeploymentPla
     bundles: dict[str, dict] = {}
     cleanup: dict[str, list[str]] = {}
 
-    for assignment in exp.assignments:
+    for index, assignment in enumerate(exp.assignments):
         pipeline = assignment.pipeline
         pipeline_digest = pipeline.digest()
         pipelines.setdefault(pipeline_digest, pipeline.to_doc())
         for node in assignment.nodes:
+            impl_ids, body = resolved[(index, node.kind)]
             key = (pipeline_digest, node.kind)
-            impl_ids = {
-                task.name: resolve_implementation(task.task_type, node.kind, registry)
-                for stage in pipeline.stages for task in stage.tasks
-            }
             if key not in specs:
-                body = _environment_body(pipeline, node.kind, registry)
                 verify = list(body.verify_commands)
                 for binary in body.binaries:
                     probe = _binary_verify_command(binary.name)
@@ -179,17 +140,17 @@ def compile_experiment(exp: Experiment, registry: TaskRegistry) -> DeploymentPla
                     staged_files=body.staged_files,
                     verify_commands=tuple(verify),
                 )
-            kind_cleanup = cleanup.setdefault(node.kind, [])
-            for impl_id in impl_ids.values():
-                for cmd in registry.implementation(impl_id).cleanup_commands:
-                    if cmd not in kind_cleanup:
-                        kind_cleanup.append(cmd)
+                kind_cleanup = cleanup.setdefault(node.kind, [])
+                for impl_id in impl_ids.values():
+                    for cmd in registry.implementation(impl_id).cleanup_commands:
+                        if cmd not in kind_cleanup:
+                            kind_cleanup.append(cmd)
             bundles[node.node_id] = {
                 "experiment_id": exp.experiment_id,
                 "node_id": node.node_id,
                 "node_kind": node.kind,
                 "pipeline_digest": pipeline_digest,
-                "impl_ids": impl_ids,
+                "impl_ids": dict(impl_ids),
                 "early_stop": pipeline.early_stop,
                 "report_retry": dict(DEFAULT_REPORT_RETRY),
             }

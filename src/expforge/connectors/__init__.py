@@ -58,11 +58,6 @@ class PrepareResult:
     failed_command: str | None = None
     output: str | None = None
 
-    def to_doc(self) -> dict:
-        return {"prepared": self.prepared,
-                "failed_command": self.failed_command,
-                "output": self.output}
-
 
 @dataclass(frozen=True)
 class CommandResult:
@@ -80,7 +75,6 @@ class ExecutorConfig:
     gateway_url: str | None = None
     gateway_client: Any = None
     registry: "TaskRegistry | None" = None
-    bundle_doc: dict | None = None
 
 
 @dataclass

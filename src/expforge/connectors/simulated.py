@@ -261,9 +261,6 @@ class SimRuntime(NodeRuntime):
     def file_size(self, path: str) -> int:
         return self.node.size(path)
 
-    def list_files(self) -> list[str]:
-        return self.node.files()
-
     def log_event(self, scope: str, name: str, detail: dict | None = None) -> None:
         self.node.log(scope, name, detail)
 
@@ -393,9 +390,9 @@ class SimulatedConnector(Connector):
             sim.log("launch", "executor-launch",
                     {"experiment_id": config.experiment_id})
             try:
-                bundle_doc = config.bundle_doc or config.gateway_client.fetch_bundle(
-                    config.experiment_id, config.node_id)
-                bundle = PipelineBundle.from_doc(bundle_doc)
+                bundle = PipelineBundle.from_doc(
+                    config.gateway_client.fetch_bundle(config.experiment_id,
+                                                       config.node_id))
                 run_executor(bundle, config.registry, runtime, proxy,
                              spool_dir, stop=stop,
                              sleeper=lambda s: time.sleep(s * scale))

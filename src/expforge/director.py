@@ -1,16 +1,19 @@
 """Mediation service: experiment lifecycle, persistence, orchestration.
 
 The director is the only writer of experiment records; the store owns their
-committed copies. All record mutation funnels through one re-entrant lock
-per experiment (one logical writer, many readers); the gateway's ingestion
-path uses the same lock, so reports, flags, and lifecycle moves never race.
-Readers that need a field or two (status, bundle and flag reads) read the
-committed record in place instead of taking a snapshot. deploy() and
-execute() return as soon as the corresponding transition is persisted and
-the real work proceeds on background threads; clients poll status().
+committed copies. All record mutation funnels through one monitor per
+experiment, a re-entrant lock with a condition (one logical writer, many
+readers); the gateway's ingestion path uses the same lock, so reports,
+flags, and lifecycle moves never race, and its flag waits wait on the same
+condition, which a save that sets a flag or changes the status notifies.
+A monitor is made only for an experiment the store holds. Readers that need
+a field or two (status, bundle and flag reads) read the committed record in
+place instead of taking a snapshot. deploy() and execute() return as soon as
+the corresponding transition is persisted and the real work proceeds on
+background threads; clients poll status().
 
 A RUNNING experiment ends in the mutate that settles its last pending node,
-and a terminal save drops what the director and gateway held for it.
+and a terminal save drops what the director held for it.
 
 Restarting a director over the same store recovers every record unchanged:
 in-flight deployments resume preparing only still-pending nodes, RUNNING
@@ -38,11 +41,10 @@ from .connectors import (
 from .errors import (
     AlreadyTerminal,
     ConnectorUnavailable,
-    EnvironmentConflict,
     ExpforgeError,
     InvalidTransition,
     NotReady,
-    UnsupportedTaskForKind,
+    UnknownExperiment,
     ValidationFailed,
 )
 from .gateway import Gateway, InProcessGatewayClient
@@ -69,23 +71,24 @@ from .store import (
 
 log = logging.getLogger("expforge.director")
 
+# How many nodes of one deployment are prepared at once.
+PREPARE_WORKERS = 8
+
 
 class Director:
     def __init__(self, store: Store, registry: TaskRegistry,
                  connectors: Mapping[str, Connector], *,
                  gateway_url: str | None = None,
                  artifact_root=None,
-                 prepare_workers: int = 8,
                  recover: bool = True):
         self.store = store
         self.registry = registry
         self.connectors = dict(connectors)
         self.gateway_url = gateway_url
-        self.prepare_workers = prepare_workers
         self.gateway = Gateway(self, artifact_root=artifact_root)
 
-        self._locks: dict[str, threading.RLock] = {}
-        self._locks_guard = threading.Lock()
+        self._monitors: dict[str, threading.Condition] = {}
+        self._monitors_guard = threading.Lock()
         self._handles: dict[tuple[str, str], tuple[Connector, LaunchHandle]] = {}
         self._wakeups: dict[str, threading.Event] = {}  # deadline waits
         self._guard = threading.Lock()  # guards _handles and _wakeups
@@ -97,9 +100,19 @@ class Director:
     # record access
     # ------------------------------------------------------------------
 
-    def _lock_for(self, experiment_id: str) -> threading.RLock:
-        with self._locks_guard:
-            return self._locks.setdefault(experiment_id, threading.RLock())
+    def monitor(self, experiment_id: str) -> threading.Condition:
+        """The experiment's re-entrant ownership lock and the condition flag
+        waiters wait on. Made only for an experiment the store holds;
+        raises UnknownExperiment otherwise."""
+        with self._monitors_guard:
+            monitor = self._monitors.get(experiment_id)
+            if monitor is None:
+                if not self.store.exists(experiment_id):
+                    raise UnknownExperiment(
+                        f"unknown experiment {experiment_id!r}")
+                monitor = threading.Condition(threading.RLock())
+                self._monitors[experiment_id] = monitor
+            return monitor
 
     def record(self, experiment_id: str) -> ExperimentRecord:
         """A snapshot of the committed record; raises UnknownExperiment."""
@@ -107,14 +120,19 @@ class Director:
 
     @contextmanager
     def mutate(self, experiment_id: str) -> Iterator[ExperimentRecord]:
-        """Load-modify-save under the experiment's ownership lock; the save
-        that makes the experiment terminal releases what it held."""
-        with self._lock_for(experiment_id):
+        """Load-modify-save under the experiment's monitor. A save that
+        changes the status or the number of flags wakes the flag waiters;
+        the save that makes the experiment terminal releases what it held."""
+        monitor = self.monitor(experiment_id)
+        with monitor:
             record = self.store.load(experiment_id)
-            was_terminal = record.status in TERMINAL_STATUSES
+            status, flags = record.status, len(record.flags)
             yield record
             self.store.save(record)
-            if record.status in TERMINAL_STATUSES and not was_terminal:
+            if record.status is not status or len(record.flags) != flags:
+                monitor.notify_all()
+            if record.status in TERMINAL_STATUSES \
+                    and status not in TERMINAL_STATUSES:
                 self._release(experiment_id)
 
     def settle(self, record: ExperimentRecord) -> None:
@@ -138,15 +156,14 @@ class Director:
             return [self._handles.pop(key) for key in keys]
 
     def _release(self, experiment_id: str) -> None:
-        """Drop the handles, deadline wake-up and flag conditions of an
-        experiment that has just ended; executors are left running, so a
-        timed-out node's late report is still stored."""
+        """Drop the handles and deadline wake-up of an experiment that has
+        just ended; executors are left running, so a timed-out node's late
+        report is still stored."""
         self._pop_handles(experiment_id)
         with self._guard:
             wakeup = self._wakeups.pop(experiment_id, None)
         if wakeup is not None:
             wakeup.set()
-        self.gateway.drop_flags(experiment_id)
 
     # ------------------------------------------------------------------
     # experimenter-facing operations
@@ -341,8 +358,7 @@ class Director:
             exp = Experiment.from_doc(record.experiment_doc)
             try:
                 plan = compile_experiment(exp, self.registry)
-            except (ValidationFailed, EnvironmentConflict,
-                    UnsupportedTaskForKind) as exc:
+            except ValidationFailed as exc:
                 with self.mutate(experiment_id) as rec:
                     if rec.status is not Status.COMPILING:
                         return
@@ -388,7 +404,7 @@ class Director:
                 rec.deploy_state[node.node_id] = outcome
 
         if pending:
-            workers = min(self.prepare_workers, len(pending))
+            workers = min(PREPARE_WORKERS, len(pending))
             with ThreadPoolExecutor(max_workers=workers,
                                     thread_name_prefix="prepare") as pool:
                 list(pool.map(prepare_one, pending))
@@ -455,7 +471,7 @@ class Director:
                 # Launch and register under the experiment lock, as cancel
                 # stops and commits: none sees CANCELLED with stop unset.
                 try:
-                    with self._lock_for(experiment_id):
+                    with self.monitor(experiment_id):
                         if self.store.read(experiment_id, lambda r: r.status) \
                                 is not Status.RUNNING:
                             return

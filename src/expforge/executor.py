@@ -10,10 +10,10 @@ finished report is flushed to a local spool file before the first delivery
 attempt and removed only after the gateway acknowledged it, so a crash or an
 unreachable gateway never loses results.
 
-As a child process (``python -m expforge.executor``) configuration comes from
+Every executor gets its bundle from the gateway (``fetch_bundle``). As a
+child process (``python -m expforge.executor``) configuration comes from
 environment variables: EXPFORGE_GATEWAY, EXPFORGE_EXPERIMENT_ID,
-EXPFORGE_NODE_ID, EXPFORGE_BUNDLE (path or inline JSON; fetched from the
-gateway when unset), EXPFORGE_SCRATCH, EXPFORGE_SPOOL.
+EXPFORGE_NODE_ID, EXPFORGE_SCRATCH, EXPFORGE_SPOOL.
 """
 
 from __future__ import annotations
@@ -145,19 +145,6 @@ class PipelineReport:
             "finished_mono": self.finished_mono,
         }
 
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "PipelineReport":
-        return cls(
-            experiment_id=doc["experiment_id"],
-            node_id=doc["node_id"],
-            results=tuple(TaskResult.from_doc(r) for r in doc.get("results", ())),
-            executor_version=doc.get("executor_version", ""),
-            started_wall=doc.get("started_wall", 0.0),
-            finished_wall=doc.get("finished_wall", 0.0),
-            started_mono=doc.get("started_mono", 0.0),
-            finished_mono=doc.get("finished_mono", 0.0),
-        )
-
 
 # ---------------------------------------------------------------------------
 # node runtimes
@@ -191,9 +178,6 @@ class NodeRuntime:
         raise NotImplementedError
 
     def file_size(self, path: str) -> int:
-        raise NotImplementedError
-
-    def list_files(self) -> list[str]:
         raise NotImplementedError
 
     def log_event(self, scope: str, name: str, detail: dict | None = None) -> None:
@@ -253,10 +237,6 @@ class LocalRuntime(NodeRuntime):
 
     def file_size(self, path: str) -> int:
         return self.resolve(path).stat().st_size
-
-    def list_files(self) -> list[str]:
-        return sorted(str(p.relative_to(self.scratch))
-                      for p in self.scratch.rglob("*") if p.is_file())
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +526,6 @@ def run_executor(bundle: PipelineBundle, registry: TaskRegistry,
 # child-process entry point
 # ---------------------------------------------------------------------------
 
-def _load_bundle_from_env(gateway) -> PipelineBundle:
-    raw = os.environ.get("EXPFORGE_BUNDLE")
-    if raw:
-        text = Path(raw).read_text(encoding="utf-8") \
-            if not raw.lstrip().startswith("{") else raw
-        return PipelineBundle.from_doc(json.loads(text))
-    experiment_id = os.environ["EXPFORGE_EXPERIMENT_ID"]
-    node_id = os.environ["EXPFORGE_NODE_ID"]
-    return PipelineBundle.from_doc(gateway.fetch_bundle(experiment_id, node_id))
-
-
 def main(argv: list[str] | None = None) -> int:
     from .gateway import HttpGatewayClient
     from .tasks import builtin_registry
@@ -570,7 +539,9 @@ def main(argv: list[str] | None = None) -> int:
     scratch = os.environ.get("EXPFORGE_SCRATCH", "./expforge-scratch")
     spool = os.environ.get("EXPFORGE_SPOOL", str(Path(scratch) / ".spool"))
     try:
-        bundle = _load_bundle_from_env(gateway)
+        bundle = PipelineBundle.from_doc(gateway.fetch_bundle(
+            os.environ["EXPFORGE_EXPERIMENT_ID"],
+            os.environ["EXPFORGE_NODE_ID"]))
     except Exception as exc:  # noqa: BLE001 - startup failure is the contract
         log.error("could not obtain bundle: %s", exc)
         return EXIT_STARTUP_ERROR

@@ -1,13 +1,14 @@
 """Executor-facing service: bundle fetch, report ingestion, coordination flags.
 
 The gateway is a thin facade over the director's experiment records: report
-ingestion and flag writes go through the director's per-experiment ownership
-lock, so there is exactly one logical writer per record no matter how many
-executors connect. Bundle and flag reads look at the one field they need in
-the store's committed record and copy nothing else. Flags are monotone (set
-once, never unset within an experiment), namespaced per experiment, and
-destroyed at cleanup; their timestamps come from the gateway's clock so
-cross-node ordering has a single authority.
+ingestion and flag writes go through the director's per-experiment monitor,
+so there is exactly one logical writer per record no matter how many
+executors connect, and flag waits block on that same monitor, so the gateway
+keeps no flag state of its own. Bundle and flag reads look at the one field
+they need in the store's committed record and copy nothing else. Flags are
+monotone (set once, never unset within an experiment), namespaced per
+experiment, and destroyed at cleanup; their timestamps come from the
+gateway's clock so cross-node ordering has a single authority.
 
 Uploads, reports and node flag sets are accepted only from nodes the
 experiment assigns, and every artifact is written under
@@ -50,8 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
 class Gateway:
     def __init__(self, director: "Director", artifact_root: str | Path | None = None):
         self._director = director
-        self._flag_conds: dict[tuple[str, str], threading.Condition] = {}
-        self._flag_lock = threading.Lock()
         self._artifact_root = Path(artifact_root) if artifact_root else None
         self._artifacts: dict[tuple[str, str, str], bytes] = {}
         self._artifact_meta: dict[str, list[dict]] = {}
@@ -116,11 +115,6 @@ class Gateway:
 
     # -- flags -------------------------------------------------------------
 
-    def _condition(self, experiment_id: str, key: str) -> threading.Condition:
-        with self._flag_lock:
-            return self._flag_conds.setdefault((experiment_id, key),
-                                               threading.Condition())
-
     def set_flag(self, experiment_id: str, key: str, node_id: str) -> dict:
         """Set a monotone flag; idempotent, the first set's timestamp wins.
 
@@ -139,9 +133,6 @@ class Gateway:
                         "node_id": node_id}
                 record.flags[key] = flag
             flag = dict(flag)
-        cond = self._condition(experiment_id, key)
-        with cond:
-            cond.notify_all()
         return flag
 
     def get_flag(self, experiment_id: str, key: str) -> dict:
@@ -155,12 +146,13 @@ class Gateway:
                   cancel: threading.Event | None = None) -> dict | None:
         """The flag's state once set; None at the deadline or once ``cancel``
         is set; WrongPhase once the experiment leaves RUNNING. Every client
-        waits here. The flag, then the status, is read under the condition
-        lock that ``set_flag`` notifies after its durable save, so no
-        wake-up is lost and a returned flag is durable."""
+        waits here. The flag, then the status, is read under the
+        experiment's monitor, which the director's mutate notifies after a
+        durable save that sets a flag or changes the status, so no wake-up
+        is lost and a returned flag is durable."""
         deadline = time.monotonic() + timeout_s
-        cond = self._condition(experiment_id, key)
-        with cond:
+        monitor = self._director.monitor(experiment_id)
+        with monitor:
             while True:
                 state = self.get_flag(experiment_id, key)
                 if state["set"]:
@@ -174,17 +166,7 @@ class Gateway:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or (cancel is not None and cancel.is_set()):
                     return None
-                cond.wait(min(remaining, FLAG_WAIT_SLICE_S))
-
-    def drop_flags(self, experiment_id: str) -> None:
-        """Forget the flag conditions of an experiment that has just ended
-        and wake their waiters, which then raise WrongPhase (record flags
-        are cleared by the director's cleanup)."""
-        with self._flag_lock:
-            for key in [k for k in self._flag_conds if k[0] == experiment_id]:
-                cond = self._flag_conds.pop(key)
-                with cond:
-                    cond.notify_all()
+                monitor.wait(min(remaining, FLAG_WAIT_SLICE_S))
 
     # -- artifacts ---------------------------------------------------------
 

@@ -635,6 +635,11 @@ class ValidationIssue:
                 "message": self.message}
 
 
+# For one (assignment index, node kind): the implementation id of each task
+# by name, and the merged environment of the pipeline on that kind.
+Resolution = tuple[dict[str, str], EnvironmentRequirement]
+
+
 def validate_experiment(exp: Experiment,
                         registry: "TaskRegistry") -> list[ValidationIssue]:
     """Check an experiment against the registry; returns issues, never raises.
@@ -643,7 +648,16 @@ def validate_experiment(exp: Experiment,
     implementation for every assigned node kind and the per-pipeline
     environment requirements merge without conflict.
     """
+    return check_experiment(exp, registry)[0]
+
+
+def check_experiment(exp: Experiment, registry: "TaskRegistry") -> tuple[
+        list[ValidationIssue], dict[tuple[int, str], Resolution]]:
+    """:func:`validate_experiment`'s issues, plus the :data:`Resolution` of
+    every (assignment index, node kind), which is complete only when there
+    are no issues. Each task is resolved once per kind of its assignment."""
     issues: list[ValidationIssue] = []
+    resolved: dict[tuple[int, str], Resolution] = {}
 
     seen_nodes: set[str] = set()
     for assignment in exp.assignments:
@@ -658,7 +672,7 @@ def validate_experiment(exp: Experiment,
                     "node appears in more than one assignment"))
             seen_nodes.add(node.node_id)
 
-    for assignment in exp.assignments:
+    for index, assignment in enumerate(exp.assignments):
         pipeline = assignment.pipeline
         names: set[str] = set()
         for stage in pipeline.stages:
@@ -677,6 +691,7 @@ def validate_experiment(exp: Experiment,
 
         kinds = sorted({n.kind for n in assignment.nodes})
         for kind in kinds:
+            impl_ids: dict[str, str] = {}
             reqs = []
             for stage in pipeline.stages:
                 for task in stage.tasks:
@@ -688,13 +703,14 @@ def validate_experiment(exp: Experiment,
                             f"task type {task.task_type!r} has no "
                             f"implementation for kind {kind!r}"))
                         continue
+                    impl_ids[task.name] = impl_id
                     reqs.append(registry.implementation(impl_id).environment)
                     reqs.append(task.environment)
             try:
-                merge_requirements(reqs)
+                resolved[(index, kind)] = (impl_ids, merge_requirements(reqs))
             except EnvironmentConflict as exc:
                 issues.append(ValidationIssue(
                     "environment-conflict",
                     f"{pipeline.pipeline_id}/{kind}", str(exc)))
 
-    return issues
+    return issues, resolved

@@ -210,8 +210,10 @@ def kill_director_at(target: Status, experiment, connectors, raw_store,
 class FakeGatewayClient:
     """Executor-facing stub: records deliveries, optionally failing first."""
 
-    def __init__(self, fail_deliveries: int = 0):
+    def __init__(self, fail_deliveries: int = 0,
+                 bundles: dict[str, dict] | None = None):
         self.fail_deliveries = fail_deliveries
+        self.bundles = dict(bundles or {})  # node id -> bundle doc
         self.delivered: list[dict] = []
         self.attempts = 0
         self.flags: dict[tuple[str, str], dict] = {}
@@ -233,7 +235,9 @@ class FakeGatewayClient:
             return "accepted"
 
     def fetch_bundle(self, experiment_id: str, node_id: str) -> dict:
-        raise TransportError("fake client has no bundles")
+        if node_id not in self.bundles:
+            raise TransportError(f"fake client has no bundle for {node_id}")
+        return self.bundles[node_id]
 
     def set_flag(self, experiment_id: str, key: str, node_id: str) -> dict:
         with self._lock:

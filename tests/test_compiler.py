@@ -11,8 +11,6 @@ from expforge.compiler import (
     CLEAN_SCRATCH_COMMAND,
     DeploymentPlan,
     compile_experiment,
-    merge_environments,
-    resolve_implementation,
 )
 from expforge.errors import (
     EnvironmentConflict,
@@ -27,6 +25,7 @@ from expforge.model import (
     Pipeline,
     StagedFile,
     TaskSpec,
+    merge_requirements,
 )
 from expforge.registry import TaskImplementation, TaskRegistry
 from expforge.tasks import builtin_registry
@@ -46,13 +45,13 @@ def shell_pipeline(pid: str, *commands: str) -> Pipeline:
 
 
 # ---------------------------------------------------------------------------
-# merge_environments
+# merge_requirements
 # ---------------------------------------------------------------------------
 
 class TestMergeEnvironments:
     def test_duplicate_commands_collapse(self):
         req = EnvironmentRequirement(setup_commands=("install-tcpdump",))
-        merged = merge_environments([req, req])
+        merged = merge_requirements([req, req])
         assert merged.setup_commands == ("install-tcpdump",)
 
     def test_stage_ordered_union_on_server_pipeline(self):
@@ -64,7 +63,7 @@ class TestMergeEnvironments:
                                    verify_commands=("command -v tcpdump",)),
             EnvironmentRequirement(setup_commands=("configure-tls",)),
         ]
-        merged = merge_environments(reqs)
+        merged = merge_requirements(reqs)
         # oracle: first-occurrence order over the concatenation
         expected: list[str] = []
         for req in reqs:
@@ -80,7 +79,7 @@ class TestMergeEnvironments:
         two = EnvironmentRequirement(
             binaries=(BinaryRequirement("tool-x", "2"),))
         with pytest.raises(EnvironmentConflict) as excinfo:
-            merge_environments([one, two])
+            merge_requirements([one, two])
         assert excinfo.value.first.version == "1"
         assert excinfo.value.second.version == "2"
 
@@ -88,12 +87,12 @@ class TestMergeEnvironments:
         one = EnvironmentRequirement(staged_files=(StagedFile("cfg", "a"),))
         two = EnvironmentRequirement(staged_files=(StagedFile("cfg", "b"),))
         with pytest.raises(EnvironmentConflict):
-            merge_environments([one, two])
-        assert merge_environments([one, one]).staged_files == one.staged_files
+            merge_requirements([one, two])
+        assert merge_requirements([one, one]).staged_files == one.staged_files
 
 
 # ---------------------------------------------------------------------------
-# resolve_implementation
+# registry.resolve
 # ---------------------------------------------------------------------------
 
 class _FixtureImpl(TaskImplementation):
@@ -107,8 +106,7 @@ class _FixtureImpl(TaskImplementation):
 
 class TestResolveImplementation:
     def test_builtin_sleep_on_simulated(self, registry):
-        assert resolve_implementation("sleep", "simulated", registry) \
-            == "sleep@simulated"
+        assert registry.resolve("sleep", "simulated") == "sleep@simulated"
 
     def test_exact_kind_beats_fallback(self):
         fixture = TaskRegistry([_FixtureImpl("shell", "linux-shell"),
@@ -116,20 +114,18 @@ class TestResolveImplementation:
         assert fixture.resolve("shell", "ssh-host") == "shell@ssh-host"
 
     def test_ssh_falls_back_to_linux_shell(self, registry):
-        assert resolve_implementation("shell", "ssh-host", registry) \
-            == "shell@linux-shell"
+        assert registry.resolve("shell", "ssh-host") == "shell@linux-shell"
 
     def test_capture_on_simulated_is_stub(self, registry):
-        impl_id = resolve_implementation("capture-start", "simulated",
-                                         registry)
+        impl_id = registry.resolve("capture-start", "simulated")
         assert impl_id == "capture-start@simulated"
         impl = registry.implementation(impl_id)
         assert impl.environment.is_empty()  # stub needs no real binary
 
     def test_unsupported_kind_raises(self, registry):
         with pytest.raises(UnsupportedTaskForKind):
-            resolve_implementation("capture-start", "ssh-host",
-                                   TaskRegistry([_FixtureImpl("x", "simulated")]))
+            TaskRegistry([_FixtureImpl("x", "simulated")]).resolve(
+                "capture-start", "ssh-host")
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +208,19 @@ class TestCompile:
         exp = Experiment("clean").map(shell_pipeline("p", "x"), [node(0)])
         plan = compile_experiment(exp, registry)
         assert plan.cleanup_commands["simulated"][-1] == CLEAN_SCRATCH_COMMAND
+
+    def test_each_task_resolved_once_per_kind(self, registry, monkeypatch):
+        """The validation walk resolves; every node reuses what it found."""
+        calls = []
+        resolve = registry.resolve
+        monkeypatch.setattr(registry, "resolve",
+                            lambda *args: calls.append(args) or resolve(*args))
+        pipeline = Pipeline("two").then(
+            [TaskSpec("sleep", params={"seconds": 0}),
+             TaskSpec("shell", params={"command": "true"})])
+        exp = Experiment("twenty").map(pipeline, [node(i) for i in range(20)])
+        compile_experiment(exp, registry)
+        assert len(calls) == 2
 
     def test_plan_doc_roundtrip(self, registry):
         exp = Experiment("rt").map(shell_pipeline("p", "x"),

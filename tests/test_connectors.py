@@ -140,15 +140,17 @@ def run_workload(seed: int) -> list[tuple]:
                 .then([TaskSpec("sleep", params={"seconds": 1}),
                        TaskSpec("shell", params={"command": "echo hi"})])
                 .then(TaskSpec("shell", params={"command": "collect-data"})))
-    gateway = FakeGatewayClient()
+    nodes = list(connector.list_nodes())
+    gateway = FakeGatewayClient(bundles={
+        node.node_id: make_bundle(pipeline, registry,
+                                  node_id=node.node_id).to_doc()
+        for node in nodes})
     handles = []
-    for node in connector.list_nodes():
+    for node in nodes:
         connector.prepare(node, env_spec(setup=("true",), verify=("true",)))
-        bundle = make_bundle(pipeline, registry, node_id=node.node_id)
         config = ExecutorConfig(
             experiment_id="exp", node_id=node.node_id,
-            gateway_client=gateway, registry=registry,
-            bundle_doc=bundle.to_doc())
+            gateway_client=gateway, registry=registry)
         handles.append(connector.launch_executor(node, config))
     for handle in handles:
         handle.thread.join(timeout=20)

@@ -292,8 +292,8 @@ class TestCancelCleanup:
 
     def test_terminal_save_releases_experiment_state(self, make_director,
                                                      sim20):
-        """Finishing and cancelling each drop the experiment's handles,
-        deadline wake-up and flag conditions; no director thread polls."""
+        """Finishing and cancelling each drop the experiment's handles and
+        deadline wake-up; no director thread polls."""
         director = make_director({"sim": sim20})
         pipeline = Pipeline("p").then(
             TaskSpec("wait-flag", params={"key": "go", "timeout_s": 30}))
@@ -309,16 +309,14 @@ class TestCancelCleanup:
 
         def held(eid: str) -> list:
             return ([k for k in list(director._handles) if k[0] == eid]
-                    + [e for e in list(director._wakeups) if e == eid]
-                    + [k for k in list(director.gateway._flag_conds)
-                       if k[0] == eid])
+                    + [e for e in list(director._wakeups) if e == eid])
 
         def director_threads(eid: str) -> list[str]:
             return [t.name for t in threading.enumerate()
                     if t.name in (f"execute-{eid}", f"monitor-{eid}")]
 
         deadline = time.monotonic() + 5
-        while any(len(held(eid)) < 4 for eid in eids):
+        while any(len(held(eid)) < 3 for eid in eids):
             assert time.monotonic() < deadline, [held(e) for e in eids]
             time.sleep(0.01)
         assert all(director_threads(eid) == [f"execute-{eid}"]

@@ -326,21 +326,6 @@ def test_bundle_doc_roundtrip(registry):
     assert rebuilt.digest_matches()
 
 
-def test_bundle_env_override_path_and_inline(registry, tmp_path, monkeypatch):
-    from expforge.executor import _load_bundle_from_env
-
-    pipeline = Pipeline("p").then(TaskSpec("sleep", params={"seconds": 1}))
-    bundle = make_bundle(pipeline, registry)
-    path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(bundle.to_doc()), encoding="utf-8")
-
-    monkeypatch.setenv("EXPFORGE_BUNDLE", str(path))
-    assert _load_bundle_from_env(gateway=None) == bundle
-
-    monkeypatch.setenv("EXPFORGE_BUNDLE", json.dumps(bundle.to_doc()))
-    assert _load_bundle_from_env(gateway=None) == bundle
-
-
 # ---------------------------------------------------------------------------
 # threading contract: one thread per task, deadlines before graces
 # ---------------------------------------------------------------------------

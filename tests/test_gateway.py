@@ -255,6 +255,33 @@ class TestFlags:
         director.gateway.set_flag(eid, "release", "test")
         wait_status(director, eid, {Status.FINISHED})
 
+    def test_ended_and_unknown_experiments_leave_no_state(self, platform):
+        """Waits on an ended experiment, and reports and waits that name
+        unknown ones, add no entry to any dict the director or gateway
+        holds."""
+        director, connector = platform
+        eid = submit_held_experiment(director, connector, name="gone")
+        deploy_and_start(director, eid)
+        director.cancel(eid)
+
+        def held() -> int:
+            return sum(len(value) for owner in (director, director.gateway)
+                       for value in vars(owner).values()
+                       if isinstance(value, dict))
+
+        before = held()
+        for index in range(100):
+            with pytest.raises(WrongPhase):
+                director.gateway.wait_flag(eid, f"fresh-{index}", timeout_s=1)
+        for index in range(100):
+            with pytest.raises(UnknownExperiment):
+                director.gateway.ingest_report(
+                    report_doc(f"ghost-{index}", "sim-000"))
+        for index in range(100):
+            with pytest.raises(UnknownExperiment):
+                director.gateway.wait_flag(f"ghost-{index}", "k", timeout_s=1)
+        assert held() == before
+
     def test_flags_cleared_at_cleanup(self, platform):
         director, connector = platform
         eid = submit_held_experiment(director, connector, name="wipe")
