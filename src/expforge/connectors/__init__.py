@@ -1,10 +1,14 @@
 """Connector interface: one uniform surface over every deployment backend.
 
-A connector owns a namespace of nodes, knows how to prepare their
-environments, and can launch/stop executors on them. Connectors are stateless
-between calls apart from launch handles, and must be safely shareable across
-threads; the director serializes per-node calls, calls for distinct nodes may
-run concurrently.
+A connector owns a namespace of nodes and supplies primitives over them:
+``list_nodes``, ``run`` (one command in a node's scratch directory),
+``stage`` (write one staged file there), ``launch_executor`` and
+``stop_executor``. The algorithms over those primitives, ``prepare`` and
+``run_commands``, live once in :class:`Connector`. The launch is the only
+reachability check: a node that cannot be reached raises from
+``launch_executor``. Connectors are stateless between calls apart from
+launch handles, and must be safely shareable across threads; the director
+serializes per-node calls, calls for distinct nodes may run concurrently.
 
 Connector instances are configuration-driven: a structured config file names
 each instance, its type, and its parameters (see :func:`load_connectors`).
@@ -22,16 +26,13 @@ import yaml
 
 from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from ..errors import ConnectorUnavailable
-from ..model import NodeDescriptor, NodePool
+from ..model import NodeDescriptor, NodePool, StagedFile
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..registry import TaskRegistry
 
 # The longest any one node command (setup, verify, cleanup, ssh) may run.
 COMMAND_TIMEOUT_S = 120.0
-
-HEALTH_REACHABLE = "reachable"
-HEALTH_UNREACHABLE = "unreachable"
 
 
 def run_bounded(args: str | Sequence[str], **kwargs) -> tuple[int, str]:
@@ -89,30 +90,54 @@ class LaunchHandle:
 
 
 class Connector:
-    """Abstract deployment-system adapter."""
+    """Abstract deployment-system adapter: a backend writes the primitives,
+    this class owns prepare and cleanup."""
 
     name: str
 
     def list_nodes(self) -> NodePool:
         raise NotImplementedError
 
-    def prepare(self, node: NodeDescriptor, env: EnvironmentSpec) -> PrepareResult:
+    def run(self, node: NodeDescriptor, command: str) -> tuple[int, str]:
+        """(exit code, output) of one command in the node's scratch
+        directory; ``CLEAN_SCRATCH_COMMAND`` empties that directory."""
         raise NotImplementedError
+
+    def stage(self, node: NodeDescriptor,
+              staged: StagedFile) -> tuple[int, str]:
+        """(exit code, output) of writing one file into the node's scratch
+        directory."""
+        raise NotImplementedError
+
+    def prepare(self, node: NodeDescriptor, env: EnvironmentSpec) -> PrepareResult:
+        """Setup commands, then staged files, then verify commands; the
+        first step that fails ends preparation and is named."""
+        steps = ([(command, self.run, command)
+                  for command in env.setup_commands]
+                 + [(f"stage-file {staged.path}", self.stage, staged)
+                    for staged in env.staged_files]
+                 + [(command, self.run, command)
+                    for command in env.verify_commands])
+        for name, step, arg in steps:
+            code, output = step(node, arg)
+            if code != 0:
+                return PrepareResult(False, name, output)
+        return PrepareResult(True)
 
     def run_commands(self, node: NodeDescriptor,
                      commands: Sequence[str]) -> list[CommandResult]:
         """Run cleanup-style commands on the node; never raises per-command."""
-        raise NotImplementedError
+        return [CommandResult(command, *self.run(node, command))
+                for command in commands]
 
     def launch_executor(self, node: NodeDescriptor,
                         config: ExecutorConfig) -> LaunchHandle:
+        """Start the node's executor; raises NodeUnreachable or
+        LaunchFailed."""
         raise NotImplementedError
 
     def stop_executor(self, handle: LaunchHandle) -> None:
         raise NotImplementedError
-
-    def health(self, node: NodeDescriptor) -> str:
-        return HEALTH_REACHABLE
 
 
 def load_connectors(source: str | Path | Mapping[str, Any]) -> dict[str, Connector]:
@@ -186,8 +211,6 @@ __all__ = [
     "CommandResult",
     "Connector",
     "ExecutorConfig",
-    "HEALTH_REACHABLE",
-    "HEALTH_UNREACHABLE",
     "LaunchHandle",
     "PrepareResult",
     "load_connectors",

@@ -15,21 +15,12 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Sequence
 
-from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
+from ..compiler import CLEAN_SCRATCH_COMMAND
 from ..errors import LaunchFailed
-from ..model import NodeDescriptor, NodePool
+from ..model import NodeDescriptor, NodePool, StagedFile
 from ..store import path_component
-from . import (
-    CommandResult,
-    Connector,
-    ExecutorConfig,
-    HEALTH_REACHABLE,
-    LaunchHandle,
-    PrepareResult,
-    run_bounded,
-)
+from . import Connector, ExecutorConfig, LaunchHandle, run_bounded
 
 log = logging.getLogger("expforge.local")
 
@@ -60,48 +51,23 @@ class LocalConnector(Connector):
         path.mkdir(parents=True, exist_ok=True)
         return path
 
-    def health(self, node: NodeDescriptor) -> str:
-        return HEALTH_REACHABLE
-
-    def _run(self, node_id: str, command: str) -> CommandResult:
-        code, output = run_bounded(command, shell=True,
-                                   cwd=str(self.scratch_dir(node_id)))
-        return CommandResult(command, code, output)
-
-    def prepare(self, node: NodeDescriptor, env: EnvironmentSpec) -> PrepareResult:
+    def run(self, node: NodeDescriptor, command: str) -> tuple[int, str]:
         scratch = self.scratch_dir(node.node_id)
-        for command in env.setup_commands:
-            result = self._run(node.node_id, command)
-            if result.exit_code != 0:
-                return PrepareResult(False, command, result.output)
-        for staged in env.staged_files:
-            target = scratch / staged.path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(staged.content, encoding="utf-8")
-        for command in env.verify_commands:
-            result = self._run(node.node_id, command)
-            if result.exit_code != 0:
-                return PrepareResult(False, command, result.output)
-        return PrepareResult(True)
-
-    def run_commands(self, node: NodeDescriptor,
-                     commands: Sequence[str]) -> list[CommandResult]:
-        results = []
-        for command in commands:
-            if command == CLEAN_SCRATCH_COMMAND:
-                self._wipe_scratch(node.node_id)
-                results.append(CommandResult(command, 0))
-                continue
-            results.append(self._run(node.node_id, command))
-        return results
-
-    def _wipe_scratch(self, node_id: str) -> None:
-        scratch = self.scratch_dir(node_id)
+        if command != CLEAN_SCRATCH_COMMAND:
+            return run_bounded(command, shell=True, cwd=str(scratch))
         for entry in scratch.iterdir():
             if entry.is_dir():
                 shutil.rmtree(entry, ignore_errors=True)
             else:
                 entry.unlink(missing_ok=True)
+        return 0, ""
+
+    def stage(self, node: NodeDescriptor,
+              staged: StagedFile) -> tuple[int, str]:
+        target = self.scratch_dir(node.node_id) / staged.path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(staged.content, encoding="utf-8")
+        return 0, ""
 
     def launch_executor(self, node: NodeDescriptor,
                         config: ExecutorConfig) -> LaunchHandle:
@@ -118,7 +84,6 @@ class LocalConnector(Connector):
             "EXPFORGE_EXPERIMENT_ID": config.experiment_id,
             "EXPFORGE_NODE_ID": config.node_id,
             "EXPFORGE_SCRATCH": str(scratch),
-            "EXPFORGE_SPOOL": str(scratch / ".spool"),
         })
         log_name = f"{path_component(config.experiment_id)}.stderr"
         (scratch / ".logs").mkdir(exist_ok=True)

@@ -30,15 +30,8 @@ from typing import Any, Mapping, Sequence
 from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from ..errors import LaunchFailed, TransportError
 from ..executor import NodeRuntime, PipelineBundle, run_executor
-from ..model import NodeDescriptor, NodePool
-from . import (
-    CommandResult,
-    Connector,
-    ExecutorConfig,
-    HEALTH_REACHABLE,
-    LaunchHandle,
-    PrepareResult,
-)
+from ..model import NodeDescriptor, NodePool, StagedFile
+from . import Connector, ExecutorConfig, LaunchHandle, PrepareResult
 
 log = logging.getLogger("expforge.sim")
 
@@ -328,13 +321,11 @@ class SimulatedConnector(Connector):
             raise LaunchFailed(
                 f"node {node.node_id!r} is not part of {self.name!r}") from None
 
-    def health(self, node: NodeDescriptor) -> str:
-        self._node(node)
-        return HEALTH_REACHABLE
-
     # -- environment -----------------------------------------------------------
 
     def prepare(self, node: NodeDescriptor, env: EnvironmentSpec) -> PrepareResult:
+        """One seeded draw decides an injected failure; otherwise the
+        base algorithm runs."""
         sim = self._node(node)
         injected = (sim.node_id in self.fault.prepare_fail_nodes
                     or sim.stream("prepare").random()
@@ -343,32 +334,18 @@ class SimulatedConnector(Connector):
             sim.log("prepare", "fault-injected", {})
             return PrepareResult(False, FAULT_INJECTION_COMMAND,
                                  "injected prepare failure")
-        runtime = SimRuntime(sim, self.fault, scope="prepare")
-        cancel = threading.Event()
-        for command in env.setup_commands:
-            code, output = runtime.run_command(command, cancel)
-            if code != 0:
-                return PrepareResult(False, command, output)
-        for staged in env.staged_files:
-            sim.write(staged.path, staged.content)
-            sim.log("prepare", "staged-file", {"path": staged.path})
-        for command in env.verify_commands:
-            code, output = runtime.run_command(command, cancel)
-            if code != 0:
-                return PrepareResult(False, command, output)
-        sim.log("prepare", "prepared", {})
-        return PrepareResult(True)
+        return super().prepare(node, env)
 
-    def run_commands(self, node: NodeDescriptor,
-                     commands: Sequence[str]) -> list[CommandResult]:
+    def run(self, node: NodeDescriptor, command: str) -> tuple[int, str]:
+        runtime = SimRuntime(self._node(node), self.fault, scope="connector")
+        return runtime.run_command(command, threading.Event())
+
+    def stage(self, node: NodeDescriptor,
+              staged: StagedFile) -> tuple[int, str]:
         sim = self._node(node)
-        runtime = SimRuntime(sim, self.fault, scope="cleanup")
-        cancel = threading.Event()
-        results = []
-        for command in commands:
-            code, output = runtime.run_command(command, cancel)
-            results.append(CommandResult(command, code, output))
-        return results
+        sim.write(staged.path, staged.content)
+        sim.log("connector", "staged-file", {"path": staged.path})
+        return 0, ""
 
     # -- execution -------------------------------------------------------------
 

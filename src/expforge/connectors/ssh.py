@@ -16,23 +16,18 @@ import shlex
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
+from ..compiler import CLEAN_SCRATCH_COMMAND
 from ..errors import LaunchFailed, NodeUnreachable
-from ..model import NodeDescriptor, NodePool
-from . import (
-    CommandResult,
-    Connector,
-    ExecutorConfig,
-    HEALTH_REACHABLE,
-    HEALTH_UNREACHABLE,
-    LaunchHandle,
-    PrepareResult,
-    run_bounded,
-)
+from ..model import NodeDescriptor, NodePool, StagedFile
+from . import Connector, ExecutorConfig, LaunchHandle, run_bounded
 
 log = logging.getLogger("expforge.ssh")
 
 Runner = Callable[["SshHost", str], tuple[int, str]]
+
+# ssh's own exit code when it could not reach or log in to the host; the
+# launch command itself exits with ``echo``'s status.
+SSH_CONNECTION_FAILED = 255
 
 
 @dataclass(frozen=True)
@@ -103,58 +98,37 @@ class SshConnector(Connector):
             for node_id, host in self._hosts.items()))
 
     def health(self, node: NodeDescriptor) -> str:
-        host = self._host(node)
-        code, _ = self._runner(host, "true")
-        return HEALTH_REACHABLE if code == 0 else HEALTH_UNREACHABLE
+        code, _ = self._runner(self._host(node), "true")
+        return "reachable" if code == 0 else "unreachable"
 
-    def prepare(self, node: NodeDescriptor, env: EnvironmentSpec) -> PrepareResult:
-        host = self._host(node)
-        for command in env.setup_commands:
-            code, output = self._runner(host, self._remote(command))
-            if code != 0:
-                return PrepareResult(False, command, output)
-        for staged in env.staged_files:
-            encoded = base64.b64encode(staged.content.encode("utf-8")).decode("ascii")
-            stage_cmd = (f"mkdir -p $(dirname {shlex.quote(staged.path)}) 2>/dev/null; "
-                         f"printf '%s' {encoded} | base64 -d > {shlex.quote(staged.path)}")
-            code, output = self._runner(host, self._remote(stage_cmd))
-            if code != 0:
-                return PrepareResult(False, f"stage-file {staged.path}", output)
-        for command in env.verify_commands:
-            code, output = self._runner(host, self._remote(command))
-            if code != 0:
-                return PrepareResult(False, command, output)
-        return PrepareResult(True)
+    def run(self, node: NodeDescriptor, command: str) -> tuple[int, str]:
+        if command == CLEAN_SCRATCH_COMMAND:
+            command = "rm -rf ./* ./.spool 2>/dev/null; true"
+        return self._runner(self._host(node), self._remote(command))
 
-    def run_commands(self, node: NodeDescriptor,
-                     commands: Sequence[str]) -> list[CommandResult]:
-        host = self._host(node)
-        results = []
-        for command in commands:
-            effective = ("rm -rf ./* ./.spool 2>/dev/null; true"
-                         if command == CLEAN_SCRATCH_COMMAND else command)
-            code, output = self._runner(host, self._remote(effective))
-            results.append(CommandResult(command, code, output))
-        return results
+    def stage(self, node: NodeDescriptor,
+              staged: StagedFile) -> tuple[int, str]:
+        encoded = base64.b64encode(staged.content.encode("utf-8")).decode("ascii")
+        path = shlex.quote(staged.path)
+        return self.run(node, f"mkdir -p $(dirname {path}) 2>/dev/null; "
+                              f"printf '%s' {encoded} | base64 -d > {path}")
 
     def launch_executor(self, node: NodeDescriptor,
                         config: ExecutorConfig) -> LaunchHandle:
         if not config.gateway_url:
             raise LaunchFailed("ssh connector needs a gateway HTTP endpoint")
-        host = self._host(node)
-        if self.health(node) != HEALTH_REACHABLE:
-            raise NodeUnreachable(f"{node.node_id} did not answer")
         env_assignments = " ".join(
             f"{key}={shlex.quote(value)}" for key, value in {
                 "EXPFORGE_GATEWAY": config.gateway_url,
                 "EXPFORGE_EXPERIMENT_ID": config.experiment_id,
                 "EXPFORGE_NODE_ID": config.node_id,
                 "EXPFORGE_SCRATCH": ".",
-                "EXPFORGE_SPOOL": "./.spool",
             }.items())
         launch = (f"{env_assignments} nohup {self.python} -m expforge.executor "
                   f">/dev/null 2>&1 & echo $!")
-        code, output = self._runner(host, self._remote(launch))
+        code, output = self.run(node, launch)
+        if code == SSH_CONNECTION_FAILED:
+            raise NodeUnreachable(f"{node.node_id} did not answer: {output}")
         if code != 0:
             raise LaunchFailed(
                 f"executor launch on {node.node_id} failed: {output}")

@@ -32,12 +32,7 @@ from contextlib import contextmanager
 from typing import Iterator, Mapping
 
 from .compiler import DeploymentPlan, compile_experiment
-from .connectors import (
-    Connector,
-    ExecutorConfig,
-    HEALTH_REACHABLE,
-    LaunchHandle,
-)
+from .connectors import Connector, ExecutorConfig, LaunchHandle
 from .errors import (
     AlreadyTerminal,
     ConnectorUnavailable,
@@ -465,11 +460,11 @@ class Director:
             failure: str | None = None
             if connector is None:
                 failure = f"connector {node.connector_ref!r} missing"
-            elif connector.health(node) != HEALTH_REACHABLE:
-                failure = "node unreachable at launch"
             else:
                 # Launch and register under the experiment lock, as cancel
                 # stops and commits: none sees CANCELLED with stop unset.
+                # The launch is the reachability check, and any fault it
+                # raises ends this node, not the worker.
                 try:
                     with self.monitor(experiment_id):
                         if self.store.read(experiment_id, lambda r: r.status) \
@@ -480,7 +475,7 @@ class Director:
                         with self._guard:
                             self._handles[(experiment_id, node_id)] = (
                                 connector, handle)
-                except ExpforgeError as exc:
+                except Exception as exc:  # noqa: BLE001 - see above
                     failure = str(exc)
             if failure is not None:
                 with self.mutate(experiment_id) as rec:

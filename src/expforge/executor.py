@@ -13,7 +13,8 @@ unreachable gateway never loses results.
 Every executor gets its bundle from the gateway (``fetch_bundle``). As a
 child process (``python -m expforge.executor``) configuration comes from
 environment variables: EXPFORGE_GATEWAY, EXPFORGE_EXPERIMENT_ID,
-EXPFORGE_NODE_ID, EXPFORGE_SCRATCH, EXPFORGE_SPOOL.
+EXPFORGE_NODE_ID and EXPFORGE_SCRATCH; the report spool is
+``<EXPFORGE_SCRATCH>/.spool``.
 """
 
 from __future__ import annotations
@@ -537,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_STARTUP_ERROR
     gateway = HttpGatewayClient(gateway_url)
     scratch = os.environ.get("EXPFORGE_SCRATCH", "./expforge-scratch")
-    spool = os.environ.get("EXPFORGE_SPOOL", str(Path(scratch) / ".spool"))
+    spool = str(Path(scratch) / ".spool")
     try:
         bundle = PipelineBundle.from_doc(gateway.fetch_bundle(
             os.environ["EXPFORGE_EXPERIMENT_ID"],

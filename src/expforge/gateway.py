@@ -11,8 +11,9 @@ experiment, and destroyed at cleanup; their timestamps come from the
 gateway's clock so cross-node ordering has a single authority.
 
 Uploads, reports and node flag sets are accepted only from nodes the
-experiment assigns, and every artifact is written under
-``artifact_root/<experiment>/``.
+experiment assigns. Every artifact is written under
+``artifact_root/<experiment>/`` and its metadata is kept in the experiment
+record, so a restarted director lists it.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ class Gateway:
         self._director = director
         self._artifact_root = Path(artifact_root) if artifact_root else None
         self._artifacts: dict[tuple[str, str, str], bytes] = {}
-        self._artifact_meta: dict[str, list[dict]] = {}
-        self._artifact_lock = threading.Lock()
 
     # -- bundles ---------------------------------------------------------------
 
@@ -177,29 +176,31 @@ class Gateway:
 
     def store_artifact(self, experiment_id: str, node_id: str, name: str,
                        data: bytes) -> dict:
-        self.require_assigned(experiment_id, node_id)
-        digest = hashlib.sha256(data).hexdigest()
+        """Write an assigned node's artifact and commit its metadata to the
+        record in one mutate; a later upload of the same name replaces it."""
         meta = {"node_id": node_id, "name": name, "size": len(data),
-                "digest": digest}
-        with self._artifact_lock:
+                "digest": hashlib.sha256(data).hexdigest()}
+        with self._director.mutate(experiment_id) as record:
+            if node_id not in record.assigned_nodes:
+                raise _unassigned(experiment_id, node_id)
             if self._artifact_root is not None:
                 path = self._artifact_path(experiment_id, node_id, name)
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_bytes(data)
             else:
                 self._artifacts[(experiment_id, node_id, name)] = data
-            entries = self._artifact_meta.setdefault(experiment_id, [])
-            entries[:] = [e for e in entries
-                          if not (e["node_id"] == node_id and e["name"] == name)]
-            entries.append(meta)
-        return meta
+            record.artifacts = [
+                e for e in record.artifacts
+                if not (e["node_id"] == node_id and e["name"] == name)
+            ] + [meta]
+        return dict(meta)
 
     def list_artifacts(self, experiment_id: str) -> list[dict]:
-        with self._artifact_lock:
-            return [dict(e) for e in self._artifact_meta.get(experiment_id, [])]
+        return [dict(e) for e in self._director.store.read(
+            experiment_id, lambda record: record.artifacts)]
 
     def artifact_data(self, experiment_id: str, node_id: str, name: str) -> bytes:
-        with self._artifact_lock:
+        with self._director.monitor(experiment_id):
             if self._artifact_root is not None:
                 return self._artifact_path(experiment_id, node_id,
                                            name).read_bytes()

@@ -5,9 +5,10 @@ a snapshot whose containers the caller may change; ``save`` commits a
 changed snapshot, durably first and then in memory; ``read`` applies a
 function to the committed record without copying it. The documents inside
 a record (experiment and plan docs, transition entries, results, report
-metadata, flags, errors, cleanup outcomes) are never changed in place, so
-snapshots share them, and a committed record is never changed at all: a
-save replaces it. Serializing writers per experiment is the director's job.
+metadata, flags, errors, cleanup outcomes, artifact metadata) are never
+changed in place, so snapshots share them, and a committed record is never
+changed at all: a save replaces it. Serializing writers per experiment is
+the director's job.
 
 ``MemoryStore`` keeps records as objects. ``FileStore`` keeps one directory
 per experiment::
@@ -99,6 +100,7 @@ class ExperimentRecord:
     flags: dict[str, dict] = field(default_factory=dict)
     errors: list[dict] = field(default_factory=list)
     cleanup: dict[str, dict] = field(default_factory=dict)
+    artifacts: list[dict] = field(default_factory=list)
     deadline_wall: float | None = None
 
     def transition(self, to: Status, at: float | None = None) -> None:
@@ -153,6 +155,7 @@ class ExperimentRecord:
         clone.flags = dict(self.flags)
         clone.errors = list(self.errors)
         clone.cleanup = dict(self.cleanup)
+        clone.artifacts = list(self.artifacts)
         return clone
 
     def to_doc(self) -> dict:
@@ -170,6 +173,7 @@ class ExperimentRecord:
             "flags": self.flags,
             "errors": self.errors,
             "cleanup": self.cleanup,
+            "artifacts": self.artifacts,
             "deadline_wall": self.deadline_wall,
         }
 
@@ -189,6 +193,7 @@ class ExperimentRecord:
             flags=dict(doc.get("flags", {})),
             errors=list(doc.get("errors", ())),
             cleanup=dict(doc.get("cleanup", {})),
+            artifacts=list(doc.get("artifacts", ())),
             deadline_wall=doc.get("deadline_wall"),
         )
 

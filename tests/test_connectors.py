@@ -259,6 +259,34 @@ class TestSshConnector:
                 experiment_id="exp", node_id=node.node_id,
                 gateway_url="http://director:8714"))
 
+    def test_failing_stage_names_file(self):
+        runner = ScriptedRunner(fail_on="base64 -d")
+        connector = SshConnector("lab", hosts=[SshHost("h1")], runner=runner)
+        node = connector.list_nodes().nodes[0]
+        result = connector.prepare(node, env_spec(
+            setup=("true",), staged=(StagedFile("conf/probe.cfg", "x"),),
+            verify=("command -v tcpdump",), kind="ssh-host"))
+        assert not result.prepared
+        assert result.failed_command == "stage-file conf/probe.cfg"
+        assert len(runner.calls) == 2  # verify never ran
+
+    def test_launch_is_the_only_reachability_check(self):
+        runner = ScriptedRunner(unreachable={"down"})
+        connector = SshConnector("lab", hosts=[SshHost("h1"),
+                                               SshHost("down")],
+                                 runner=runner)
+        up, down = connector.list_nodes().nodes
+
+        def config(node):
+            return ExecutorConfig(experiment_id="exp", node_id=node.node_id,
+                                  gateway_url="http://director:8714")
+
+        assert connector.launch_executor(up, config(up)).process == "4242"
+        assert len(runner.calls) == 1
+        with pytest.raises(NodeUnreachable, match="Connection refused"):
+            connector.launch_executor(down, config(down))
+        assert len(runner.calls) == 2
+
     def test_launch_passes_config_env(self):
         runner = ScriptedRunner()
         connector = SshConnector("lab", hosts=[SshHost("h1")], runner=runner)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import FAST_SIM, drive, kill_director_at, wait_status
 from expforge import Director, FileStore
+from expforge.connectors.ssh import SshConnector, SshHost
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
 from expforge.errors import (
     AlreadyTerminal,
@@ -242,6 +243,24 @@ class TestExecute:
         assert not any(e.scope == "launch" for e in failed_node.events)
         assert "token" not in director.record(eid).exec_state.get("sim-002",
                                                                   {})
+
+    def test_launch_fault_ends_the_node_not_the_run(self, make_director):
+        def runner(host, command):
+            if "expforge.executor" in command:
+                raise OSError(24, "Too many open files")
+            return 0, ""
+
+        connector = SshConnector("lab", hosts=[SshHost("h1")], runner=runner)
+        director = make_director({"lab": connector},
+                                 gateway_url="http://director:8714")
+        eid = director.submit(sleep_experiment(connector, nodes=1,
+                                               timeout_s=2.0))
+        assert drive(director, eid, timeout=1.0) is Status.FAILED
+        record = director.record(eid)
+        assert record.transitions[-1]["at"] < record.deadline_wall - 1.0
+        state = record.exec_state["lab-h1"]
+        assert state["state"] == "unreachable"
+        assert "Too many open files" in state["reason"]
 
     def test_at_most_once_tokens(self, make_director, sim20):
         director = make_director({"sim": sim20})

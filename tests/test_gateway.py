@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import drive, wait_status
-from expforge import Director, MemoryStore, builtin_registry
+from expforge import Director, FileStore, MemoryStore, builtin_registry
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
 from expforge.errors import (
     UnknownAssignment,
@@ -308,6 +308,29 @@ class TestArtifacts:
         assert listed == [meta]
         assert director.gateway.artifact_data(eid, "sim-000", "t.pcap") \
             == b"\x00pcap"
+
+    def test_listing_survives_restart(self, make_director, tmp_path):
+        store = FileStore(tmp_path / "records")
+        connector = SimulatedConnector("sim", node_count=3, fault=FAST)
+        root = tmp_path / "artifacts"
+        director = make_director({"sim": connector}, store=store,
+                                 artifact_root=root)
+        eid = submit_sleep_experiment(director, connector, name="art")
+        gateway = director.gateway
+        gateway.store_artifact(eid, "sim-000", "t.pcap", b"old")
+        gateway.store_artifact(eid, "sim-001", "t.pcap", b"\x00pcap")
+        gateway.store_artifact(eid, "sim-000", "t.pcap", b"new!")
+        listed = gateway.list_artifacts(eid)
+        assert [(m["node_id"], m["size"]) for m in listed] == \
+            [("sim-001", 5), ("sim-000", 4)]
+        director.close()
+        reborn = make_director({"sim": connector}, store=store,
+                               artifact_root=root)
+        assert reborn.gateway.list_artifacts(eid) == listed
+        assert reborn.gateway.artifact_data(eid, "sim-000", "t.pcap") \
+            == b"new!"
+        with pytest.raises(UnknownExperiment):  # no record, no listing
+            reborn.gateway.list_artifacts("ghost")
 
     def test_artifact_for_unknown_experiment(self, platform):
         director, _ = platform
