@@ -33,17 +33,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # The longest any one node command (setup, verify, cleanup, ssh) may run.
 COMMAND_TIMEOUT_S = 120.0
+# The exit code ``run_bounded`` answers for a command it had to kill.
+TIMED_OUT = -1
 
 
 def run_bounded(args: str | Sequence[str], **kwargs) -> tuple[int, str]:
     """(exit code, output) of a command; one that runs past
-    ``COMMAND_TIMEOUT_S`` is killed and answers exit -1."""
+    ``COMMAND_TIMEOUT_S`` is killed and answers ``TIMED_OUT``."""
     try:
         proc = subprocess.run(args, stdout=subprocess.PIPE,
                               stderr=subprocess.STDOUT, text=True,
                               timeout=COMMAND_TIMEOUT_S, **kwargs)
     except subprocess.TimeoutExpired:
-        return -1, f"timed out after {COMMAND_TIMEOUT_S:g} s"
+        return TIMED_OUT, f"timed out after {COMMAND_TIMEOUT_S:g} s"
     return proc.returncode, proc.stdout or ""
 
 

@@ -19,14 +19,15 @@ from typing import Any, Callable, Mapping, Sequence
 from ..compiler import CLEAN_SCRATCH_COMMAND
 from ..errors import LaunchFailed, NodeUnreachable
 from ..model import NodeDescriptor, NodePool, StagedFile
-from . import Connector, ExecutorConfig, LaunchHandle, run_bounded
+from . import TIMED_OUT, Connector, ExecutorConfig, LaunchHandle, run_bounded
 
 log = logging.getLogger("expforge.ssh")
 
 Runner = Callable[["SshHost", str], tuple[int, str]]
 
 # ssh's own exit code when it could not reach or log in to the host; the
-# launch command itself exits with ``echo``'s status.
+# launch command itself exits with ``echo``'s status at once, so a launch
+# that timed out never got an answer either.
 SSH_CONNECTION_FAILED = 255
 
 
@@ -97,10 +98,6 @@ class SshConnector(Connector):
                            connector_ref=self.name)
             for node_id, host in self._hosts.items()))
 
-    def health(self, node: NodeDescriptor) -> str:
-        code, _ = self._runner(self._host(node), "true")
-        return "reachable" if code == 0 else "unreachable"
-
     def run(self, node: NodeDescriptor, command: str) -> tuple[int, str]:
         if command == CLEAN_SCRATCH_COMMAND:
             command = "rm -rf ./* ./.spool 2>/dev/null; true"
@@ -127,7 +124,7 @@ class SshConnector(Connector):
         launch = (f"{env_assignments} nohup {self.python} -m expforge.executor "
                   f">/dev/null 2>&1 & echo $!")
         code, output = self.run(node, launch)
-        if code == SSH_CONNECTION_FAILED:
+        if code in (SSH_CONNECTION_FAILED, TIMED_OUT):
             raise NodeUnreachable(f"{node.node_id} did not answer: {output}")
         if code != 0:
             raise LaunchFailed(

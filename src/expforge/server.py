@@ -60,6 +60,8 @@ log = logging.getLogger("expforge.server")
 MAX_BODY_BYTES = 64 * 1024 * 1024
 # The longest one flag long-poll may hold a server thread.
 MAX_FLAG_WAIT_S = 25.0
+# How often the serving loop checks for ``stop``, which waits for it.
+STOP_POLL_S = 0.05
 
 _CONFLICTS = (InvalidTransition, NotReady, AlreadyTerminal, WrongPhase,
               DuplicateExperimentName)
@@ -295,8 +297,9 @@ class PlatformServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "PlatformServer":
-        self._thread = threading.Thread(target=self.httpd.serve_forever,
-                                        daemon=True, name="expforge-http")
+        self._thread = threading.Thread(
+            target=self.httpd.serve_forever, args=(STOP_POLL_S,),
+            daemon=True, name="expforge-http")
         self._thread.start()
         log.info("serving on %s", self.url)
         return self

@@ -13,16 +13,20 @@ the director's job.
 ``MemoryStore`` keeps records as objects. ``FileStore`` keeps one directory
 per experiment::
 
-    experiment.json        the experiment doc, written once
-    plan.json              the compiled plan, written once
-    results-000001.json    results, one append-only chunk per save that adds some
-    head.json              everything else, and the list of result chunks
+    experiment.json    the experiment doc, written once
+    plan.json          the compiled plan, written once
+    head.json          a snapshot of everything else, with its sequence number
+    journal.jsonl      one line per save since the snapshot
 
-Every file is written to a temp file, fsynced and renamed into place. A save
-writes its new results as a chunk before the head; the head is the commit
-point, so a chunk it does not list (left by a crash between the two writes)
-is ignored. The FileStore keeps non-terminal records in memory and reads
-terminal ones from disk.
+A non-terminal save appends one fsynced line to the journal, its commit
+point: the save's sequence number, the changed keys of the node maps, the
+tails appended to lists, and any other changed field. A load replays the
+lines over the snapshot up to the first one that is torn or does not parse;
+the next append overwrites that one. The save that makes a record terminal
+writes a new snapshot, then removes the journal; a line the snapshot
+already holds (a crash between the two) is skipped by its number. Whole
+files go through a temp file, fsync, rename and a directory fsync.
+Non-terminal records stay in memory; terminal ones are read from disk.
 """
 
 from __future__ import annotations
@@ -277,13 +281,7 @@ class MemoryStore(Store):
 HEAD = "head.json"
 EXPERIMENT = "experiment.json"
 PLAN = "plan.json"
-
-# Record fields kept outside the head, in files of their own.
-_SPLIT_FIELDS = ("experiment_doc", "plan_doc", "results")
-
-
-def _chunk_name(seq: int) -> str:
-    return f"results-{seq:06d}.json"
+JOURNAL = "journal.jsonl"
 
 
 def _encode(doc: Any) -> bytes:
@@ -305,8 +303,51 @@ def _write_file(path: Path, data: bytes) -> None:
         raise
 
 
+def _append(path: Path, data: bytes, end: int) -> int:
+    """Write ``data`` at ``end`` over any torn line, fsync; the new end."""
+    with open(path, "r+b", buffering=0) as handle:
+        handle.truncate(end)
+        if os.pwrite(handle.fileno(), data, end) < len(data):
+            raise OSError(f"short write to {path}")
+        os.fsync(handle.fileno())
+    return end + len(data)
+
+
+def _fsync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _changed(new: Any, old: Any) -> bool:
     return new is not old and new != old
+
+
+def _head(record: ExperimentRecord, seq: int) -> dict:
+    head = {**record.to_doc(), "has_plan": record.plan_doc is not None,
+            "seq": seq}
+    del head["experiment_doc"], head["plan_doc"]
+    return head
+
+
+def _delta(new: dict, old: dict) -> dict:
+    """The journal line from head ``old`` to ``new``: the changed keys of maps
+    that lost none, the tails of lists, and other changed fields (``seq``)."""
+    changes, merges, tails = {}, {}, {}
+    for key, value in new.items():
+        was = old[key]
+        if not _changed(value, was):
+            continue
+        if isinstance(value, dict) and was.keys() <= value.keys():
+            merges[key] = {k: v for k, v in value.items()
+                           if k not in was or _changed(v, was[k])}
+        elif isinstance(value, list) and value[:len(was)] == was:
+            tails[key] = value[len(was):]
+        else:
+            changes[key] = value
+    return {"set": changes, "merge": merges, "extend": tails}
 
 
 class FileStore(Store):
@@ -316,9 +357,9 @@ class FileStore(Store):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()  # writes, and reads that go to disk
-        # Committed non-terminal records, and the chunks each one's head lists.
-        self._records: dict[str, ExperimentRecord] = {}
-        self._chunks: dict[str, list[int]] = {}
+        # Committed non-terminal records, each with its last sequence number
+        # and the length of its journal.
+        self._records: dict[str, tuple[ExperimentRecord, int, int]] = {}
 
     def _dir(self, experiment_id: str) -> Path:
         return self.root / path_component(experiment_id)
@@ -328,22 +369,22 @@ class FileStore(Store):
             if (record.experiment_id in self._records
                     or (self._dir(record.experiment_id) / HEAD).exists()):
                 raise _duplicate(record.experiment_id)
-            self._commit(record, None, [])
+            self._commit(record, None, 0, 0)
 
     def save(self, record: ExperimentRecord) -> None:
         with self._lock:
             try:
-                base, chunks = self._current(record.experiment_id)
+                base, seq, end = self._current(record.experiment_id)
             except UnknownExperiment:
-                base, chunks = None, []
-            self._commit(record, base, chunks)
+                base, seq, end = None, 0, 0
+            self._commit(record, base, seq, end)
 
     def _committed(self, experiment_id: str) -> ExperimentRecord:
-        record = self._records.get(experiment_id)
-        if record is None:
+        current = self._records.get(experiment_id)
+        if current is None:
             with self._lock:
-                record, _ = self._current(experiment_id)
-        return record
+                current = self._current(experiment_id)
+        return current[0]
 
     def list_ids(self) -> list[str]:
         ids = []
@@ -356,68 +397,66 @@ class FileStore(Store):
 
     # -- under self._lock ---------------------------------------------------
 
-    def _current(self, experiment_id: str) -> tuple[ExperimentRecord, list[int]]:
-        record = self._records.get(experiment_id)
-        if record is not None:
-            return record, self._chunks[experiment_id]
-        record, chunks = self._read(experiment_id)
-        self._publish(record, chunks)
-        return record, chunks
+    def _current(self, experiment_id: str) -> tuple[ExperimentRecord, int, int]:
+        current = self._records.get(experiment_id)
+        if current is None:
+            current = self._read(experiment_id)
+            self._publish(*current)
+        return current
 
-    def _publish(self, record: ExperimentRecord, chunks: list[int]) -> None:
-        experiment_id = record.experiment_id
+    def _publish(self, record: ExperimentRecord, seq: int, end: int) -> None:
         if record.status in TERMINAL_STATUSES:
-            self._records.pop(experiment_id, None)
-            self._chunks.pop(experiment_id, None)
+            self._records.pop(record.experiment_id, None)
         else:
-            self._chunks[experiment_id] = chunks
-            self._records[experiment_id] = record
+            self._records[record.experiment_id] = (record, seq, end)
 
-    def _read(self, experiment_id: str) -> tuple[ExperimentRecord, list[int]]:
+    def _read(self, experiment_id: str) -> tuple[ExperimentRecord, int, int]:
         directory = self._dir(experiment_id)
         try:
             head = json.loads((directory / HEAD).read_bytes())
         except FileNotFoundError:
             raise _unknown(experiment_id) from None
-        results: list[dict] = []
-        for seq in head["chunks"]:
-            results.extend(json.loads((directory / _chunk_name(seq)).read_bytes()))
-        plan = (json.loads((directory / PLAN).read_bytes())
-                if head["has_plan"] else None)
-        record = ExperimentRecord.from_doc({
-            **head,
-            "experiment_doc": json.loads((directory / EXPERIMENT).read_bytes()),
-            "plan_doc": plan,
-            "results": results,
-        })
-        return record, head["chunks"]
+        journal = directory / JOURNAL
+        end = 0
+        lines = journal.read_bytes().split(b"\n") if journal.exists() else [b""]
+        for raw in lines[:-1]:  # the last piece lacks its newline
+            try:
+                line = json.loads(raw)
+            except ValueError:
+                break
+            end += len(raw) + 1
+            if line["set"]["seq"] > head["seq"]:  # not in the snapshot yet
+                head.update(line["set"])
+                for key, changes in line["merge"].items():
+                    head[key].update(changes)
+                for key, tail in line["extend"].items():
+                    head[key].extend(tail)
+        head["experiment_doc"] = json.loads((directory / EXPERIMENT).read_bytes())
+        head["plan_doc"] = (json.loads((directory / PLAN).read_bytes())
+                            if head["has_plan"] else None)
+        return ExperimentRecord.from_doc(head), head["seq"], end
 
     def _commit(self, record: ExperimentRecord, base: ExperimentRecord | None,
-                chunks: list[int]) -> None:
+                seq: int, end: int) -> None:
         """Write what changed since ``base``, then publish the record."""
         new = record.snapshot()
         directory = self._dir(new.experiment_id)
-        directory.mkdir(exist_ok=True)
-        if base is None or _changed(new.experiment_doc, base.experiment_doc):
+        if base is None:
+            directory.mkdir(exist_ok=True)
             _write_file(directory / EXPERIMENT, _encode(new.experiment_doc))
+            (directory / JOURNAL).write_bytes(b"")
+            _fsync_dir(directory)
         if new.plan_doc is not None and (
                 base is None or _changed(new.plan_doc, base.plan_doc)):
             _write_file(directory / PLAN, _encode(new.plan_doc))
-        stored = base.results if base is not None else []
-        if new.results[:len(stored)] == stored:
-            fresh, kept = new.results[len(stored):], chunks
-        else:  # not an append: one chunk replaces them all
-            fresh, kept = new.results, []
-        if fresh:
-            seq = max(chunks, default=0) + 1
-            _write_file(directory / _chunk_name(seq), _encode(fresh))
-            kept = kept + [seq]
-        head = new.to_doc()
-        for key in _SPLIT_FIELDS:
-            del head[key]
-        head["has_plan"] = new.plan_doc is not None
-        head["chunks"] = kept
-        _write_file(directory / HEAD, _encode(head))
-        for seq in set(chunks) - set(kept):
-            (directory / _chunk_name(seq)).unlink(missing_ok=True)
-        self._publish(new, kept)
+            _fsync_dir(directory)  # durable before the commit refers to it
+        head = _head(new, seq + 1)
+        if base is not None and new.status not in TERMINAL_STATUSES:
+            line = _encode(_delta(head, _head(base, seq))) + b"\n"
+            end = _append(directory / JOURNAL, line, end)
+        else:  # a snapshot; a terminal one ends the journal
+            _write_file(directory / HEAD, _encode(head))
+            if new.status in TERMINAL_STATUSES:
+                (directory / JOURNAL).unlink(missing_ok=True)
+            _fsync_dir(directory)
+        self._publish(new, seq + 1, end)

@@ -270,6 +270,25 @@ class TestSshConnector:
         assert result.failed_command == "stage-file conf/probe.cfg"
         assert len(runner.calls) == 2  # verify never ran
 
+    def test_health(self):
+        """Reachability is answered by the launch: a node that answers runs
+        the executor, one whose ssh exits 255 raises ``NodeUnreachable``
+        naming the node."""
+        runner = ScriptedRunner(unreachable={"down"})
+        connector = SshConnector("lab", hosts=[SshHost("h1"),
+                                               SshHost("down")],
+                                 runner=runner)
+        nodes = {n.node_id: n for n in connector.list_nodes()}
+
+        def config(node_id):
+            return ExecutorConfig(experiment_id="exp", node_id=node_id,
+                                  gateway_url="http://director:8714")
+
+        handle = connector.launch_executor(nodes["lab-h1"], config("lab-h1"))
+        assert handle.process == "4242"
+        with pytest.raises(NodeUnreachable, match="lab-down did not answer"):
+            connector.launch_executor(nodes["lab-down"], config("lab-down"))
+
     def test_launch_is_the_only_reachability_check(self):
         runner = ScriptedRunner(unreachable={"down"})
         connector = SshConnector("lab", hosts=[SshHost("h1"),
@@ -314,10 +333,13 @@ class TestSshConnector:
         connector = SshConnector("lab", hosts=[SshHost("h1")])
         return connector, connector.list_nodes().nodes[0]
 
-    def test_hung_health_check_answers_unreachable(self, hung_ssh):
+    def test_hung_launch_answers_unreachable(self, hung_ssh):
         connector, node = hung_ssh
         started = time.monotonic()
-        assert connector.health(node) == "unreachable"
+        with pytest.raises(NodeUnreachable, match="timed out"):
+            connector.launch_executor(node, ExecutorConfig(
+                experiment_id="exp", node_id=node.node_id,
+                gateway_url="http://director:8714"))
         assert time.monotonic() - started < 5
 
     def test_hung_setup_command_fails_prepare(self, hung_ssh):
@@ -329,15 +351,6 @@ class TestSshConnector:
         assert not result.prepared
         assert result.failed_command == "apt-get install -y tcpdump"
         assert "timed out" in result.output
-
-    def test_health(self):
-        runner = ScriptedRunner(unreachable={"down"})
-        connector = SshConnector("lab", hosts=[SshHost("h1"),
-                                               SshHost("down")],
-                                 runner=runner)
-        nodes = {n.node_id: n for n in connector.list_nodes()}
-        assert connector.health(nodes["lab-h1"]) == "reachable"
-        assert connector.health(nodes["lab-down"]) == "unreachable"
 
 
 # ---------------------------------------------------------------------------

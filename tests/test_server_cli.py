@@ -112,6 +112,14 @@ class TestHttpApi:
     def test_unknown_route_404(self, server):
         assert api(server, "GET", "/api/v2/everything").status_code == 404
 
+    def test_stop_is_prompt(self):
+        director = Director(MemoryStore(), builtin_registry(), {})
+        platform = PlatformServer(director).start()
+        assert api(platform, "GET", "/api/v2/everything").status_code == 404
+        started = time.monotonic()
+        platform.stop()
+        assert time.monotonic() - started < 0.2
+
     def test_unknown_connector_400(self, server):
         response = api(server, "GET", "/api/v1/nodes",
                        params={"connector": "warp"})

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+import statistics
 import tempfile
 import threading
 import time
@@ -27,6 +30,7 @@ from expforge.model import (
     Policies,
     Status,
     TaskSpec,
+    TERMINAL_STATUSES,
 )
 from expforge.store import (
     ExperimentRecord,
@@ -87,8 +91,9 @@ class TestStores:
         store.save(rec)
         for view in (store, reopened(store)):
             assert view.load("a").results == [{"n": 1}, {"n": 9}]
-        if isinstance(store, FileStore):
-            assert len(list((store.root / "a").glob("results-*"))) == 1
+        if isinstance(store, FileStore):  # one journal line per save
+            journal = store.root / "a" / store_module.JOURNAL
+            assert journal.read_bytes().count(b"\n") == 3
 
     def test_list_ids(self, store):
         for name in ("b", "a", "c"):
@@ -328,29 +333,27 @@ class TestStoreContract:
         assert FileStore(store.root).load("life").status is Status.FINISHED
 
     def test_orphan_chunk_is_ignored(self, tmp_path, monkeypatch):
+        """An uncommitted write, a torn or a garbage last journal line, is
+        ignored on reload and overwritten by the next save."""
         store = FileStore(tmp_path / "records")
         director = Director(store, builtin_registry(), {}, recover=False)
         for step in lifecycle(director):
             if step == "report n-0":
                 break
         before = frozen(store.load("life"))
-        real_write = store_module._write_file
+        real_append = store_module._append
 
-        def crash_at_head(path, data):
-            if path.name == store_module.HEAD:
-                raise OSError("crashed before the head was written")
-            real_write(path, data)
+        def torn(path, data, end):
+            real_append(path, data[:len(data) // 2], end)
+            raise OSError("crashed in the middle of the append")
 
-        monkeypatch.setattr(store_module, "_write_file", crash_at_head)
+        monkeypatch.setattr(store_module, "_append", torn)
         with pytest.raises(OSError):
             director.gateway.ingest_report(report("n-1", 2))
-        monkeypatch.setattr(store_module, "_write_file", real_write)
+        monkeypatch.setattr(store_module, "_append", real_append)
 
-        directory = store.root / "life"
-        listed = json.loads((directory / store_module.HEAD).read_bytes())[
-            "chunks"]
-        on_disk = {p.name for p in directory.glob("results-*.json")}
-        assert len(on_disk) == len(listed) + 1  # the orphan
+        journal = store.root / "life" / store_module.JOURNAL
+        assert not journal.read_bytes().endswith(b"\n")  # the torn line
         assert frozen(store.load("life")) == before
         assert frozen(FileStore(store.root).load("life")) == before
 
@@ -358,6 +361,17 @@ class TestStoreContract:
         assert frozen(FileStore(store.root).load("life")) \
             == frozen(store.load("life"))
         assert len(store.load("life").results) == 4
+
+        before = frozen(store.load("life"))
+        with journal.open("ab") as handle:
+            handle.write(b'{"set": ' + b"garbage " * 1000 + b"\n")
+        restarted = FileStore(store.root)
+        assert frozen(restarted.load("life")) == before
+        rec = restarted.load("life")
+        rec.errors.append({"phase": "test"})
+        restarted.save(rec)
+        assert b"garbage" not in journal.read_bytes()
+        assert FileStore(store.root).load("life").errors == [{"phase": "test"}]
 
     def test_bytes_per_report_do_not_grow_with_stored_results(
             self, tmp_path, monkeypatch):
@@ -367,21 +381,109 @@ class TestStoreContract:
             if step == "flag":
                 break
         written: list[int] = []
-        real_write = store_module._write_file
+        real_write, real_append = store_module._write_file, store_module._append
 
-        def counting(path, data):
+        def counting_write(path, data):
             written[-1] += len(data)
             real_write(path, data)
 
-        monkeypatch.setattr(store_module, "_write_file", counting)
+        def counting_append(path, data, end):
+            written[-1] += len(data)
+            return real_append(path, data, end)
+
+        monkeypatch.setattr(store_module, "_write_file", counting_write)
+        monkeypatch.setattr(store_module, "_append", counting_append)
         for node_id in NODES:
             written.append(0)
             director.gateway.ingest_report(report(node_id, 20, "x" * 200))
         one_report = len(json.dumps(report("n-0", 20, "x" * 200)["results"]))
-        # The head grows by one node's metadata per report; rewriting the
-        # stored results would add a whole report's worth each time.
-        assert max(written) - min(written) < one_report / 4, written
+        # Each non-terminal report appends its own results and metadata;
+        # rewriting the stored results would add a whole report's worth.
+        *appended, compacted = written
+        assert min(appended) > one_report / 2, written  # counted at all
+        assert max(appended) - min(appended) < one_report / 4, written
+        # The last report makes the record terminal: one snapshot, no line.
+        directory = store.root / "life"
+        assert compacted == (directory / store_module.HEAD).stat().st_size
+        assert not (directory / store_module.JOURNAL).exists()
 
+    def test_crash_between_compaction_and_journal_removal(self, tmp_path):
+        store = FileStore(tmp_path / "records")
+        director = Director(store, builtin_registry(), {}, recover=False)
+        journal = store.root / "life" / store_module.JOURNAL
+        for step in lifecycle(director):
+            if step == f"report {NODES[-2]}":
+                lines = journal.read_bytes()
+            if step == f"report {NODES[-1]}":
+                break
+        assert not journal.exists()
+        finished = frozen(store.load("life"))
+        journal.write_bytes(lines)  # as if the removal never happened
+
+        restarted = FileStore(store.root)
+        assert frozen(restarted.load("life")) == finished
+        rec = restarted.load("life")
+        assert len(rec.results) == 2 * len(NODES)
+        assert len(rec.transitions) == len({t["to"] for t in rec.transitions})
+        rec.cleanup = {"n-0": {"ok": True}}
+        restarted.save(rec)
+        assert not journal.exists()
+        assert FileStore(store.root).load("life").cleanup == rec.cleanup
+
+    def test_terminal_record_leaves_no_journal(self, tmp_path):
+        store = FileStore(tmp_path / "records")
+        director = Director(store, builtin_registry(), {}, recover=False)
+        journal = store.root / "life" / store_module.JOURNAL
+        for step in lifecycle(director):
+            terminal = store.load("life").status in TERMINAL_STATUSES
+            assert journal.exists() is not terminal, step
+        assert terminal
+
+    def test_journal_bytes_per_report_do_not_grow_with_nodes(self, tmp_path):
+        def bytes_per_report(nodes: int) -> float:
+            store = FileStore(tmp_path / f"records-{nodes}")
+            rec = record("wide")
+            for i in range(nodes):
+                rec.deploy_state[f"n-{i}"] = {"state": "prepared"}
+                rec.exec_state[f"n-{i}"] = {"state": "running", "token": "t"}
+            store.create(rec)
+            journal = store.root / "wide" / store_module.JOURNAL
+            sizes = []
+            for i in range(nodes):
+                rec = store.load("wide")
+                rec.exec_state[f"n-{i}"] = {"state": "reported", "token": "t"}
+                rec.reports[f"n-{i}"] = {"executor_version": "t"}
+                rec.results.extend(report(f"n-{i}")["results"])
+                size = journal.stat().st_size
+                store.save(rec)
+                sizes.append(journal.stat().st_size - size)
+            return statistics.median(sizes)
+
+        few, many = bytes_per_report(10), bytes_per_report(100)
+        assert max(few, many) < 1.5 * min(few, many), (few, many)
+
+    def test_renames_are_followed_by_a_directory_fsync(self, tmp_path,
+                                                       monkeypatch):
+        store = FileStore(tmp_path / "records")
+        director = Director(store, builtin_registry(), {}, recover=False)
+        calls: list[str] = []
+        real_fsync = os.fsync
+
+        def counting(fd):
+            calls.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                         else "file")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        # (directory fsyncs, file fsyncs) per step; any other step is one
+        # journal append.
+        expected = {"submitted": (2, 2), "planned": (1, 2),
+                    f"report {NODES[-1]}": (1, 1), "finished": (0, 0),
+                    "cleaned": (1, 1)}
+        for step in lifecycle(director):
+            assert (calls.count("dir"), calls.count("file")) \
+                == expected.get(step, (0, 1)), step
+            calls.clear()
 
 HOSTILE_IDS = st.text(max_size=80)
 
