@@ -1,14 +1,19 @@
 """Node-resident executor: runs one pipeline, reports once at the end.
 
 Stages run sequentially with a hard barrier between them; tasks inside a
-stage run concurrently, one thread per task, each with its own cancellation
-event and timeout. The stage's own thread starts the tasks and enforces
-their deadlines: it fires each task's cancel event at that task's deadline
-and only then waits out the cancel grace of the tasks that timed out. Every
-task anomaly becomes a TaskResult; nothing propagates to the caller. The
-finished report is flushed to a local spool file before the first delivery
-attempt and removed only after the gateway acknowledged it, so a crash or an
-unreachable gateway never loses results.
+stage run concurrently, each on its own thread with its own cancellation
+event and timeout. The threads are workers of one call (``run_pipeline``,
+``run_stage`` or ``run_task``): a task goes to an idle worker, or to a new
+one, so a pipeline starts about as many threads as its widest stage has
+tasks. A worker whose task ignored its cancel is never reused and ends when
+that task returns; the others end when the call returns. The calling thread
+hands the tasks out and enforces their deadlines, each anchored at the
+moment its worker picked the task up: it fires each task's cancel event at
+that task's deadline and only then waits out the cancel grace of the tasks
+that timed out. Every task anomaly becomes a TaskResult; nothing
+propagates to the caller. The finished report is flushed to a local spool
+file before the first delivery attempt and removed only after the gateway
+acknowledged it, so a crash or an unreachable gateway never loses results.
 
 Every executor gets its bundle from the gateway (``fetch_bundle``). As a
 child process (``python -m expforge.executor``) configuration comes from
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import queue
 import subprocess
 import sys
 import tempfile
@@ -268,15 +274,18 @@ def _task_scope(stage_index: int, task_name: str) -> str:
 
 
 class _TaskRun:
-    """One task started on its own worker thread.
+    """One task, run by a worker thread of its executor call.
 
-    The worker records the outcome and its own finish time; the thread that
-    started the task enforces the deadline (see ``_await_tasks``).
+    The worker stamps the start when it picks the task up, which anchors the
+    deadline, and records the outcome and its own finish time; the thread
+    that handed the task over enforces the deadline (see ``_run_tasks``).
     """
 
     def __init__(self, task: TaskSpec, registry: TaskRegistry,
                  impl_id: str | None, ctx: TaskContext):
         self.task = task
+        self.registry = registry
+        self.impl_id = impl_id
         self.ctx = ctx
         self.scope = _task_scope(ctx.stage_index, task.name)
         ctx.runtime = ctx.runtime.scoped(self.scope)
@@ -286,18 +295,19 @@ class _TaskRun:
         self.error: str | None = None
         self.timed_out = False
         self.done = threading.Event()
-        self.started_wall, self.started_mono = time.time(), time.monotonic()
-        self.deadline = self.started_mono + task.timeout_s
-        threading.Thread(target=self._work, args=(registry, impl_id),
-                         daemon=True,
-                         name=f"task-{ctx.node.node_id}-{task.name}").start()
+        self._stamp_start()  # again when a worker picks the task up
 
-    def _work(self, registry: TaskRegistry, impl_id: str | None) -> None:
+    def _stamp_start(self) -> None:
+        self.started_wall, self.started_mono = time.time(), time.monotonic()
+        self.deadline = self.started_mono + self.task.timeout_s
+
+    def work(self) -> None:
+        self._stamp_start()
         try:
-            if impl_id is None:
+            if self.impl_id is None:
                 raise TaskError(
                     f"no implementation resolved for task {self.task.name!r}")
-            impl = registry.implementation(impl_id)
+            impl = self.registry.implementation(self.impl_id)
             self.payload = impl.run(self.task.params, self.ctx)
         except TaskError as exc:
             self.error = str(exc)
@@ -307,6 +317,14 @@ class _TaskRun:
         finally:
             self.finished_wall, self.finished_mono = time.time(), time.monotonic()
             self.done.set()
+
+    def outlived_deadline(self) -> bool:
+        """Wait for the task until its deadline, which its worker may still
+        move later by stamping the start; True when the deadline passed."""
+        while not self.done.wait(max(0.0, self.deadline - time.monotonic())):
+            if time.monotonic() >= self.deadline:
+                return True
+        return False
 
     def result(self) -> TaskResult:
         outcome, error_text, payload = Outcome.SUCCESS, None, self.payload
@@ -335,22 +353,73 @@ class _TaskRun:
         )
 
 
-def _await_tasks(runs: list[_TaskRun]) -> list[TaskResult]:
-    """Wait for started tasks; results come back in the order of ``runs``.
+def _serve(run: _TaskRun | None, inbox: queue.SimpleQueue) -> None:
+    """A worker thread: runs tasks from its inbox until it receives None."""
+    while run is not None:
+        run.work()
+        run = inbox.get()
 
-    Deadlines are checked in deadline order, each task's cancel event firing
-    at its own deadline. Only then are the grace periods of the timed-out
-    tasks waited out, so one task's grace never delays another's cancel.
+
+class _Workers:
+    """The task threads of one executor call, one task at a time each.
+
+    A task goes to an idle worker, or to a new one that takes it as its first
+    task. A worker whose task ignored its cancel gets no other: it ends when
+    that task returns. Leaving the ``with`` block ends the rest, so no worker
+    outlives the call. Only the calling thread uses this object.
     """
+
+    def __init__(self):
+        self._idle: list[queue.SimpleQueue] = []
+        self._busy: dict[_TaskRun, queue.SimpleQueue] = {}
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for inbox in (*self._idle, *self._busy.values()):
+            inbox.put(None)
+
+    def start(self, run: _TaskRun) -> None:
+        if self._idle:
+            inbox = self._idle.pop()
+            inbox.put(run)
+        else:
+            inbox = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(run, inbox), daemon=True,
+                             name=f"task-{run.ctx.node.node_id}").start()
+        self._busy[run] = inbox
+
+    def take_back(self, run: _TaskRun) -> None:
+        inbox = self._busy.pop(run)
+        if run.done.is_set():
+            self._idle.append(inbox)
+        else:
+            inbox.put(None)
+
+
+def _run_tasks(runs: list[_TaskRun], workers: _Workers) -> list[TaskResult]:
+    """Run tasks concurrently; results come back in the order of ``runs``.
+
+    Every task is handed out before any is awaited. Deadlines are checked in
+    deadline order, each task's cancel event firing at its own deadline. Only
+    then are the grace periods of the timed-out tasks waited out, so one
+    task's grace never delays another's cancel.
+    """
+    for run in runs:
+        workers.start(run)
     graces: list[tuple[_TaskRun, float]] = []
     for run in sorted(runs, key=lambda r: r.deadline):
-        if not run.done.wait(max(0.0, run.deadline - time.monotonic())):
+        if run.outlived_deadline():
             run.timed_out = True
             run.ctx.cancel.set()
             graces.append((run, time.monotonic() + CANCEL_GRACE_S))
     for run, grace_end in graces:
         run.done.wait(max(0.0, grace_end - time.monotonic()))
-    return [run.result() for run in runs]
+    results = [run.result() for run in runs]
+    for run in runs:
+        workers.take_back(run)
+    return results
 
 
 def run_task(task: TaskSpec, registry: TaskRegistry, impl_id: str | None,
@@ -361,7 +430,17 @@ def run_task(task: TaskSpec, registry: TaskRegistry, impl_id: str | None,
     On timeout the task's cancel event fires: builtin tasks cancel
     cooperatively, shell tasks get their process killed.
     """
-    return _await_tasks([_TaskRun(task, registry, impl_id, ctx)])[0]
+    with _Workers() as workers:
+        return _run_tasks([_TaskRun(task, registry, impl_id, ctx)], workers)[0]
+
+
+def _stage_runs(stage: Stage, stage_index: int, bundle: PipelineBundle,
+                registry: TaskRegistry,
+                base_ctx: TaskContext) -> list[_TaskRun]:
+    return [_TaskRun(task, registry, bundle.impl_ids.get(task.name),
+                     replace(base_ctx, cancel=threading.Event(),
+                             stage_index=stage_index, task_name=task.name))
+            for task in stage.tasks]
 
 
 def run_stage(stage: Stage, stage_index: int, bundle: PipelineBundle,
@@ -371,12 +450,10 @@ def run_stage(stage: Stage, stage_index: int, bundle: PipelineBundle,
     Every task is started before any is awaited, so an n-task stage of
     equal-duration work completes in roughly one task's duration.
     """
-    return _await_tasks([
-        _TaskRun(task, registry, bundle.impl_ids.get(task.name),
-                 replace(base_ctx, cancel=threading.Event(),
-                         stage_index=stage_index, task_name=task.name))
-        for task in stage.tasks
-    ])
+    with _Workers() as workers:
+        return _run_tasks(
+            _stage_runs(stage, stage_index, bundle, registry, base_ctx),
+            workers)
 
 
 def _skipped(task: TaskSpec, stage_index: int, node_id: str) -> TaskResult:
@@ -402,18 +479,21 @@ def run_pipeline(bundle: PipelineBundle, registry: TaskRegistry,
     )
     results: list[TaskResult] = []
     abort = False
-    for stage_index, stage in enumerate(bundle.pipeline.stages):
-        stopped = stop is not None and stop.is_set()
-        if abort or stopped:
-            results.extend(_skipped(t, stage_index, bundle.node_id)
-                           for t in stage.tasks)
-            continue
-        stage_results = run_stage(stage, stage_index, bundle, registry, base_ctx)
-        results.extend(stage_results)
-        if bundle.early_stop and any(
-                r.outcome in (Outcome.FAILURE, Outcome.TIMEOUT)
-                for r in stage_results):
-            abort = True
+    with _Workers() as workers:
+        for stage_index, stage in enumerate(bundle.pipeline.stages):
+            stopped = stop is not None and stop.is_set()
+            if abort or stopped:
+                results.extend(_skipped(t, stage_index, bundle.node_id)
+                               for t in stage.tasks)
+                continue
+            stage_results = _run_tasks(
+                _stage_runs(stage, stage_index, bundle, registry, base_ctx),
+                workers)
+            results.extend(stage_results)
+            if bundle.early_stop and any(
+                    r.outcome in (Outcome.FAILURE, Outcome.TIMEOUT)
+                    for r in stage_results):
+                abort = True
     return results
 
 

@@ -200,11 +200,14 @@ class EnvironmentRequirement:
                     or self.staged_files or self.verify_commands)
 
     def to_doc(self) -> dict:
+        """Sequences stay tuples, which JSON writes as arrays: the doc of an
+        empty environment holds only the ``()`` singleton, so the cycle
+        collector never tracks it."""
         return {
-            "setup_commands": list(self.setup_commands),
-            "binaries": [b.to_doc() for b in self.binaries],
-            "staged_files": [f.to_doc() for f in self.staged_files],
-            "verify_commands": list(self.verify_commands),
+            "setup_commands": self.setup_commands,
+            "binaries": tuple(b.to_doc() for b in self.binaries),
+            "staged_files": tuple(f.to_doc() for f in self.staged_files),
+            "verify_commands": self.verify_commands,
         }
 
     @classmethod

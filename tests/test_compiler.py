@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from expforge.model import (
     Pipeline,
     StagedFile,
     TaskSpec,
+    digest_doc,
     merge_requirements,
 )
 from expforge.registry import TaskImplementation, TaskRegistry
@@ -280,3 +282,43 @@ def test_dedup_matches_brute_force_property(seed):
     exp = random_experiment(random.Random(seed), 0)
     plan = compile_experiment(exp, registry)
     assert len(plan.environment_specs) == brute_force_spec_count(exp)
+
+
+# ---------------------------------------------------------------------------
+# doc shape: pinned bytes, and empty environments stay off the collector
+# ---------------------------------------------------------------------------
+
+PINNED_PIPELINE_DIGEST = (
+    "c6ba861d04a7c5f70bbd68a0293617410a7ebd16a3f2d39978fa861bd2a82ba6")
+PINNED_PLAN_DIGEST = (  # sha256 of the plan's canonical_json
+    "beeea3247b5381878a4e16c7e09cab1070dc0d1ee6ffe59f1132b066573a6e6b")
+
+
+def pinned_experiment() -> Experiment:
+    capture_env = EnvironmentRequirement(
+        setup_commands=("apt-get install -y tcpdump", "mkdir -p captures"),
+        binaries=(BinaryRequirement("tcpdump", "4.99"),
+                  BinaryRequirement("curl")),
+        staged_files=(StagedFile("conf/capture.conf", "iface=eth0\n"),),
+        verify_commands=("test -d captures",))
+    pipeline = (Pipeline("pinned")
+                .then(TaskSpec("shell", params={"command": "echo a"},
+                               timeout_s=5.0, environment=capture_env))
+                .then([TaskSpec("sleep", params={"seconds": 0}),
+                       TaskSpec("shell", params={"command": "true"},
+                                environment=EnvironmentRequirement(
+                                    setup_commands=("mkdir -p captures",)))]))
+    return Experiment("pinned").map(pipeline, [node(0), node(1)])
+
+
+def test_pipeline_digest_and_plan_bytes_are_pinned(registry):
+    """Values computed before environment docs became tuples; a doc-shape
+    change must not move a digest or a byte of the plan."""
+    exp = pinned_experiment()
+    plan = compile_experiment(exp, registry)
+    assert exp.assignments[0].pipeline.digest() == PINNED_PIPELINE_DIGEST
+    assert digest_doc(plan.to_doc()) == PINNED_PLAN_DIGEST
+
+
+def test_empty_environment_doc_is_untracked():
+    assert not gc.is_tracked(TaskSpec("sleep").to_doc()["environment"])

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import FakeGatewayClient, make_bundle
+from conftest import FakeGatewayClient, make_bundle, sleep_pipeline
 from expforge.connectors.simulated import FaultModel, SimNode, SimRuntime
 from expforge.executor import (
     CANCEL_GRACE_S,
@@ -396,6 +396,86 @@ def test_each_cancel_fires_at_its_own_deadline(registry, sim_runtime,
             f"{result.task_name}: cancel {fired - deadline:+.3f}s "
             f"from its deadline")
     assert wall < 0.4 + CANCEL_GRACE_S + 0.3
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Threads this test's thread starts, directly or through threads it
+    started, in start order."""
+    started: list[threading.Thread] = []
+    ours = {threading.current_thread()}
+    real_start = threading.Thread.start
+
+    def start(thread, *args, **kwargs):
+        if threading.current_thread() in ours:
+            ours.add(thread)
+            started.append(thread)
+        return real_start(thread, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def assert_all_end_within(threads, seconds: float) -> None:
+    deadline = time.monotonic() + seconds
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    assert [t.name for t in threads if t.is_alive()] == []
+
+
+def test_pipeline_threads_bounded_by_stage_width(registry, sim_runtime,
+                                                 started_threads):
+    pipeline = sleep_pipeline(20, 5, seconds=0)
+    bundle = make_bundle(pipeline, registry)
+    results = run_pipeline(bundle, registry, sim_runtime)
+    assert [r.outcome for r in results] == [Outcome.SUCCESS] * 100
+    assert len(started_threads) == 5
+    assert_all_end_within(started_threads, 1.0)
+    # standalone calls end their workers too
+    run_stage(pipeline.stages[0], 0, bundle, registry, make_ctx(sim_runtime))
+    task = pipeline.stages[0].tasks[0]
+    run_task(task, registry, bundle.impl_ids[task.name], make_ctx(sim_runtime))
+    assert len(started_threads) == 11
+    assert_all_end_within(started_threads, 1.0)
+
+
+def test_ignored_cancel_does_not_stall_next_stage(registry, sim_runtime,
+                                                  ignores_cancel,
+                                                  started_threads):
+    pipeline = (Pipeline("p")
+                .then(TaskSpec("ignores-cancel", name="stuck", timeout_s=0.2))
+                .then([TaskSpec("sleep", name=name, params={"seconds": 5},
+                                timeout_s=timeout)
+                       for name, timeout in (("a", 0.2), ("b", 0.3))]))
+    results = run_pipeline(make_bundle(pipeline, registry), registry,
+                           sim_runtime)
+    assert [r.outcome for r in results] == [Outcome.TIMEOUT] * 3
+    stuck, *stage1 = results
+    for result, timeout in zip(stage1, (0.2, 0.3)):
+        took = result.finished_mono - result.started_mono
+        assert timeout <= took < timeout + 0.15, result.task_name
+        assert result.started_mono >= stuck.finished_mono
+    # stage 1 needed two fresh workers: the stuck one got no second task
+    stuck_worker = started_threads[0]
+    assert len(started_threads) == 3
+    assert stuck_worker.is_alive()
+    ignores_cancel.release.set()
+    assert_all_end_within(started_threads, 1.0)
+
+
+def test_start_is_stamped_by_the_worker(registry, sim_runtime, monkeypatch):
+    """A slow hand-off to the worker is not timed as part of the task."""
+    real_start = threading.Thread.start
+
+    def slow_start(thread, *args, **kwargs):
+        time.sleep(0.1)
+        return real_start(thread, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", slow_start)
+    result = one_task(TaskSpec("sleep", params={"seconds": 0}),
+                      sim_runtime, registry)
+    assert result.outcome is Outcome.SUCCESS
+    assert result.duration_s() < 0.05
 
 
 def test_spool_names_keep_distinct_ids_apart(tmp_path):
