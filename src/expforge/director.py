@@ -12,13 +12,18 @@ place instead of taking a snapshot. deploy() and execute() return as soon as
 the corresponding transition is persisted and the real work proceeds on
 background threads; clients poll status().
 
-A RUNNING experiment ends in the mutate that settles its last pending node,
-and a terminal save drops what the director held for it.
+Per-node events are committed in batches. The deploy thread commits, in
+one mutate, every prepare outcome that finished since its last commit; the
+execute thread writes the tokens of all tokenless prepared nodes in one
+mutate before it launches any of them; reports are group-committed by the
+gateway. A RUNNING experiment ends in the mutate that settles its last
+pending node, and a terminal save drops what the director held for it.
 
 Restarting a director over the same store recovers every record unchanged:
-in-flight deployments resume preparing only still-pending nodes, RUNNING
-experiments re-poll nodes that already hold an execution token and launch
-only tokenless ones; execution is at-most-once per (experiment, node).
+in-flight deployments resume preparing only nodes without a committed
+outcome, RUNNING experiments re-poll nodes that already hold an execution
+token and launch only tokenless ones; execution is at-most-once per
+(experiment, node).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import logging
 import threading
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Iterator, Mapping
 
@@ -379,7 +384,7 @@ class Director:
                    if record.deploy_state.get(n.node_id, {}).get("state",
                                               DEPLOY_PENDING) == DEPLOY_PENDING]
 
-        def prepare_one(node: NodeDescriptor) -> None:
+        def prepare_one(node: NodeDescriptor) -> dict:
             outcome = {"state": DEPLOY_FAILED,
                        "reason": f"connector {node.connector_ref!r} missing"}
             connector = self.connectors.get(node.connector_ref)
@@ -395,14 +400,21 @@ class Director:
                 except Exception as exc:  # noqa: BLE001 - one bad node must
                     # not strand the whole deployment
                     outcome = {"state": DEPLOY_FAILED, "reason": str(exc)}
-            with self.mutate(experiment_id) as rec:
-                rec.deploy_state[node.node_id] = outcome
+            return outcome
 
         if pending:
+            # One commit holds every outcome that finished since the last.
             workers = min(PREPARE_WORKERS, len(pending))
             with ThreadPoolExecutor(max_workers=workers,
                                     thread_name_prefix="prepare") as pool:
-                list(pool.map(prepare_one, pending))
+                running = {pool.submit(prepare_one, node): node.node_id
+                           for node in pending}
+                while running:
+                    done, _ = wait(running, return_when=FIRST_COMPLETED)
+                    with self.mutate(experiment_id) as rec:
+                        for future in done:
+                            rec.deploy_state[running.pop(future)] = \
+                                future.result()
 
         with self.mutate(experiment_id) as rec:
             if rec.status is not Status.DEPLOYING:
@@ -440,21 +452,22 @@ class Director:
 
     def _execute_worker(self, experiment_id: str) -> None:
         record = self.record(experiment_id)
-        if record.status is not Status.RUNNING:
+        if record.status is not Status.RUNNING or self._closed.is_set():
             return
         nodes = {n.node_id: n for n in self._nodes_of(record)}
-        for node_id in record.prepared_nodes():
+        # Every token is durable before any launch: at-most-once per node.
+        with self.mutate(experiment_id) as rec:
+            if rec.status is not Status.RUNNING:
+                return
+            tokenless = [node_id for node_id in rec.prepared_nodes()
+                         if not rec.node_exec(node_id).get("token")]
+            for node_id in tokenless:
+                rec.node_exec(node_id).update(
+                    {"token": uuid.uuid4().hex, "token_at": time.time(),
+                     "state": EXEC_RUNNING})
+        for node_id in tokenless:
             if self._closed.is_set():
                 return
-            with self.mutate(experiment_id) as rec:
-                if rec.status is not Status.RUNNING:
-                    return
-                state = rec.node_exec(node_id)
-                if state.get("token"):
-                    continue  # at-most-once: already launched some run
-                state["token"] = uuid.uuid4().hex
-                state["token_at"] = time.time()
-                state["state"] = EXEC_RUNNING
             node = nodes[node_id]
             connector = self.connectors.get(node.connector_ref)
             failure: str | None = None

@@ -6,7 +6,8 @@ event and timeout. The threads are workers of one call (``run_pipeline``,
 ``run_stage`` or ``run_task``): a task goes to an idle worker, or to a new
 one, so a pipeline starts about as many threads as its widest stage has
 tasks. A worker whose task ignored its cancel is never reused and ends when
-that task returns; the others end when the call returns. The calling thread
+that task returns; a worker of the last stage ends as soon as its task
+returns, and the others end when the call returns. The calling thread
 hands the tasks out and enforces their deadlines, each anchored at the
 moment its worker picked the task up: it fires each task's cancel event at
 that task's deadline and only then waits out the cancel grace of the tasks
@@ -364,9 +365,11 @@ class _Workers:
     """The task threads of one executor call, one task at a time each.
 
     A task goes to an idle worker, or to a new one that takes it as its first
-    task. A worker whose task ignored its cancel gets no other: it ends when
-    that task returns. Leaving the ``with`` block ends the rest, so no worker
-    outlives the call. Only the calling thread uses this object.
+    task. A task of the call's last stage is followed in its worker's inbox
+    by the None that ends the worker, so that worker exits as soon as the
+    task returns. A worker whose task ignored its cancel gets no other: it
+    ends when that task returns. Leaving the ``with`` block ends the rest,
+    so no worker outlives the call. Only the calling thread uses this object.
     """
 
     def __init__(self):
@@ -380,7 +383,7 @@ class _Workers:
         for inbox in (*self._idle, *self._busy.values()):
             inbox.put(None)
 
-    def start(self, run: _TaskRun) -> None:
+    def start(self, run: _TaskRun, last: bool) -> None:
         if self._idle:
             inbox = self._idle.pop()
             inbox.put(run)
@@ -388,18 +391,25 @@ class _Workers:
             inbox = queue.SimpleQueue()
             threading.Thread(target=_serve, args=(run, inbox), daemon=True,
                              name=f"task-{run.ctx.node.node_id}").start()
-        self._busy[run] = inbox
+        if last:
+            inbox.put(None)
+        else:
+            self._busy[run] = inbox
 
     def take_back(self, run: _TaskRun) -> None:
-        inbox = self._busy.pop(run)
+        inbox = self._busy.pop(run, None)
+        if inbox is None:  # already told to end
+            return
         if run.done.is_set():
             self._idle.append(inbox)
         else:
             inbox.put(None)
 
 
-def _run_tasks(runs: list[_TaskRun], workers: _Workers) -> list[TaskResult]:
+def _run_tasks(runs: list[_TaskRun], workers: _Workers,
+               last: bool = True) -> list[TaskResult]:
     """Run tasks concurrently; results come back in the order of ``runs``.
+    ``last`` says no later stage will use the workers.
 
     Every task is handed out before any is awaited. Deadlines are checked in
     deadline order, each task's cancel event firing at its own deadline. Only
@@ -407,7 +417,7 @@ def _run_tasks(runs: list[_TaskRun], workers: _Workers) -> list[TaskResult]:
     task's grace never delays another's cancel.
     """
     for run in runs:
-        workers.start(run)
+        workers.start(run, last)
     graces: list[tuple[_TaskRun, float]] = []
     for run in sorted(runs, key=lambda r: r.deadline):
         if run.outlived_deadline():
@@ -488,7 +498,7 @@ def run_pipeline(bundle: PipelineBundle, registry: TaskRegistry,
                 continue
             stage_results = _run_tasks(
                 _stage_runs(stage, stage_index, bundle, registry, base_ctx),
-                workers)
+                workers, last=stage_index == len(bundle.pipeline.stages) - 1)
             results.extend(stage_results)
             if bundle.early_stop and any(
                     r.outcome in (Outcome.FAILURE, Outcome.TIMEOUT)

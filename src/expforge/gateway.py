@@ -4,11 +4,13 @@ The gateway is a thin facade over the director's experiment records: report
 ingestion and flag writes go through the director's per-experiment monitor,
 so there is exactly one logical writer per record no matter how many
 executors connect, and flag waits block on that same monitor, so the gateway
-keeps no flag state of its own. Bundle and flag reads look at the one field
-they need in the store's committed record and copy nothing else. Flags are
-monotone (set once, never unset within an experiment), namespaced per
-experiment, and destroyed at cleanup; their timestamps come from the
-gateway's clock so cross-node ordering has a single authority.
+keeps no flag state of its own. Reports that queue for one experiment's
+monitor are committed together (group commit): one mutate, one save and one
+settle per batch, with each caller's own outcome. Bundle and flag reads look
+at the one field they need in the store's committed record and copy nothing
+else. Flags are monotone (set once, never unset within an experiment),
+namespaced per experiment, and destroyed at cleanup; their timestamps come
+from the gateway's clock so cross-node ordering has a single authority.
 
 Uploads, reports and node flag sets are accepted only from nodes the
 experiment assigns. Every artifact is written under
@@ -23,6 +25,7 @@ import json
 import threading
 import time
 import urllib.parse
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, TYPE_CHECKING
 
@@ -36,7 +39,12 @@ from .errors import (
     WrongPhase,
 )
 from .model import Status
-from .store import EXEC_REPORTED, EXEC_TIMED_OUT, path_component
+from .store import (
+    EXEC_REPORTED,
+    EXEC_TIMED_OUT,
+    ExperimentRecord,
+    path_component,
+)
 
 # How often a blocked flag wait re-reads the flag and status and looks at
 # its cancel event; a set flag, or the experiment's end, wakes it at once.
@@ -54,6 +62,9 @@ class Gateway:
         self._director = director
         self._artifact_root = Path(artifact_root) if artifact_root else None
         self._artifacts: dict[tuple[str, str, str], bytes] = {}
+        # Reports waiting for their experiment's monitor, with their outcomes.
+        self._queued: dict[str, list[_QueuedReport]] = {}
+        self._queue_guard = threading.Lock()
 
     # -- bundles ---------------------------------------------------------------
 
@@ -87,30 +98,32 @@ class Gateway:
 
         A report from a node already marked timed-out is still stored (late
         data beats no data) with a ``late`` annotation on the node state.
+        Reports that wait for the same experiment's monitor are committed
+        together by whichever of their callers gets it first; each caller
+        returns once the save that holds its report is done, or raises what
+        that save raised.
         """
         experiment_id = report_doc.get("experiment_id", "")
-        node_id = report_doc.get("node_id", "")
-        with self._director.mutate(experiment_id) as record:
-            if node_id not in record.assigned_nodes:
-                raise _unassigned(experiment_id, node_id)
-            if node_id in record.reports:
-                return "duplicate"
-            state = record.node_exec(node_id)
-            late = (state.get("state") == EXEC_TIMED_OUT
-                    or record.status not in (Status.RUNNING,))
-            record.reports[node_id] = {
-                "received_wall": time.time(),
-                "executor_version": report_doc.get("executor_version", ""),
-                "late": late,
-            }
-            if state.get("state") != EXEC_TIMED_OUT:
-                state["state"] = EXEC_REPORTED
-            if late:
-                state["late"] = True
-            for result in report_doc.get("results", ()):
-                record.results.append(dict(result))
-            self._director.settle(record)
-        return "accepted"
+        monitor = self._director.monitor(experiment_id)
+        queued = _QueuedReport(report_doc)
+        with self._queue_guard:
+            self._queued.setdefault(experiment_id, []).append(queued)
+        with monitor:
+            if queued.outcome is None:  # no earlier caller committed it
+                with self._queue_guard:
+                    batch = self._queued.pop(experiment_id)
+                try:
+                    with self._director.mutate(experiment_id) as record:
+                        for entry in batch:
+                            entry.outcome = _add_report(record, entry.doc)
+                        self._director.settle(record)
+                except BaseException as exc:
+                    for entry in batch:  # each caller raises it
+                        entry.outcome = exc
+                    raise
+        if isinstance(queued.outcome, BaseException):
+            raise queued.outcome
+        return queued.outcome
 
     # -- flags -------------------------------------------------------------
 
@@ -205,6 +218,39 @@ class Gateway:
                 return self._artifact_path(experiment_id, node_id,
                                            name).read_bytes()
             return self._artifacts[(experiment_id, node_id, name)]
+
+
+@dataclass
+class _QueuedReport:
+    """A report waiting to be committed, then its caller's outcome."""
+
+    doc: Mapping[str, Any]
+    outcome: str | BaseException | None = None
+
+
+def _add_report(record: ExperimentRecord,
+                report_doc: Mapping[str, Any]) -> str | UnknownAssignment:
+    """Add one report to a record being mutated; its caller's outcome."""
+    node_id = report_doc.get("node_id", "")
+    if node_id not in record.assigned_nodes:
+        return _unassigned(record.experiment_id, node_id)
+    if node_id in record.reports:
+        return "duplicate"
+    state = record.node_exec(node_id)
+    late = (state.get("state") == EXEC_TIMED_OUT
+            or record.status is not Status.RUNNING)
+    record.reports[node_id] = {
+        "received_wall": time.time(),
+        "executor_version": report_doc.get("executor_version", ""),
+        "late": late,
+    }
+    if state.get("state") != EXEC_TIMED_OUT:
+        state["state"] = EXEC_REPORTED
+    if late:
+        state["late"] = True
+    record.results.extend(dict(result)
+                          for result in report_doc.get("results", ()))
+    return "accepted"
 
 
 def _unassigned(experiment_id: str, node_id: str) -> UnknownAssignment:

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 
 import pytest
 
-from conftest import FAST_SIM, drive, kill_director_at, wait_status
-from expforge import Director, FileStore
+from conftest import (
+    FAST_SIM,
+    KillSwitchStore,
+    drive,
+    kill_director_at,
+    wait_status,
+)
+from expforge import Director, FileStore, MemoryStore
 from expforge.connectors.ssh import SshConnector, SshHost
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
 from expforge.errors import (
@@ -513,3 +520,113 @@ def test_recovery_repolls_inflight_nodes_without_relaunch(make_director,
     assert launch_count() == launches_before
     starts = connector.infra.task_start_events()
     assert len(starts) == len(set(starts))
+
+
+# ---------------------------------------------------------------------------
+# batched commits
+# ---------------------------------------------------------------------------
+
+def test_tokens_durable_before_first_launch(make_director, tmp_path):
+    """Each launch finds every prepared node's token already on disk."""
+    root = tmp_path / "records"
+    tokenless_at_launch: list[list[str]] = []
+
+    class TokenCheckingConnector(SimulatedConnector):
+        def launch_executor(self, node, config):
+            record = FileStore(root).load(config.experiment_id)
+            tokenless_at_launch.append(
+                [n for n in record.prepared_nodes()
+                 if not record.exec_state.get(n, {}).get("token")])
+            return super().launch_executor(node, config)
+
+    connector = TokenCheckingConnector("sim", node_count=6, fault=FAST_SIM)
+    director = make_director({"sim": connector}, store=FileStore(root))
+    eid = director.submit(sleep_experiment(connector, nodes=6))
+    assert drive(director, eid) is Status.FINISHED
+    assert tokenless_at_launch == [[]] * 6
+
+
+class PrepareProbe(SimulatedConnector):
+    """Counts prepare calls per node and returns in all; a prepare of a node
+    in ``held`` blocks until ``release`` is set."""
+
+    def __init__(self, *args, held=frozenset(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.held = held
+        self.release = threading.Event()
+        self.calls: Counter[str] = Counter()
+        self.returned = 0
+        self._lock = threading.Lock()
+
+    def prepare(self, node, env):
+        with self._lock:
+            self.calls[node.node_id] += 1
+        if node.node_id in self.held:
+            self.release.wait(10)
+        try:
+            return super().prepare(node, env)
+        finally:
+            with self._lock:
+                self.returned += 1
+
+
+def settled_nodes(record) -> int:
+    return sum(s.get("state") != "pending"
+               for s in record.deploy_state.values())
+
+
+def test_prepare_outcomes_committed_in_batches(make_director):
+    """20 outcomes take far fewer than 20 commits: the first commit is held
+    until every prepare has returned, so the next one takes the rest."""
+    connector = PrepareProbe("sim", node_count=20, fault=FAST_SIM)
+
+    class OutcomeCommits(MemoryStore):
+        commits = 0
+
+        def save(self, record):
+            if settled_nodes(record) > settled_nodes(
+                    self._committed(record.experiment_id)):
+                self.commits += 1
+                deadline = time.monotonic() + 10
+                while connector.returned < 20 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            super().save(record)
+
+    store = OutcomeCommits()
+    director = make_director({"sim": connector}, store=store)
+    eid = director.submit(sleep_experiment(connector, nodes=20))
+    director.deploy(eid)
+    assert wait_status(director, eid, {Status.READY}) is Status.READY
+    assert len(director.record(eid).prepared_nodes()) == 20
+    assert store.commits < 20, store.commits
+
+
+def test_recovery_prepares_only_uncommitted_nodes(make_director):
+    """A director stopped while some prepares hang has committed the others;
+    a fresh director over the same store prepares only the rest."""
+    held = frozenset(f"sim-{i:03d}" for i in range(10, 20))
+    connector = PrepareProbe("sim", node_count=20, fault=FAST_SIM, held=held)
+    store = MemoryStore()
+    doomed_store = KillSwitchStore(store, lambda record: False)
+    doomed = make_director({"sim": connector}, store=doomed_store)
+    eid = doomed.submit(sleep_experiment(connector, nodes=20))
+    doomed.deploy(eid)
+    deadline = time.monotonic() + 10
+    while len(store.load(eid).prepared_nodes()) < 10:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    doomed_store.fence()
+    doomed.close()
+    committed = set(store.load(eid).prepared_nodes())
+    assert committed.isdisjoint(held) and len(committed) == 10
+    calls_before = Counter(connector.calls)
+    connector.held = frozenset()  # the doomed director's calls stay blocked
+    try:
+        reborn = make_director({"sim": connector}, store=store)
+        assert wait_status(reborn, eid, {Status.READY}) is Status.READY
+        prepared_again = connector.calls - calls_before
+        assert prepared_again == Counter(held)
+        assert len(reborn.record(eid).prepared_nodes()) == 20
+    finally:
+        connector.release.set()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import tempfile
 import threading
 import time
@@ -186,6 +187,158 @@ class TestIngestReport:
         assert record.exec_state["sim-001"]["late"] is True
         assert record.reports["sim-001"]["late"] is True
         assert any(r["node_id"] == "sim-001" for r in record.results)
+
+
+# ---------------------------------------------------------------------------
+# group commit of reports
+# ---------------------------------------------------------------------------
+
+def held_entries(director) -> int:
+    """Entries in every dict the director or gateway holds."""
+    return sum(len(value) for owner in (director, director.gateway)
+               for value in vars(owner).values() if isinstance(value, dict))
+
+
+def start_held(director, connector, *, nodes, name) -> str:
+    """A RUNNING held experiment whose nodes all hold their tokens, so the
+    director commits nothing more until a report or flag arrives."""
+    eid = submit_held_experiment(director, connector, nodes=nodes, name=name)
+    deploy_and_start(director, eid)
+    deadline = time.monotonic() + 10
+    while sum(bool(state.get("token")) for state
+              in director.record(eid).exec_state.values()) < nodes:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    return eid
+
+
+def ingest_together(director, eid, docs) -> list:
+    """Ingest ``docs``, one thread each, all queued behind the experiment's
+    monitor before any is committed; each caller's outcome or exception, in
+    the order of ``docs``."""
+    outcomes: list = [None] * len(docs)
+
+    def deliver(index: int) -> None:
+        try:
+            outcomes[index] = director.gateway.ingest_report(docs[index])
+        except Exception as exc:  # noqa: BLE001 - the caller's outcome
+            outcomes[index] = exc
+
+    threads = [threading.Thread(target=deliver, args=(index,))
+               for index in range(len(docs))]
+    with director.monitor(eid):
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while len(director.gateway._queued.get(eid, ())) < len(docs):
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+    for thread in threads:
+        thread.join(10)
+    return outcomes
+
+
+class TestGroupCommit:
+    def test_one_commit_gives_each_caller_its_outcome(self, make_director):
+        class ReportCommits(MemoryStore):
+            commits = 0
+
+            def save(self, record):
+                if len(record.reports) > len(
+                        self._committed(record.experiment_id).reports):
+                    self.commits += 1
+                super().save(record)
+
+        connector = SimulatedConnector("sim", node_count=21, fault=FAST)
+        store = ReportCommits()
+        director = make_director({"sim": connector}, store=store)
+        eid = submit_held_experiment(director, connector, nodes=20,
+                                     name="batch")
+        director.deploy(eid)
+        wait_status(director, eid, {Status.READY})
+        entries_before = held_entries(director)
+        director.execute(eid)
+        wait_status(director, eid, {Status.RUNNING})
+        nodes = [f"sim-{index:03d}" for index in range(20)]
+        docs = ([report_doc(eid, node) for node in nodes]
+                + [report_doc(eid, "sim-000"), report_doc(eid, "sim-020")])
+
+        outcomes = ingest_together(director, eid, docs)
+        assert store.commits == 1
+        assert sorted([outcomes[0], outcomes[20]]) == ["accepted",
+                                                       "duplicate"]
+        assert outcomes[1:20] == ["accepted"] * 19
+        assert isinstance(outcomes[21], UnknownAssignment)
+        record = director.record(eid)
+        assert record.status is Status.FINISHED
+        assert sorted(record.reports) == nodes
+        assert sorted(r["node_id"] for r in record.results) == nodes
+
+        deadline = time.monotonic() + 10  # executors deliver duplicates
+        while any(t.name.startswith(f"sim-executor-{eid}-")
+                  for t in threading.enumerate()):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert held_entries(director) == entries_before
+
+    def test_concurrent_reports_each_committed_once(self, make_director):
+        """Two reports per node from 80 threads with frequent thread
+        switches: each node gets exactly one acceptance, every report is
+        stored once and the queue is left empty."""
+        connector = SimulatedConnector("sim", node_count=40, fault=FAST)
+        director = make_director({"sim": connector})
+        eid = submit_sleep_experiment(director, connector, nodes=40,
+                                      name="stress")
+        nodes = [f"sim-{index:03d}" for index in range(40)]
+        outcomes: dict[str, list[str]] = {node: [] for node in nodes}
+
+        def deliver(node: str) -> None:
+            outcomes[node].append(
+                director.gateway.ingest_report(report_doc(eid, node)))
+
+        threads = [threading.Thread(target=deliver, args=(node,))
+                   for node in nodes * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(sorted(o) == ["accepted", "duplicate"]
+                   for o in outcomes.values()), outcomes
+        record = director.record(eid)
+        assert sorted(record.reports) == nodes
+        assert sorted(r["node_id"] for r in record.results) == nodes
+        assert director.gateway._queued == {}
+
+    def test_failed_save_fails_the_whole_batch(self, make_director):
+        class FailsOnce(MemoryStore):
+            fail = False
+
+            def save(self, record):
+                if self.fail:
+                    self.fail = False
+                    raise OSError("injected write failure")
+                super().save(record)
+
+        connector = SimulatedConnector("sim", node_count=3, fault=FAST)
+        store = FailsOnce()
+        director = make_director({"sim": connector}, store=store)
+        eid = start_held(director, connector, nodes=3, name="fails")
+        docs = [report_doc(eid, f"sim-{index:03d}") for index in range(3)]
+
+        store.fail = True
+        outcomes = ingest_together(director, eid, docs)
+        assert all(isinstance(o, OSError) for o in outcomes), outcomes
+        assert director.record(eid).reports == {}
+        assert director.gateway._queued == {}
+        assert [director.gateway.ingest_report(d) for d in docs] \
+            == ["accepted"] * 3
+        assert director.record(eid).status is Status.FINISHED
 
 
 # ---------------------------------------------------------------------------
