@@ -7,6 +7,10 @@ chains submit → deploy → execute and polls until the experiment terminates.
 Exit codes: 0 ok; 2 validation/parse failure; 3 lifecycle conflict;
 4 not found; 5 transport failure; 6 experiment FAILED/CANCELLED or wait
 timed out.
+
+``DirectorClient`` speaks the director's HTTP API through the
+standard-library client in ``transport.py``: experiment ids travel quoted,
+one URL path segment each, and any status >= 400 raises ``ApiError``.
 """
 
 from __future__ import annotations
@@ -16,15 +20,16 @@ import json
 import os
 import sys
 import time
+import urllib.parse
 from pathlib import Path
 from typing import Any
 
-import requests
 import yaml
 
 from .errors import ManifestError, TransportError
 from .manifest import parse_manifest
 from .model import Status, TERMINAL_STATUSES
+from .transport import HttpTransport, quote
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,53 +59,49 @@ class ApiError(Exception):
 
 
 class DirectorClient:
+    """The director's HTTP API; any status >= 400 raises ApiError."""
+
     def __init__(self, endpoint: str, timeout_s: float = 30.0):
         self.endpoint = endpoint.rstrip("/")
         self.timeout_s = timeout_s
-        self._session = requests.Session()
+        self._transport = HttpTransport(endpoint, timeout_s)
 
-    def _request(self, method: str, path: str, **kwargs) -> Any:
-        try:
-            response = self._session.request(
-                method, f"{self.endpoint}{path}",
-                timeout=self.timeout_s, **kwargs)
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        if response.status_code >= 400:
-            try:
-                payload = response.json()
-            except ValueError:
-                payload = {"message": response.text}
-            raise ApiError(response.status_code, payload)
-        return response.json() if response.content else None
+    def _request(self, method: str, path: str, body: dict | None = None) -> Any:
+        status, payload = self._transport.request(method, path, body)
+        if status >= 400:
+            raise ApiError(status, payload)
+        return payload
+
+    def _experiment(self, method: str, experiment_id: str,
+                    action: str = "") -> Any:
+        return self._request(
+            method, f"/api/v1/experiments/{quote(experiment_id)}{action}")
 
     def submit(self, manifest_doc: dict) -> str:
         return self._request("POST", "/api/v1/experiments",
-                             json=manifest_doc)["experiment_id"]
+                             manifest_doc)["experiment_id"]
 
     def deploy(self, experiment_id: str) -> None:
-        self._request("POST", f"/api/v1/experiments/{experiment_id}/deploy")
+        self._experiment("POST", experiment_id, "/deploy")
 
     def execute(self, experiment_id: str) -> None:
-        self._request("POST", f"/api/v1/experiments/{experiment_id}/execute")
+        self._experiment("POST", experiment_id, "/execute")
 
     def cancel(self, experiment_id: str) -> None:
-        self._request("POST", f"/api/v1/experiments/{experiment_id}/cancel")
+        self._experiment("POST", experiment_id, "/cancel")
 
     def cleanup(self, experiment_id: str) -> dict:
-        return self._request("POST",
-                             f"/api/v1/experiments/{experiment_id}/cleanup")
+        return self._experiment("POST", experiment_id, "/cleanup")
 
     def status(self, experiment_id: str) -> dict:
-        return self._request("GET", f"/api/v1/experiments/{experiment_id}")
+        return self._experiment("GET", experiment_id)
 
     def results(self, experiment_id: str) -> dict:
-        return self._request("GET",
-                             f"/api/v1/experiments/{experiment_id}/results")
+        return self._experiment("GET", experiment_id, "/results")
 
     def nodes(self, filters: dict[str, str]) -> list[dict]:
-        return self._request("GET", "/api/v1/nodes",
-                             params=filters)["nodes"]
+        query = urllib.parse.urlencode(filters)
+        return self._request("GET", f"/api/v1/nodes?{query}")["nodes"]
 
 
 def _load_manifest_doc(path: str) -> dict:
@@ -274,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    client = DirectorClient(args.endpoint)
     try:
-        return args.func(client, args)
+        return args.func(DirectorClient(args.endpoint), args)
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -32,6 +32,7 @@ import logging
 import threading
 import time
 import uuid
+import weakref
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Iterator, Mapping
@@ -87,7 +88,8 @@ class Director:
         self.gateway_url = gateway_url
         self.gateway = Gateway(self, artifact_root=artifact_root)
 
-        self._monitors: dict[str, threading.Condition] = {}
+        self._monitors: weakref.WeakValueDictionary[
+            str, threading.Condition] = weakref.WeakValueDictionary()
         self._monitors_guard = threading.Lock()
         self._handles: dict[tuple[str, str], tuple[Connector, LaunchHandle]] = {}
         self._wakeups: dict[str, threading.Event] = {}  # deadline waits
@@ -103,7 +105,12 @@ class Director:
     def monitor(self, experiment_id: str) -> threading.Condition:
         """The experiment's re-entrant ownership lock and the condition flag
         waiters wait on. Made only for an experiment the store holds;
-        raises UnknownExperiment otherwise."""
+        raises UnknownExperiment otherwise.
+
+        A monitor lives while some thread holds it and is made anew only
+        when none does, so two threads never hold different monitors for
+        one experiment, and the director keeps none for an experiment
+        nobody is working on."""
         with self._monitors_guard:
             monitor = self._monitors.get(experiment_id)
             if monitor is None:

@@ -626,10 +626,10 @@ def main(argv: list[str] | None = None) -> int:
     if not gateway_url:
         log.error("EXPFORGE_GATEWAY is not set")
         return EXIT_STARTUP_ERROR
-    gateway = HttpGatewayClient(gateway_url)
     scratch = os.environ.get("EXPFORGE_SCRATCH", "./expforge-scratch")
     spool = str(Path(scratch) / ".spool")
     try:
+        gateway = HttpGatewayClient(gateway_url)
         bundle = PipelineBundle.from_doc(gateway.fetch_bundle(
             os.environ["EXPFORGE_EXPERIMENT_ID"],
             os.environ["EXPFORGE_NODE_ID"]))

@@ -16,6 +16,13 @@ Uploads, reports and node flag sets are accepted only from nodes the
 experiment assigns. Every artifact is written under
 ``artifact_root/<experiment>/`` and its metadata is kept in the experiment
 record, so a restarted director lists it.
+
+Executors in the platform process call the gateway through
+``InProcessGatewayClient``; executors in other processes use
+``HttpGatewayClient``, which sends through the standard-library client in
+``transport.py`` and maps 5xx to TransportError, 404 to UnknownAssignment or
+UnknownExperiment and 409 to WrongPhase. Ids and flag keys travel quoted, one
+URL path segment each.
 """
 
 from __future__ import annotations
@@ -28,8 +35,6 @@ import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, TYPE_CHECKING
-
-import requests
 
 from .compiler import join_bundle
 from .errors import (
@@ -45,6 +50,7 @@ from .store import (
     ExperimentRecord,
     path_component,
 )
+from .transport import HttpTransport, quote
 
 # How often a blocked flag wait re-reads the flag and status and looks at
 # its cancel event; a set flag, or the experiment's end, wakes it at once.
@@ -296,64 +302,53 @@ class HttpGatewayClient:
     def __init__(self, base_url: str, timeout_s: float = 10.0):
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
-        self._session = requests.Session()
+        self._transport = HttpTransport(base_url, timeout_s)
 
-    def _request(self, method: str, path: str, **kwargs) -> Any:
-        url = f"{self.base_url}{path}"
-        kwargs.setdefault("timeout", self.timeout_s)
-        try:
-            response = self._session.request(method, url, **kwargs)
-        except requests.RequestException as exc:
-            raise TransportError(f"{method} {url}: {exc}") from exc
-        if response.status_code >= 500:
+    def _request(self, method: str, path: str, body: dict | bytes | None = None,
+                 timeout_s: float | None = None) -> Any:
+        status, payload = self._transport.request(method, path, body,
+                                                  timeout_s)
+        if status >= 500:
             raise TransportError(
-                f"{method} {url}: server error {response.status_code}")
-        if response.status_code >= 400:
-            try:
-                payload = response.json()
-            except ValueError:
-                payload = {"message": response.text}
+                f"{method} {self.base_url}{path}: server error {status}")
+        if status >= 400:
             message = payload.get("message", "request failed")
-            error = payload.get("error", "")
-            if response.status_code == 404:
-                if error == "UnknownAssignment":
+            if status == 404:
+                if payload.get("error") == "UnknownAssignment":
                     raise UnknownAssignment(message)
                 raise UnknownExperiment(message)
-            if response.status_code == 409:
+            if status == 409:
                 raise WrongPhase(message)
-            raise TransportError(f"{method} {url}: {response.status_code} "
-                                 f"{message}")
-        if response.content:
-            return response.json()
-        return None
+            raise TransportError(
+                f"{method} {self.base_url}{path}: {status} {message}")
+        return payload
 
     def fetch_bundle(self, experiment_id: str, node_id: str) -> dict:
         query = urllib.parse.urlencode({"exp": experiment_id, "node": node_id})
         return self._request("GET", f"/gw/v1/bundle?{query}")
 
     def deliver_report(self, report_doc: dict) -> str:
-        payload = self._request("POST", "/gw/v1/report", json=report_doc)
+        payload = self._request("POST", "/gw/v1/report", report_doc)
         return payload.get("result", "accepted")
 
     def set_flag(self, experiment_id: str, key: str, node_id: str) -> dict:
-        return self._request(
-            "POST", f"/gw/v1/flags/{experiment_id}/{key}",
-            json={"node_id": node_id})
+        return self._request("POST", _flag_path(experiment_id, key),
+                             {"node_id": node_id})
 
     def get_flag(self, experiment_id: str, key: str) -> dict:
-        return self._request("GET", f"/gw/v1/flags/{experiment_id}/{key}")
+        return self._request("GET", _flag_path(experiment_id, key))
 
     def wait_flag(self, experiment_id: str, key: str, timeout_s: float,
                   cancel: threading.Event | None = None) -> dict | None:
         """A loop of server-side waits (long-polls) of at most
         ``CLIENT_LONG_POLL_S`` each; ``cancel`` is checked between them."""
         deadline = time.monotonic() + timeout_s
-        path = f"/gw/v1/flags/{experiment_id}/{key}"
+        path = _flag_path(experiment_id, key)
         while True:
             remaining = deadline - time.monotonic()
             wait_s = max(0.0, min(remaining, CLIENT_LONG_POLL_S))
             state = self._request("GET", f"{path}?wait_s={wait_s:.3f}",
-                                  timeout=self.timeout_s + wait_s)
+                                  timeout_s=self.timeout_s + wait_s)
             if state.get("set"):
                 return state
             if remaining <= wait_s or (cancel is not None and cancel.is_set()):
@@ -363,9 +358,12 @@ class HttpGatewayClient:
                         data: bytes) -> dict:
         query = urllib.parse.urlencode({"name": name})
         return self._request(
-            "POST", f"/gw/v1/artifacts/{experiment_id}/{node_id}?{query}",
-            data=data,
-            headers={"Content-Type": "application/octet-stream"})
+            "POST", f"/gw/v1/artifacts/{quote(experiment_id)}/"
+                    f"{quote(node_id)}?{query}", data)
+
+
+def _flag_path(experiment_id: str, key: str) -> str:
+    return f"/gw/v1/flags/{quote(experiment_id)}/{quote(key)}"
 
 
 GatewayClient = InProcessGatewayClient | HttpGatewayClient

@@ -16,6 +16,7 @@ Routes (JSON bodies throughout; report payloads may embed base64 binary):
     POST /gw/v1/artifacts/{exp}/{node}?name=..  upload artifact bytes
     GET  /gw/v1/artifacts/{exp}             list stored artifacts
 
+Ids, flag keys and node ids in a path are percent-quoted, one segment each.
 Lifecycle conflicts answer 409, unknown ids 404, validation problems 400,
 bodies over ``MAX_BODY_BYTES`` 413 (before any byte is read).
 Endpoints are idempotent wherever the lifecycle allows (deploy while
@@ -82,6 +83,12 @@ def _wait_seconds(text: str) -> float:
     if not 0 <= seconds < math.inf:
         raise _Rejected(400, f"wait_s must be a finite number >= 0: {text!r}")
     return min(seconds, MAX_FLAG_WAIT_S)
+
+
+def _segments(route: re.Pattern, path: str) -> list[str] | None:
+    """The path segments ``route`` captures, unquoted, if it matches."""
+    match = route.match(path)
+    return match and [urllib.parse.unquote(g) for g in match.groups()]
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -190,9 +197,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, {"experiment_id": experiment_id})
             return True
 
-        match = self._EXPERIMENT_ACTION.match(path)
+        match = _segments(self._EXPERIMENT_ACTION, path)
         if method == "POST" and match:
-            experiment_id, action = match.group(1), match.group(2)
+            experiment_id, action = match
             if action == "deploy":
                 director.deploy(experiment_id)
                 self._reply(202, {"experiment_id": experiment_id,
@@ -211,14 +218,14 @@ class _Handler(BaseHTTPRequestHandler):
                                   "cleanup": outcomes})
             return True
 
-        match = self._RESULTS.match(path)
+        match = _segments(self._RESULTS, path)
         if method == "GET" and match:
-            self._reply(200, director.results(match.group(1)))
+            self._reply(200, director.results(*match))
             return True
 
-        match = self._EXPERIMENT.match(path)
+        match = _segments(self._EXPERIMENT, path)
         if method == "GET" and match:
-            self._reply(200, director.status(match.group(1)))
+            self._reply(200, director.status(*match))
             return True
 
         if method == "GET" and path == "/api/v1/nodes":
@@ -241,9 +248,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, {"result": result})
             return True
 
-        match = self._FLAG.match(path)
+        match = _segments(self._FLAG, path)
         if match:
-            experiment_id, key = match.group(1), match.group(2)
+            experiment_id, key = match
             if method == "POST":
                 body = self._body() or {}
                 node_id = str(body.get("node_id", ""))
@@ -258,9 +265,9 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, gateway.get_flag(experiment_id, key))
             return True
 
-        match = self._ARTIFACT_UPLOAD.match(path)
+        match = _segments(self._ARTIFACT_UPLOAD, path)
         if method == "POST" and match:
-            experiment_id, node_id = match.group(1), match.group(2)
+            experiment_id, node_id = match
             name = query.get("name", "artifact")
             data = self._body()
             if isinstance(data, (dict, list)):
@@ -270,10 +277,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, meta)
             return True
 
-        match = self._ARTIFACTS.match(path)
+        match = _segments(self._ARTIFACTS, path)
         if method == "GET" and match:
-            self._reply(200, {"artifacts": gateway.list_artifacts(
-                match.group(1))})
+            self._reply(200, {"artifacts": gateway.list_artifacts(*match)})
             return True
 
         return False

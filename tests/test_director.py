@@ -630,3 +630,17 @@ def test_recovery_prepares_only_uncommitted_nodes(make_director):
         assert len(reborn.record(eid).prepared_nodes()) == 20
     finally:
         connector.release.set()
+
+
+def test_ended_experiments_keep_no_monitor(make_director, sim20):
+    """A monitor lives only while some thread holds it, so twenty ended
+    experiments leave none behind on their director."""
+    director = make_director({"sim": sim20})
+    for index in range(20):
+        eid = director.submit(sleep_experiment(sim20, name=f"m{index}",
+                                               seconds=0))
+        assert drive(director, eid) is Status.FINISHED
+    deadline = time.monotonic() + 2.0
+    while len(director._monitors) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(director._monitors) == 0

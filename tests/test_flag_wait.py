@@ -147,13 +147,13 @@ class TestHttpLongPoll:
         eid = start_held(platform.director, connector, "client-cap")
         client = HttpGatewayClient(platform.url)
         asked: list[float] = []
-        request = client._session.request
+        request = client._transport.request
 
-        def recording(method, url, **kwargs):
-            asked.append(float(url.rsplit("wait_s=", 1)[1]))
-            return request(method, url, **kwargs)
+        def recording(method, path, body=None, timeout_s=None):
+            asked.append(float(path.rsplit("wait_s=", 1)[1]))
+            return request(method, path, body, timeout_s)
 
-        client._session.request = recording
+        client._transport.request = recording
         started = time.monotonic()
         assert client.wait_flag(eid, "never", timeout_s=1.3) is None
         elapsed = time.monotonic() - started
