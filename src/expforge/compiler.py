@@ -59,12 +59,6 @@ class EnvironmentSpec:
         )
 
 
-def join_bundle(bundle: Mapping[str, Any],
-                pipelines: Mapping[str, dict]) -> dict:
-    """A node's executable bundle: its plan entry plus its pipeline doc."""
-    return {**bundle, "pipeline": pipelines[bundle["pipeline_digest"]]}
-
-
 @dataclass(frozen=True)
 class DeploymentPlan:
     environment_specs: tuple[EnvironmentSpec, ...]

@@ -29,7 +29,7 @@ from typing import Any, Mapping, Sequence
 
 from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from ..errors import LaunchFailed, TransportError
-from ..executor import NodeRuntime, PipelineBundle, run_executor
+from ..executor import NodeRuntime, run_executor
 from ..model import NodeDescriptor, NodePool, StagedFile
 from . import Connector, ExecutorConfig, LaunchHandle, PrepareResult
 
@@ -367,9 +367,8 @@ class SimulatedConnector(Connector):
             sim.log("launch", "executor-launch",
                     {"experiment_id": config.experiment_id})
             try:
-                bundle = PipelineBundle.from_doc(
-                    config.gateway_client.fetch_bundle(config.experiment_id,
-                                                       config.node_id))
+                bundle = config.gateway_client.fetch_bundle(
+                    config.experiment_id, config.node_id)
                 run_executor(bundle, config.registry, runtime, proxy,
                              spool_dir, stop=stop,
                              sleeper=lambda s: time.sleep(s * scale))

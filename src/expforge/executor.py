@@ -16,8 +16,11 @@ propagates to the caller. The finished report is flushed to a local spool
 file before the first delivery attempt and removed only after the gateway
 acknowledged it, so a crash or an unreachable gateway never loses results.
 
-Every executor gets its bundle from the gateway (``fetch_bundle``). As a
-child process (``python -m expforge.executor``) configuration comes from
+Every executor gets its bundle from the gateway (``fetch_bundle``), an
+immutable ``PipelineBundle``. Executors in the platform process share one
+decoded ``Pipeline`` per digest, so its digest is checked once; a child
+process decodes its own copy from the wire and checks that. As a child
+process (``python -m expforge.executor``) configuration comes from
 environment variables: EXPFORGE_GATEWAY, EXPFORGE_EXPERIMENT_ID,
 EXPFORGE_NODE_ID and EXPFORGE_SCRATCH; the report spool is
 ``<EXPFORGE_SCRATCH>/.spool``.
@@ -36,6 +39,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping, TYPE_CHECKING
 
 from .errors import TransportError
@@ -46,7 +50,6 @@ from .model import (
     Stage,
     TaskResult,
     TaskSpec,
-    digest_doc,
 )
 from .registry import TaskError, TaskRegistry
 from .store import path_component
@@ -87,7 +90,11 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class PipelineBundle:
-    """Everything a node needs to run its pipeline, shipped by the compiler."""
+    """Everything a node needs to run its pipeline, shipped by the compiler.
+
+    Immutable: ``impl_ids`` is a read-only copy, and ``pipeline`` may be
+    shared with other bundles of the same digest.
+    """
 
     experiment_id: str
     node_id: str
@@ -98,9 +105,13 @@ class PipelineBundle:
     early_stop: bool = False
     report_retry: RetryPolicy = RetryPolicy()
 
+    def __post_init__(self):
+        object.__setattr__(self, "impl_ids",
+                           MappingProxyType(dict(self.impl_ids)))
+
     def digest_matches(self) -> bool:
         """Tamper/skew check: the shipped digest must match the pipeline."""
-        return digest_doc(self.pipeline.to_doc()) == self.pipeline_digest
+        return self.pipeline.digest() == self.pipeline_digest
 
     def to_doc(self) -> dict:
         return {
@@ -116,13 +127,20 @@ class PipelineBundle:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "PipelineBundle":
+        return cls.join(doc, Pipeline.from_doc(doc["pipeline"]))
+
+    @classmethod
+    def join(cls, doc: Mapping[str, Any],
+             pipeline: Pipeline) -> "PipelineBundle":
+        """A node's bundle from its plan entry, which names its pipeline by
+        digest only, and that pipeline."""
         return cls(
             experiment_id=doc["experiment_id"],
             node_id=doc["node_id"],
             node_kind=doc.get("node_kind", "linux-shell"),
-            pipeline=Pipeline.from_doc(doc["pipeline"]),
+            pipeline=pipeline,
             pipeline_digest=doc["pipeline_digest"],
-            impl_ids=dict(doc.get("impl_ids", {})),
+            impl_ids=doc.get("impl_ids", {}),
             early_stop=bool(doc.get("early_stop", False)),
             report_retry=RetryPolicy.from_doc(doc.get("report_retry", {})),
         )
@@ -309,7 +327,7 @@ class _TaskRun:
                 raise TaskError(
                     f"no implementation resolved for task {self.task.name!r}")
             impl = self.registry.implementation(self.impl_id)
-            self.payload = impl.run(self.task.params, self.ctx)
+            self.payload = impl.run(dict(self.task.params), self.ctx)
         except TaskError as exc:
             self.error = str(exc)
             self.payload = exc.payload
@@ -630,9 +648,8 @@ def main(argv: list[str] | None = None) -> int:
     spool = str(Path(scratch) / ".spool")
     try:
         gateway = HttpGatewayClient(gateway_url)
-        bundle = PipelineBundle.from_doc(gateway.fetch_bundle(
-            os.environ["EXPFORGE_EXPERIMENT_ID"],
-            os.environ["EXPFORGE_NODE_ID"]))
+        bundle = gateway.fetch_bundle(os.environ["EXPFORGE_EXPERIMENT_ID"],
+                                      os.environ["EXPFORGE_NODE_ID"])
     except Exception as exc:  # noqa: BLE001 - startup failure is the contract
         log.error("could not obtain bundle: %s", exc)
         return EXIT_STARTUP_ERROR

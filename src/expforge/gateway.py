@@ -8,9 +8,12 @@ keeps no flag state of its own. Reports that queue for one experiment's
 monitor are committed together (group commit): one mutate, one save and one
 settle per batch, with each caller's own outcome. Bundle and flag reads look
 at the one field they need in the store's committed record and copy nothing
-else. Flags are monotone (set once, never unset within an experiment),
-namespaced per experiment, and destroyed at cleanup; their timestamps come
-from the gateway's clock so cross-node ordering has a single authority.
+else. A fetched bundle is an immutable ``PipelineBundle``; the gateway
+decodes each pipeline once, on the first fetch of its digest, and every
+bundle of that digest shares it for as long as one of them lives. Flags are
+monotone (set once, never unset within an experiment), namespaced per
+experiment, and destroyed at cleanup; their timestamps come from the
+gateway's clock so cross-node ordering has a single authority.
 
 Uploads, reports and node flag sets are accepted only from nodes the
 experiment assigns. Every artifact is written under
@@ -20,30 +23,30 @@ record, so a restarted director lists it.
 Executors in the platform process call the gateway through
 ``InProcessGatewayClient``; executors in other processes use
 ``HttpGatewayClient``, which sends through the standard-library client in
-``transport.py`` and maps 5xx to TransportError, 404 to UnknownAssignment or
-UnknownExperiment and 409 to WrongPhase. Ids and flag keys travel quoted, one
-URL path segment each.
+``transport.py``, decodes its own copy of the bundle, and maps 5xx to
+TransportError, 404 to UnknownAssignment or UnknownExperiment and 409 to
+WrongPhase. Ids and flag keys travel quoted, one URL path segment each.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 import urllib.parse
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, TYPE_CHECKING
 
-from .compiler import join_bundle
 from .errors import (
     TransportError,
     UnknownAssignment,
     UnknownExperiment,
     WrongPhase,
 )
-from .model import Status
+from .executor import PipelineBundle
+from .model import Pipeline, Status
 from .store import (
     EXEC_REPORTED,
     EXEC_TIMED_OUT,
@@ -71,24 +74,37 @@ class Gateway:
         # Reports waiting for their experiment's monitor, with their outcomes.
         self._queued: dict[str, list[_QueuedReport]] = {}
         self._queue_guard = threading.Lock()
+        # Decoded pipelines by digest, alive while a bundle holds one.
+        self._pipelines: weakref.WeakValueDictionary[str, Pipeline] = \
+            weakref.WeakValueDictionary()
+        self._pipelines_lock = threading.Lock()
 
     # -- bundles ---------------------------------------------------------------
 
-    def fetch_bundle(self, experiment_id: str, node_id: str) -> dict:
-        """The node's execution bundle, a fresh document; an idempotent read."""
-        def encoded_bundle(record) -> str:
+    def fetch_bundle(self, experiment_id: str,
+                     node_id: str) -> PipelineBundle:
+        """The node's execution bundle; an idempotent read. Bundles of one
+        digest share one pipeline, decoded from the plan on the first fetch."""
+        def plan_entry(record) -> tuple[dict, dict]:
             if record.status is not Status.RUNNING:
                 raise WrongPhase(
                     f"bundle fetch requires RUNNING, {experiment_id} is "
                     f"{record.status.value}")
             plan = record.plan_doc or {}
-            bundle = plan.get("node_bundles", {}).get(node_id)
-            if bundle is None:
+            entry = plan.get("node_bundles", {}).get(node_id)
+            if entry is None:
                 raise _unassigned(experiment_id, node_id)
-            return json.dumps(join_bundle(bundle, plan["pipelines"]))
+            return entry, plan["pipelines"]
 
-        return json.loads(self._director.store.read(experiment_id,
-                                                    encoded_bundle))
+        entry, pipeline_docs = self._director.store.read(experiment_id,
+                                                         plan_entry)
+        digest = entry["pipeline_digest"]
+        with self._pipelines_lock:  # one decode per digest
+            pipeline = self._pipelines.get(digest)
+            if pipeline is None:
+                pipeline = Pipeline.from_doc(pipeline_docs[digest])
+                self._pipelines[digest] = pipeline
+        return PipelineBundle.join(entry, pipeline)
 
     def require_assigned(self, experiment_id: str, node_id: str) -> None:
         """Raise UnknownAssignment unless the experiment assigns the node."""
@@ -274,7 +290,8 @@ class InProcessGatewayClient:
     def __init__(self, gateway: Gateway):
         self._gateway = gateway
 
-    def fetch_bundle(self, experiment_id: str, node_id: str) -> dict:
+    def fetch_bundle(self, experiment_id: str,
+                     node_id: str) -> PipelineBundle:
         return self._gateway.fetch_bundle(experiment_id, node_id)
 
     def deliver_report(self, report_doc: dict) -> str:
@@ -323,9 +340,11 @@ class HttpGatewayClient:
                 f"{method} {self.base_url}{path}: {status} {message}")
         return payload
 
-    def fetch_bundle(self, experiment_id: str, node_id: str) -> dict:
+    def fetch_bundle(self, experiment_id: str,
+                     node_id: str) -> PipelineBundle:
         query = urllib.parse.urlencode({"exp": experiment_id, "node": node_id})
-        return self._request("GET", f"/gw/v1/bundle?{query}")
+        return PipelineBundle.from_doc(
+            self._request("GET", f"/gw/v1/bundle?{query}"))
 
     def deliver_report(self, report_doc: dict) -> str:
         payload = self._request("POST", "/gw/v1/report", report_doc)

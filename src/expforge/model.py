@@ -212,6 +212,10 @@ class EnvironmentRequirement:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "EnvironmentRequirement":
+        """An empty doc, the common case, decodes to the shared
+        :data:`EMPTY_ENVIRONMENT`."""
+        if not any(doc.values()):
+            return EMPTY_ENVIRONMENT
         return cls(
             setup_commands=tuple(doc.get("setup_commands", ())),
             binaries=tuple(BinaryRequirement.from_doc(b)
@@ -395,8 +399,13 @@ class Pipeline:
         )
 
     def digest(self) -> str:
-        """Content identity over the canonical serialization."""
-        return digest_doc(self.to_doc())
+        """Content identity over the canonical serialization, computed once
+        per instance: its stages and tasks, params included, are read-only."""
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = digest_doc(self.to_doc())
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,12 @@ class TaskImplementation:
         return f"{self.task_type}@{self.kind}"
 
     def run(self, params: Mapping[str, Any], ctx: "TaskContext") -> str | bytes | None:
-        """Execute and return the result payload; raise TaskError on failure."""
+        """Execute and return the result payload; raise TaskError on failure.
+
+        ``params`` is this run's own shallow copy. Values nested in it are
+        shared with every node that runs the same pipeline and must not be
+        changed.
+        """
         raise NotImplementedError
 
 

@@ -237,7 +237,7 @@ class _Handler(BaseHTTPRequestHandler):
         if method == "GET" and path == "/gw/v1/bundle":
             bundle = gateway.fetch_bundle(query.get("exp", ""),
                                           query.get("node", ""))
-            self._reply(200, bundle)
+            self._reply(200, bundle.to_doc())
             return True
 
         if method == "POST" and path == "/gw/v1/report":

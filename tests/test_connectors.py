@@ -142,8 +142,7 @@ def run_workload(seed: int) -> list[tuple]:
                 .then(TaskSpec("shell", params={"command": "collect-data"})))
     nodes = list(connector.list_nodes())
     gateway = FakeGatewayClient(bundles={
-        node.node_id: make_bundle(pipeline, registry,
-                                  node_id=node.node_id).to_doc()
+        node.node_id: make_bundle(pipeline, registry, node_id=node.node_id)
         for node in nodes})
     handles = []
     for node in nodes:

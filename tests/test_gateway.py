@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 import threading
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import expforge.gateway as gateway_module
 from conftest import drive, wait_status
 from expforge import Director, FileStore, MemoryStore, builtin_registry
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
@@ -32,6 +34,7 @@ from expforge.model import (
     TaskResult,
     TaskSpec,
 )
+from expforge.registry import TaskError, TaskImplementation
 from expforge.store import path_component
 
 FAST = FaultModel(sleep_scale=0.01)
@@ -96,8 +99,7 @@ class TestFetchBundle:
         deploy_and_start(director, eid)
         node_id = connector.list_nodes().nodes[0].node_id
         bundle = director.gateway.fetch_bundle(eid, node_id)
-        from expforge.executor import PipelineBundle
-        assert PipelineBundle.from_doc(bundle).digest_matches()
+        assert bundle.digest_matches()
         wait_status(director, eid, {Status.FINISHED})
 
     def test_unknown_node(self, platform):
@@ -121,6 +123,81 @@ class TestFetchBundle:
         director, _ = platform
         with pytest.raises(UnknownExperiment):
             director.gateway.fetch_bundle("ghost", "sim-000")
+
+    def test_nodes_share_one_pipeline_per_experiment(self, platform,
+                                                     monkeypatch):
+        director, connector = platform
+        gateway = director.gateway
+        fetched, decoded = [], []
+        fetch = gateway.fetch_bundle
+
+        def recording_fetch(experiment_id, node_id):
+            fetched.append(fetch(experiment_id, node_id))
+            return fetched[-1]
+
+        class CountingPipeline:
+            @staticmethod
+            def from_doc(doc):
+                decoded.append(doc)
+                return Pipeline.from_doc(doc)
+
+        monkeypatch.setattr(gateway, "fetch_bundle", recording_fetch)
+        monkeypatch.setattr(gateway_module, "Pipeline", CountingPipeline)
+        for round_ in (1, 2):  # the same digest, one experiment after another
+            eid = submit_sleep_experiment(director, connector,
+                                          name=f"share-{round_}")
+            assert drive(director, eid) is Status.FINISHED
+            assert sorted(b.node_id for b in fetched) == ["sim-000",
+                                                          "sim-001"]
+            assert fetched[0].pipeline is fetched[1].pipeline
+            assert len(decoded) == round_
+            fetched.clear()
+            join_executors(eid)
+            assert len(gateway._pipelines) == 0
+
+    def test_a_task_cannot_change_the_shared_params(self, platform):
+        director, connector = platform
+        director.registry.register(MutatingProbe())
+        pipeline = Pipeline("p").then(
+            TaskSpec("mutating-probe", params={"seconds": 1, "tags": ["a"]}))
+        exp = Experiment("mutate", policies=Policies(
+            experiment_timeout_s=30)).map(pipeline,
+                                          connector.list_nodes().take(2))
+        eid = director.submit(exp)
+        assert drive(director, eid) is Status.FINISHED
+        seen = {node_id: json.loads(results[0]["payload"]) for node_id, results
+                in director.results(eid)["pipelines"]["p"].items()}
+        original = {"seconds": 1, "tags": ["a"]}
+        assert seen["sim-000"] == {"params": {"seconds": "changed"},
+                                   "fetched": original}
+        assert seen["sim-001"] == {"params": original, "fetched": original}
+
+
+class MutatingProbe(TaskImplementation):
+    """sim-000 changes its params, then sim-001 runs; each returns what it
+    sees in its own params and in a fresh fetch of its bundle."""
+
+    task_type = "mutating-probe"
+    kind = "simulated"
+
+    def run(self, params, ctx):
+        node_id = ctx.node.node_id
+        if node_id == "sim-000":
+            params.clear()
+            params["seconds"] = "changed"
+            ctx.gateway.set_flag(ctx.experiment_id, "changed", node_id)
+        elif not ctx.gateway.wait_flag(ctx.experiment_id, "changed", 10):
+            raise TaskError("sim-000 never changed its params")
+        bundle = ctx.gateway.fetch_bundle(ctx.experiment_id, node_id)
+        fetched = bundle.pipeline.stages[0].tasks[0].params
+        return json.dumps({"params": params, "fetched": fetched})
+
+
+def join_executors(experiment_id: str) -> None:
+    for thread in threading.enumerate():
+        if thread.name.startswith(f"sim-executor-{experiment_id}-"):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from expforge.errors import (
     InsufficientNodes,
     NodeAlreadyAssigned,
 )
+import expforge.model as model_module
 from expforge.model import (
+    EMPTY_ENVIRONMENT,
     BinaryRequirement,
     EnvironmentRequirement,
     Experiment,
@@ -105,6 +107,33 @@ class TestPipelineThen:
                     .then([TaskSpec("shell", params={"command": "echo hi"}),
                            TaskSpec("set-flag", params={"key": "k"})]))
         assert Pipeline.from_doc(pipeline.to_doc()) == pipeline
+
+    def test_empty_environments_decode_to_the_shared_one(self):
+        pipeline = (Pipeline("p")
+                    .then(TaskSpec("sleep", params={"seconds": 1}))
+                    .then(TaskSpec("shell", params={"command": "true"},
+                                   environment=EnvironmentRequirement(
+                                       setup_commands=("apt-get install x",),
+                                       binaries=(BinaryRequirement("x"),)))))
+        decoded = Pipeline.from_doc(pipeline.to_doc())
+        assert decoded == pipeline
+        assert decoded.digest() == pipeline.digest()
+        assert decoded.stages[0].tasks[0].environment is EMPTY_ENVIRONMENT
+        assert decoded.stages[1].tasks[0].environment \
+            == pipeline.stages[1].tasks[0].environment
+
+    def test_digest_is_computed_once_per_instance(self, monkeypatch):
+        pipeline = Pipeline("p").then(TaskSpec("sleep", params={"seconds": 1}))
+        calls = []
+        digest_doc = model_module.digest_doc
+        monkeypatch.setattr(model_module, "digest_doc",
+                            lambda doc: calls.append(doc) or digest_doc(doc))
+        assert pipeline.digest() == pipeline.digest() == digest_doc(
+            pipeline.to_doc())
+        assert len(calls) == 1
+        assert Pipeline.from_doc(pipeline.to_doc()).digest() \
+            == pipeline.digest()
+        assert len(calls) == 2
 
     def test_digest_normalizes_newlines(self):
         unix = Pipeline("p").then(

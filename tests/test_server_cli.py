@@ -22,6 +22,7 @@ from expforge.cli import (
 )
 from expforge.connectors.simulated import SimulatedConnector
 from expforge.errors import UnknownAssignment, UnknownExperiment, WrongPhase
+from expforge.executor import EXIT_STARTUP_ERROR, LocalRuntime, run_executor
 from expforge.gateway import HttpGatewayClient
 from expforge.manifest import load_bundled_example
 from expforge.model import Status
@@ -170,13 +171,38 @@ class TestGatewayHttp:
         eid = self.start_held(server)
         client = HttpGatewayClient(server.url)
         bundle = client.fetch_bundle(eid, "sim-000")
-        assert bundle["experiment_id"] == eid
+        assert bundle.experiment_id == eid
 
         assert client.get_flag(eid, "release") == {"set": False}
         flag = client.set_flag(eid, "release", "sim-000")
         assert flag["node_id"] == "sim-000"
         state = client.get_flag(eid, "release")
         assert state["set"] is True
+        wait_status(server.director, eid, {Status.FINISHED})
+
+    @pytest.mark.parametrize("tamper", ["digest", "pipeline"])
+    def test_tampered_bundle_is_rejected(self, server, tmp_path, tamper):
+        eid = self.start_held(server)
+
+        class TamperingClient(HttpGatewayClient):
+            def _request(self, method, path, body=None, timeout_s=None):
+                payload = super()._request(method, path, body, timeout_s)
+                if path.startswith("/gw/v1/bundle"):
+                    if tamper == "digest":
+                        payload["pipeline_digest"] = "0" * 64
+                    else:
+                        payload["pipeline"]["stages"][0]["tasks"][0][
+                            "params"]["key"] = "other"
+                return payload
+
+        client = TamperingClient(server.url)
+        code = run_executor(client.fetch_bundle(eid, "sim-000"),
+                            builtin_registry(), LocalRuntime(tmp_path / "run"),
+                            client, tmp_path / "spool")
+        assert code == EXIT_STARTUP_ERROR
+        assert server.director.gateway.fetch_bundle(
+            eid, "sim-000").digest_matches()
+        client.set_flag(eid, "release", "sim-000")
         wait_status(server.director, eid, {Status.FINISHED})
 
     def test_wrong_phase_maps_to_conflict(self, server):

@@ -298,8 +298,10 @@ class TestStoreContract:
         snapshot.cleanup["n-0"] = {}
 
         bundle = director_on.gateway.fetch_bundle("life", "n-0")
-        bundle["pipeline"]["stages"].clear()
-        bundle["impl_ids"].clear()
+        with pytest.raises(TypeError):
+            bundle.impl_ids["sleep"] = "tampered"
+        with pytest.raises(AttributeError):
+            bundle.pipeline.stages.clear()
         result = director_on.results("life")["pipelines"]["p"]["n-0"][0]
         result["outcome"] = "tampered"
         view = director_on.status("life")
@@ -308,8 +310,7 @@ class TestStoreContract:
         view["nodes"]["n-0"]["execution"] = "tampered"
 
         assert frozen(store.load("life")) == before
-        assert director_on.gateway.fetch_bundle("life", "n-0")["pipeline"][
-            "stages"]
+        assert director_on.gateway.fetch_bundle("life", "n-0").pipeline.stages
 
     def test_fresh_store_loads_every_step_equal(self, tmp_path):
         store = FileStore(tmp_path / "records")
