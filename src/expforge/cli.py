@@ -2,7 +2,7 @@
 
 Stateless: every command maps onto one director endpoint and all state lives
 server-side, so killing and re-running any command is always safe. `run`
-chains submit → deploy → execute and polls until the experiment terminates.
+chains submit → deploy → execute and long-polls until the experiment ends.
 
 Exit codes: 0 ok; 2 validation/parse failure; 3 lifecycle conflict;
 4 not found; 5 transport failure; 6 experiment FAILED/CANCELLED or wait
@@ -39,6 +39,7 @@ EXIT_TRANSPORT = 5
 EXIT_EXPERIMENT = 6
 
 DEFAULT_ENDPOINT = "http://127.0.0.1:8714"
+STATUS_LONG_POLL_S = 20.0  # the longest asked for; the server caps it too
 
 
 class ApiError(Exception):
@@ -66,8 +67,10 @@ class DirectorClient:
         self.timeout_s = timeout_s
         self._transport = HttpTransport(endpoint, timeout_s)
 
-    def _request(self, method: str, path: str, body: dict | None = None) -> Any:
-        status, payload = self._transport.request(method, path, body)
+    def _request(self, method: str, path: str, body: dict | None = None,
+                 timeout_s: float | None = None) -> Any:
+        status, payload = self._transport.request(method, path, body,
+                                                  timeout_s)
         if status >= 400:
             raise ApiError(status, payload)
         return payload
@@ -93,8 +96,15 @@ class DirectorClient:
     def cleanup(self, experiment_id: str) -> dict:
         return self._experiment("POST", experiment_id, "/cleanup")
 
-    def status(self, experiment_id: str) -> dict:
-        return self._experiment("GET", experiment_id)
+    def status(self, experiment_id: str, wait_s: float | None = None,
+               unless: str | None = None) -> dict:
+        """The status view; with ``wait_s``, once it is not ``unless``."""
+        if wait_s is None:
+            return self._experiment("GET", experiment_id)
+        return self._request(
+            "GET", f"/api/v1/experiments/{quote(experiment_id)}"
+                   f"?wait_s={wait_s:.3f}&unless={quote(unless)}",
+            timeout_s=self.timeout_s + wait_s)
 
     def results(self, experiment_id: str) -> dict:
         return self._experiment("GET", experiment_id, "/results")
@@ -121,19 +131,20 @@ def _emit(doc: Any, output: str | None) -> None:
 
 
 def _wait_terminal(client: DirectorClient, experiment_id: str,
-                   poll_interval: float, timeout: float | None,
+                   timeout: float | None,
                    until: set[str] | None = None) -> dict:
-    """Poll status until a terminal (or requested) status or timeout."""
+    """Long-poll status until a terminal (or requested) status or timeout."""
     targets = until or {s.value for s in TERMINAL_STATUSES}
     deadline = None if timeout is None else time.monotonic() + timeout
-    while True:
-        view = client.status(experiment_id)
-        if view["status"] in targets:
-            return view
-        if deadline is not None and time.monotonic() >= deadline:
+    view = client.status(experiment_id)
+    while view["status"] not in targets:
+        wait_s = STATUS_LONG_POLL_S if deadline is None \
+            else min(deadline - time.monotonic(), STATUS_LONG_POLL_S)
+        if wait_s <= 0:
             view["wait_timed_out"] = True
-            return view
-        time.sleep(poll_interval)
+            break
+        view = client.status(experiment_id, wait_s, unless=view["status"])
+    return view
 
 
 def _cmd_submit(client: DirectorClient, args) -> int:
@@ -199,7 +210,7 @@ def _cmd_run(client: DirectorClient, args) -> int:
     print(f"submitted {experiment_id}")
     client.deploy(experiment_id)
     view = _wait_terminal(
-        client, experiment_id, args.poll_interval, args.timeout,
+        client, experiment_id, args.timeout,
         until={Status.READY.value} | {s.value for s in TERMINAL_STATUSES})
     if view.get("wait_timed_out"):
         print("timed out waiting for deployment", file=sys.stderr)
@@ -210,8 +221,7 @@ def _cmd_run(client: DirectorClient, args) -> int:
         return EXIT_EXPERIMENT
     print(f"deployed ({view['prepared_count']} nodes prepared)")
     client.execute(experiment_id)
-    view = _wait_terminal(client, experiment_id, args.poll_interval,
-                          args.timeout)
+    view = _wait_terminal(client, experiment_id, args.timeout)
     if view.get("wait_timed_out"):
         print("timed out waiting for completion", file=sys.stderr)
         return EXIT_EXPERIMENT
@@ -238,9 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--endpoint",
         default=os.environ.get("EXPFORGE_ENDPOINT", DEFAULT_ENDPOINT),
         help="director endpoint (or EXPFORGE_ENDPOINT)")
-    parser.add_argument("--poll-interval", type=float, default=0.5)
     parser.add_argument("--timeout", type=float, default=None,
-                        help="max seconds to wait in polling commands")
+                        help="max seconds to wait in waiting commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("submit", help="submit a manifest")

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .errors import ValidationFailed
-from .model import Experiment, StagedFile, canonical_json, check_experiment
+from .model import (Experiment, StagedFile, canonical_json, check_experiment,
+                    digest_doc)
 from .registry import TaskRegistry
 
 # Connector-interpreted token: wipe the node's scratch area. Kept symbolic so
@@ -116,8 +117,9 @@ def compile_experiment(exp: Experiment, registry: TaskRegistry) -> DeploymentPla
 
     for index, assignment in enumerate(exp.assignments):
         pipeline = assignment.pipeline
-        pipeline_digest = pipeline.digest()
-        pipelines.setdefault(pipeline_digest, pipeline.to_doc())
+        pipeline_doc = pipeline.to_doc()
+        pipeline_digest = digest_doc(pipeline_doc)
+        pipelines.setdefault(pipeline_digest, pipeline_doc)
         for node in assignment.nodes:
             impl_ids, body = resolved[(index, node.kind)]
             key = (pipeline_digest, node.kind)

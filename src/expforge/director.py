@@ -4,13 +4,13 @@ The director is the only writer of experiment records; the store owns their
 committed copies. All record mutation funnels through one monitor per
 experiment, a re-entrant lock with a condition (one logical writer, many
 readers); the gateway's ingestion path uses the same lock, so reports,
-flags, and lifecycle moves never race, and its flag waits wait on the same
-condition, which a save that sets a flag or changes the status notifies.
-A monitor is made only for an experiment the store holds. Readers that need
-a field or two (status, bundle and flag reads) read the committed record in
-place instead of taking a snapshot. deploy() and execute() return as soon as
-the corresponding transition is persisted and the real work proceeds on
-background threads; clients poll status().
+flags, and lifecycle moves never race. Every wait (flag, deadline, status)
+is a wait() on the monitor, which a save that sets a flag or changes the
+status notifies. A monitor is made only for an experiment the store holds.
+Readers that need a field or two (status, bundle and flag reads) read the
+committed record in place instead of taking a snapshot. deploy() and
+execute() return as soon as the corresponding transition is persisted and
+the real work proceeds on background threads; clients use wait_status().
 
 Per-node events are committed in batches. The deploy thread commits, in
 one mutate, every prepare outcome that finished since its last commit; the
@@ -35,7 +35,7 @@ import uuid
 import weakref
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from typing import Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .compiler import DeploymentPlan, compile_experiment
 from .connectors import Connector, ExecutorConfig, LaunchHandle
@@ -74,6 +74,8 @@ log = logging.getLogger("expforge.director")
 
 # How many nodes of one deployment are prepared at once.
 PREPARE_WORKERS = 8
+# How often a wait with a cancel event looks at it; a notify wakes it sooner.
+WAIT_SLICE_S = 0.1
 
 
 class Director:
@@ -92,8 +94,7 @@ class Director:
             str, threading.Condition] = weakref.WeakValueDictionary()
         self._monitors_guard = threading.Lock()
         self._handles: dict[tuple[str, str], tuple[Connector, LaunchHandle]] = {}
-        self._wakeups: dict[str, threading.Event] = {}  # deadline waits
-        self._guard = threading.Lock()  # guards _handles and _wakeups
+        self._guard = threading.Lock()  # guards _handles
         self._closed = threading.Event()
         if recover:
             self.recover()
@@ -103,8 +104,8 @@ class Director:
     # ------------------------------------------------------------------
 
     def monitor(self, experiment_id: str) -> threading.Condition:
-        """The experiment's re-entrant ownership lock and the condition flag
-        waiters wait on. Made only for an experiment the store holds;
+        """The experiment's re-entrant ownership lock and the condition
+        every wait waits on. Made only for an experiment the store holds;
         raises UnknownExperiment otherwise.
 
         A monitor lives while some thread holds it and is made anew only
@@ -128,8 +129,8 @@ class Director:
     @contextmanager
     def mutate(self, experiment_id: str) -> Iterator[ExperimentRecord]:
         """Load-modify-save under the experiment's monitor. A save that
-        changes the status or the number of flags wakes the flag waiters;
-        the save that makes the experiment terminal releases what it held."""
+        changes the status or the number of flags wakes the waiters; the
+        terminal save drops the launch handles (a late report still lands)."""
         monitor = self.monitor(experiment_id)
         with monitor:
             record = self.store.load(experiment_id)
@@ -140,7 +141,7 @@ class Director:
                 monitor.notify_all()
             if record.status in TERMINAL_STATUSES \
                     and status not in TERMINAL_STATUSES:
-                self._release(experiment_id)
+                self._pop_handles(experiment_id)
 
     def settle(self, record: ExperimentRecord) -> None:
         """Inside a mutate: end a RUNNING record once no prepared node is
@@ -162,15 +163,21 @@ class Director:
             keys = [key for key in self._handles if key[0] == experiment_id]
             return [self._handles.pop(key) for key in keys]
 
-    def _release(self, experiment_id: str) -> None:
-        """Drop the handles and deadline wake-up of an experiment that has
-        just ended; executors are left running, so a timed-out node's late
-        report is still stored."""
-        self._pop_handles(experiment_id)
-        with self._guard:
-            wakeup = self._wakeups.pop(experiment_id, None)
-        if wakeup is not None:
-            wakeup.set()
+    def wait(self, experiment_id: str, check: Callable[[], Any],
+             timeout_s: float, cancel: threading.Event | None = None) -> Any:
+        """``check()``'s first result that is not None, run under the monitor
+        at once and after each notify of mutate; None after ``timeout_s`` or
+        once ``cancel`` is set, which is looked at every ``WAIT_SLICE_S``."""
+        deadline = time.monotonic() + timeout_s
+        monitor = self.monitor(experiment_id)
+        with monitor:
+            while (result := check()) is None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or (cancel is not None and cancel.is_set()):
+                    return None
+                monitor.wait(remaining if cancel is None
+                             else min(remaining, WAIT_SLICE_S))
+            return result
 
     # ------------------------------------------------------------------
     # experimenter-facing operations
@@ -222,6 +229,14 @@ class Director:
     def status(self, experiment_id: str) -> dict:
         """A fresh view of one experiment record."""
         return self.store.read(experiment_id, self._status_view)
+
+    def wait_status(self, experiment_id: str, unless: Status,
+                    timeout_s: float) -> dict:
+        """The view once the status is not ``unless``, at timeout or close."""
+        return self.wait(experiment_id, lambda: self.store.read(
+            experiment_id, lambda r: None if r.status is unless
+            else self._status_view(r)), timeout_s, self._closed) \
+            or self.status(experiment_id)
 
     @staticmethod
     def _status_view(record: ExperimentRecord) -> dict:
@@ -504,20 +519,14 @@ class Director:
                     self.settle(rec)
                 log.warning("experiment %s node %s not launched: %s",
                             experiment_id, node_id, failure)
-        # Block until the release or the deadline. The release pops the
-        # wake-up under the guard after its terminal save, so this status
-        # read misses none. With nothing pending (a recovery where every
-        # node had already ended), settle at once.
-        with self._guard:
-            status, pending, deadline = self.store.read(
-                experiment_id, lambda r: (r.status,
-                                          bool(r.pending_execution()),
-                                          r.deadline_wall))
-            if self._closed.is_set() or status is not Status.RUNNING:
-                return
-            wakeup = self._wakeups.setdefault(experiment_id, threading.Event())
-        if pending and (wakeup.wait(max(deadline - time.time(), 0))
-                        or self._closed.is_set()):
+        # Wait for the end, the deadline or close; a RUNNING record with
+        # nothing pending (all nodes ended before a recovery) settles at once.
+        deadline = self.store.read(experiment_id, lambda r: r.deadline_wall)
+        status = self.wait(experiment_id, lambda: self.store.read(
+            experiment_id, lambda r: None if r.status is Status.RUNNING
+            and r.pending_execution() else r.status),
+            max(deadline - time.time(), 0), self._closed)
+        if self._closed.is_set() or status not in (None, Status.RUNNING):
             return
         with self.mutate(experiment_id) as rec:
             if rec.status is Status.RUNNING:
@@ -550,7 +559,3 @@ class Director:
     def close(self) -> None:
         """Stop background work; records stay as persisted."""
         self._closed.set()
-        with self._guard:
-            wakeups = list(self._wakeups.values())
-        for wakeup in wakeups:
-            wakeup.set()

@@ -55,9 +55,6 @@ from .store import (
 )
 from .transport import HttpTransport, quote
 
-# How often a blocked flag wait re-reads the flag and status and looks at
-# its cancel event; a set flag, or the experiment's end, wakes it at once.
-FLAG_WAIT_SLICE_S = 0.1
 # The longest flag long-poll the HTTP client asks for: a cancelled wait
 # ends within the executor's one-second cancel grace.
 CLIENT_LONG_POLL_S = 0.5
@@ -180,27 +177,20 @@ class Gateway:
                   cancel: threading.Event | None = None) -> dict | None:
         """The flag's state once set; None at the deadline or once ``cancel``
         is set; WrongPhase once the experiment leaves RUNNING. Every client
-        waits here. The flag, then the status, is read under the
-        experiment's monitor, which the director's mutate notifies after a
-        durable save that sets a flag or changes the status, so no wake-up
-        is lost and a returned flag is durable."""
-        deadline = time.monotonic() + timeout_s
-        monitor = self._director.monitor(experiment_id)
-        with monitor:
-            while True:
-                state = self.get_flag(experiment_id, key)
-                if state["set"]:
-                    return state
-                status = self._director.store.read(
-                    experiment_id, lambda record: record.status)
-                if status is not Status.RUNNING:
-                    raise WrongPhase(
-                        f"flag wait requires RUNNING, {experiment_id} is "
-                        f"{status.value}")
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or (cancel is not None and cancel.is_set()):
-                    return None
-                monitor.wait(min(remaining, FLAG_WAIT_SLICE_S))
+        waits here, in the director's wait: the flag, then the status, is
+        read under the experiment's monitor, so a returned flag is durable."""
+        def check() -> dict | None:
+            state = self.get_flag(experiment_id, key)
+            if state["set"]:
+                return state
+            status = self._director.store.read(
+                experiment_id, lambda record: record.status)
+            if status is not Status.RUNNING:
+                raise WrongPhase(
+                    f"flag wait requires RUNNING, {experiment_id} is "
+                    f"{status.value}")
+            return None
+        return self._director.wait(experiment_id, check, timeout_s, cancel)
 
     # -- artifacts ---------------------------------------------------------
 

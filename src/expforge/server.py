@@ -5,6 +5,7 @@ Routes (JSON bodies throughout; report payloads may embed base64 binary):
     POST /api/v1/experiments                submit a manifest document
     POST /api/v1/experiments/{id}/deploy    also: execute, cancel, cleanup
     GET  /api/v1/experiments/{id}           status view
+    GET  /api/v1/experiments/{id}?wait_s=..&unless=S  view once not S (capped)
     GET  /api/v1/experiments/{id}/results   grouped results
     GET  /api/v1/nodes?key=value&...        node pool query
 
@@ -53,13 +54,14 @@ from .errors import (
     WrongPhase,
 )
 from .manifest import manifest_from_doc, resolve_experiment
+from .model import Status
 from .store import FileStore
 
 log = logging.getLogger("expforge.server")
 
 # Far above the largest legitimate report or artifact upload.
 MAX_BODY_BYTES = 64 * 1024 * 1024
-# The longest one flag long-poll may hold a server thread.
+# The longest one flag or status long-poll may hold a server thread.
 MAX_FLAG_WAIT_S = 25.0
 # How often the serving loop checks for ``stop``, which waits for it.
 STOP_POLL_S = 0.05
@@ -225,7 +227,14 @@ class _Handler(BaseHTTPRequestHandler):
 
         match = _segments(self._EXPERIMENT, path)
         if method == "GET" and match:
-            self._reply(200, director.status(*match))
+            if "wait_s" not in query:
+                self._reply(200, director.status(*match))
+            elif query.get("unless") not in Status.__members__:
+                raise _Rejected(400, "unless must be a status name")
+            else:
+                self._reply(200, director.wait_status(
+                    *match, Status[query["unless"]],
+                    _wait_seconds(query["wait_s"])))
             return True
 
         if method == "GET" and path == "/api/v1/nodes":

@@ -322,3 +322,19 @@ def test_pipeline_digest_and_plan_bytes_are_pinned(registry):
 
 def test_empty_environment_doc_is_untracked():
     assert not gc.is_tracked(TaskSpec("sleep").to_doc()["environment"])
+
+
+def test_compile_builds_each_pipeline_doc_once(registry, monkeypatch):
+    """One ``Pipeline.to_doc`` per assignment: the digest is taken from the
+    doc the plan stores."""
+    exp = Experiment("three")
+    for index in range(3):
+        exp = exp.map(shell_pipeline(f"p{index}", f"echo {index}"),
+                      [node(index)])
+    built = []
+    to_doc = Pipeline.to_doc
+    monkeypatch.setattr(Pipeline, "to_doc",
+                        lambda self: built.append(self) or to_doc(self))
+    plan = compile_experiment(exp, registry)
+    assert len(built) == 3
+    assert len(plan.pipelines) == 3

@@ -335,7 +335,7 @@ class TestCancelCleanup:
 
         def held(eid: str) -> list:
             return ([k for k in list(director._handles) if k[0] == eid]
-                    + [e for e in list(director._wakeups) if e == eid])
+                    + [e for e in list(director._monitors) if e == eid])
 
         def director_threads(eid: str) -> list[str]:
             return [t.name for t in threading.enumerate()

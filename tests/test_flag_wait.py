@@ -11,7 +11,7 @@ import requests
 
 from conftest import FAST_SIM, wait_status
 from expforge import Director, MemoryStore, builtin_registry
-from expforge import gateway as gateway_module
+from expforge import director as director_module
 from expforge.connectors.simulated import SimulatedConnector
 from expforge.errors import WrongPhase
 from expforge.gateway import CLIENT_LONG_POLL_S, HttpGatewayClient
@@ -58,7 +58,7 @@ def test_cancel_releases_flag_waiters(make_director):
 def test_no_lost_wake_up_under_contention(make_director, monkeypatch):
     """Waiters racing a setter all wake on its notify; with the re-check
     slice raised to 30 s, a lost wake-up would hold a waiter past its join."""
-    monkeypatch.setattr(gateway_module, "FLAG_WAIT_SLICE_S", 30.0)
+    monkeypatch.setattr(director_module, "WAIT_SLICE_S", 30.0)
     connector = SimulatedConnector("sim", node_count=1, fault=FAST_SIM)
     director = make_director({"sim": connector})
     eid = start_held(director, connector, "contention")
@@ -86,7 +86,7 @@ def test_no_lost_wake_up_under_contention(make_director, monkeypatch):
 def test_cancel_ends_blocked_wait_at_once(make_director, monkeypatch):
     """With the re-check slice raised to 30 s, only the notify of the
     cancel's release can end the wait within a second."""
-    monkeypatch.setattr(gateway_module, "FLAG_WAIT_SLICE_S", 30.0)
+    monkeypatch.setattr(director_module, "WAIT_SLICE_S", 30.0)
     connector = SimulatedConnector("sim", node_count=1, fault=FAST_SIM)
     director = make_director({"sim": connector})
     eid = start_held(director, connector, "cancel-wakes")

@@ -47,7 +47,7 @@ def manifest_path(tmp_path):
 
 
 def cli(server, *args) -> int:
-    return cli_main(["--endpoint", server.url, "--poll-interval", "0.05",
+    return cli_main(["--endpoint", server.url,
                      *map(str, args)])
 
 
@@ -329,7 +329,7 @@ class TestCli:
         }
         path = tmp_path / "stuck.yaml"
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        code = cli_main(["--endpoint", server.url, "--poll-interval", "0.05",
+        code = cli_main(["--endpoint", server.url,
                          "--timeout", "1.0", "run", str(path),
                          "--output", str(tmp_path / "r.yaml")])
         assert code == EXIT_EXPERIMENT
