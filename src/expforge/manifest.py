@@ -11,6 +11,7 @@ experiment so reruns are reproducible.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -25,6 +26,7 @@ from .model import (
     Pipeline,
     Policies,
     TaskSpec,
+    valid_timeout,
 )
 
 # query(filters, connector) -> NodePool; the director's node query endpoint.
@@ -83,11 +85,21 @@ class TaskEntry:
     def from_doc(cls, doc: Mapping[str, Any], where: str) -> "TaskEntry":
         _check_keys(doc, {"type", "name", "params", "timeout_s",
                           "environment"}, where)
-        if "type" not in doc:
+        if doc.get("type") in (None, ""):
             raise ManifestError(f"task in {where} has no type")
         params = doc.get("params", {})
         if not isinstance(params, Mapping):
             raise ManifestError(f"params must be a mapping in {where}")
+        timeout_s = doc.get("timeout_s")
+        if timeout_s is not None:
+            try:
+                timeout_s = float(timeout_s)
+            except (TypeError, ValueError):
+                timeout_s = math.nan
+            if not valid_timeout(timeout_s):
+                raise ManifestError(
+                    f"timeout_s must be a finite number > 0 in {where}: "
+                    f"{doc['timeout_s']!r}")
         environment = None
         if doc.get("environment") is not None:
             environment = EnvironmentRequirement.from_doc(doc["environment"])
@@ -95,8 +107,7 @@ class TaskEntry:
             type=str(doc["type"]),
             name=str(doc.get("name", "")),
             params=tuple(sorted((str(k), v) for k, v in params.items())),
-            timeout_s=(float(doc["timeout_s"])
-                       if doc.get("timeout_s") is not None else None),
+            timeout_s=timeout_s,
             environment=environment,
         )
 
@@ -228,7 +239,7 @@ def manifest_from_doc(doc: Mapping[str, Any]) -> ExperimentManifest:
                 "policies")
     try:
         policies = Policies.from_doc(policies_doc)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ManifestError(str(exc)) from exc
 
     return ExperimentManifest(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence, TYPE_CHECKING
@@ -33,6 +34,12 @@ NODE_KINDS = ("linux-shell", "ssh-host", "simulated")
 
 DEFAULT_TASK_TIMEOUT_S = 300.0
 DEFAULT_EXPERIMENT_TIMEOUT_S = 3600.0
+
+
+def valid_timeout(seconds: float) -> bool:
+    """Every timeout, of a task or of an experiment, is a finite number > 0:
+    an infinite one cannot be waited on and a NaN one never passes."""
+    return math.isfinite(seconds) and seconds > 0
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +300,9 @@ class TaskSpec:
     def __post_init__(self):
         if not self.task_type:
             raise ValueError("task_type must be non-empty")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be > 0")
+        if not valid_timeout(self.timeout_s):
+            raise ValueError(
+                f"timeout_s must be a finite number > 0: {self.timeout_s!r}")
 
     def to_doc(self) -> dict:
         return {
@@ -355,15 +363,27 @@ class Pipeline:
     def then(self, tasks: TaskSpec | Iterable[TaskSpec]) -> "Pipeline":
         """Append a stage; pure composition, the receiver is unchanged.
 
-        Unnamed tasks get deterministic names; a user-supplied name that
-        collides with any earlier task raises :class:`DuplicateTaskName`.
+        Tasks are named in order. An unnamed task takes the first of its
+        type, the type suffixed ``-2``, ``-3``, ... that no earlier task in
+        the pipeline uses (``sleep``, ``sleep-2``, ...). A user-supplied
+        name that collides with any earlier task raises
+        :class:`DuplicateTaskName`.
+
+        Naming costs amortised O(1) per task. The pipeline keeps its used
+        names and, per task type, the lowest ordinal that may still be free
+        (names are only ever added, so it never goes down), and hands both
+        to the pipeline it returns. A pipeline made any other way, or
+        extended a second time, rebuilds them once in O(tasks).
         """
         if isinstance(tasks, TaskSpec):
             tasks = [tasks]
         tasks = list(tasks)
         if not tasks:
             raise EmptyStage("then() requires at least one task")
-        used = set(self.task_names())
+        # Popping takes the names from the receiver, so no two pipelines
+        # share them, even when two threads extend the same one.
+        used, free_from = (self.__dict__.pop("_names", None)
+                           or (set(self.task_names()), {}))
         named: list[TaskSpec] = []
         for task in tasks:
             if task.name:
@@ -374,14 +394,19 @@ class Pipeline:
                 named.append(task)
                 used.add(task.name)
             else:
-                candidate = task.task_type
-                ordinal = 1
+                task_type = task.task_type
+                ordinal = free_from.get(task_type, 1)
+                candidate = (task_type if ordinal == 1
+                             else f"{task_type}-{ordinal}")
                 while candidate in used:
                     ordinal += 1
-                    candidate = f"{task.task_type}-{ordinal}"
+                    candidate = f"{task_type}-{ordinal}"
                 named.append(replace(task, name=candidate))
                 used.add(candidate)
-        return replace(self, stages=self.stages + (Stage(tuple(named)),))
+                free_from[task_type] = ordinal + 1
+        pipeline = replace(self, stages=self.stages + (Stage(tuple(named)),))
+        object.__setattr__(pipeline, "_names", (used, free_from))
+        return pipeline
 
     def to_doc(self) -> dict:
         return {
@@ -541,8 +566,9 @@ class Policies:
         if self.deploy_strictness not in ("all-or-nothing", "best-effort"):
             raise ValueError(
                 f"unknown deploy_strictness {self.deploy_strictness!r}")
-        if self.experiment_timeout_s <= 0:
-            raise ValueError("experiment_timeout_s must be > 0")
+        if not valid_timeout(self.experiment_timeout_s):
+            raise ValueError("experiment_timeout_s must be a finite number "
+                             f"> 0: {self.experiment_timeout_s!r}")
 
     def to_doc(self) -> dict:
         return {"deploy_strictness": self.deploy_strictness,
@@ -697,9 +723,10 @@ def check_experiment(exp: Experiment, registry: "TaskRegistry") -> tuple[
                         "duplicate-task-name", pipeline.pipeline_id,
                         f"task name {task.name!r} used twice"))
                 names.add(task.name)
-                if task.timeout_s <= 0:
+                if not valid_timeout(task.timeout_s):
                     issues.append(ValidationIssue(
-                        "bad-timeout", task.name, "timeout_s must be > 0"))
+                        "bad-timeout", task.name,
+                        "timeout_s must be a finite number > 0"))
 
         kinds = sorted({n.kind for n in assignment.nodes})
         for kind in kinds:

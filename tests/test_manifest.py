@@ -119,6 +119,31 @@ assignments: [{pipeline: p, nodes: all}]
         with pytest.raises(ManifestError):
             parse_manifest(text)
 
+    @pytest.mark.parametrize("value", ["0", "-1", ".inf", "-.inf", ".nan",
+                                       "soon", "[1]"])
+    @pytest.mark.parametrize("template", [
+        "pipelines: {{p: {{stages: [[{{type: sleep, timeout_s: {}}}]]}}}}",
+        "pipelines: {{p: {{stages: [[{{type: sleep}}]]}}}}\n"
+        "policies: {{experiment_timeout_s: {}}}"])
+    def test_timeout_must_be_finite_and_positive(self, template, value):
+        text = ("name: x\nselectors: {all: {}}\n"
+                "assignments: [{pipeline: p, nodes: all}]\n"
+                + template.format(value))
+        with pytest.raises(ManifestError):
+            parse_manifest(text)
+
+    @pytest.mark.parametrize("task_type", ["''", "null"])
+    def test_task_needs_a_non_empty_type(self, task_type):
+        text = f"""
+name: x
+selectors: {{all: {{}}}}
+pipelines: {{p: {{stages: [[{{type: {task_type}}}]]}}}}
+assignments: [{{pipeline: p, nodes: all}}]
+"""
+        with pytest.raises(ManifestError) as excinfo:
+            parse_manifest(text)
+        assert "has no type" in str(excinfo.value)
+
 
 class TestResolution:
     def manifest(self, take=2, strict=True) -> ExperimentManifest:

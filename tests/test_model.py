@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +28,8 @@ from expforge.model import (
     NodePool,
     Outcome,
     Pipeline,
+    Policies,
+    Stage,
     Status,
     TaskResult,
     TaskSpec,
@@ -100,6 +105,17 @@ class TestPipelineThen:
                            TaskSpec("sleep", params={"seconds": 1})]))
         assert pipeline.task_names() == ["sleep", "sleep-2", "sleep-3"]
 
+    def test_five_thousand_tasks_build_in_linear_time(self):
+        started = time.perf_counter()
+        pipeline = Pipeline("p")
+        for _ in range(500):
+            pipeline = pipeline.then(
+                [TaskSpec("sleep", params={"seconds": 0}) for _ in range(10)])
+        elapsed = time.perf_counter() - started
+        assert pipeline.task_names() == \
+            ["sleep"] + [f"sleep-{i}" for i in range(2, 5001)]
+        assert elapsed < 1.0
+
     def test_doc_roundtrip(self):
         pipeline = (Pipeline("p", early_stop=True)
                     .then(TaskSpec("sleep", params={"seconds": 2.5},
@@ -141,6 +157,14 @@ class TestPipelineThen:
         dos = Pipeline("p").then(
             TaskSpec("shell", params={"command": "step one\r\nstep two"}))
         assert unix.digest() == dos.digest()
+
+
+@pytest.mark.parametrize("seconds", [0, -1, math.inf, -math.inf, math.nan])
+def test_timeouts_must_be_finite_and_positive(seconds):
+    with pytest.raises(ValueError):
+        TaskSpec("sleep", timeout_s=seconds)
+    with pytest.raises(ValueError):
+        Policies(experiment_timeout_s=seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +423,65 @@ def test_identical_recipes_identical_digests(recipe):
 
     assert build().digest() == build().digest()
     assert build().to_doc() == build().to_doc()
+
+
+def reference_then(pipeline: Pipeline, tasks: list[TaskSpec]) -> Pipeline:
+    """``Pipeline.then``'s naming rule written as a plain scan: each unnamed
+    task probes its type, then ``-2``, ``-3``, ... from ordinal 1."""
+    used = set(pipeline.task_names())
+    named = []
+    for task in tasks:
+        if task.name:
+            if task.name in used:
+                raise DuplicateTaskName(task.name)
+            named.append(task)
+            used.add(task.name)
+        else:
+            candidate, ordinal = task.task_type, 1
+            while candidate in used:
+                ordinal += 1
+                candidate = f"{task.task_type}-{ordinal}"
+            named.append(replace(task, name=candidate))
+            used.add(candidate)
+    return replace(pipeline, stages=pipeline.stages + (Stage(tuple(named)),))
+
+
+# "sleep-2" is also a type, so its names and sleep's ordinals collide.
+naming_types = st.sampled_from(["sleep", "shell", "sleep-2"])
+user_names = st.sampled_from(
+    ["", "", "", "sleep", "sleep-2", "sleep-3", "shell-2", "sleep-2-2", "x"])
+naming_stages = st.lists(st.tuples(naming_types, user_names),
+                         min_size=1, max_size=4)
+# (which earlier pipeline to start from, what to do to it)
+naming_steps = st.tuples(
+    st.integers(0, 100),
+    st.one_of(naming_stages, st.sampled_from(["from_doc", "replace"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(naming_steps, min_size=1, max_size=25))
+def test_then_names_tasks_as_the_reference_scan_does(steps):
+    """Extends fresh, decoded, replaced and already-extended pipelines, so
+    both the handed-on names and their rebuild are compared."""
+    history = [(Pipeline("p"), Pipeline("p"))]
+    for pick, step in steps:
+        fast, slow = history[pick % len(history)]
+        if step == "from_doc":
+            fast = Pipeline.from_doc(fast.to_doc())
+        elif step == "replace":
+            fast = replace(fast, early_stop=not fast.early_stop)
+            slow = replace(slow, early_stop=not slow.early_stop)
+        else:
+            tasks = [TaskSpec(t, name=n) for t, n in step]
+            try:
+                slow = reference_then(slow, tasks)
+            except DuplicateTaskName:
+                with pytest.raises(DuplicateTaskName):
+                    fast.then(tasks)
+                continue
+            fast = fast.then(tasks)
+        assert fast.to_doc() == slow.to_doc()
+        history.append((fast, slow))
 
 
 # ---------------------------------------------------------------------------

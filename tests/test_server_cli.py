@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
@@ -102,6 +103,26 @@ class TestHttpApi:
                        json={"name": "x", "bogus": True})
         assert response.status_code == 400
         assert response.json()["error"] == "ManifestError"
+
+    @pytest.mark.parametrize("field, value", [
+        ("timeout_s", 0), ("timeout_s", -1), ("timeout_s", "soon"),
+        ("timeout_s", math.inf), ("timeout_s", math.nan),
+        ("experiment_timeout_s", 0), ("experiment_timeout_s", math.inf),
+        ("experiment_timeout_s", math.nan)])
+    def test_bad_timeout_400(self, server, field, value):
+        doc = yaml.safe_load(load_bundled_example())
+        if field == "timeout_s":
+            doc["pipelines"]["serve"]["stages"][0][0]["timeout_s"] = value
+        else:
+            doc["policies"]["experiment_timeout_s"] = value
+        # json.dumps writes inf and nan as Infinity and NaN, which the
+        # server's JSON parser accepts.
+        response = api(server, "POST", "/api/v1/experiments",
+                       data=json.dumps(doc),
+                       headers={"Content-Type": "application/json"})
+        assert response.status_code == 400, response.text
+        assert response.json()["error"] == "ManifestError"
+        assert "finite number > 0" in response.json()["message"]
 
     def test_nodes_query_with_filters(self, server):
         response = api(server, "GET", "/api/v1/nodes",
