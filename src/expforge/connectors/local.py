@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 from ..compiler import CLEAN_SCRATCH_COMMAND
@@ -35,9 +36,13 @@ class LocalConnector(Connector):
     def __init__(self, name: str = "local", workdir: str | Path | None = None,
                  attributes: dict[str, str] | None = None):
         self.name = name
-        self.workdir = Path(workdir) if workdir else Path(
-            tempfile.mkdtemp(prefix=f"expforge-{name}-"))
-        self.workdir.mkdir(parents=True, exist_ok=True)
+        if workdir:
+            self.workdir = Path(workdir)
+            self.workdir.mkdir(parents=True, exist_ok=True)
+        else:  # made here, so removed with the connector
+            self.workdir = Path(tempfile.mkdtemp(prefix=f"expforge-{name}-"))
+            weakref.finalize(self, shutil.rmtree, self.workdir,
+                             ignore_errors=True)
         self.attributes = dict(attributes or {})
         self._node_id = f"{name}-host"
 

@@ -15,6 +15,7 @@ that timed out. Every task anomaly becomes a TaskResult; nothing
 propagates to the caller. The finished report is flushed to a local spool
 file before the first delivery attempt and removed only after the gateway
 acknowledged it, so a crash or an unreachable gateway never loses results.
+The spool is written as the store writes a file: temp file, fsync, rename.
 
 Every executor gets its bundle from the gateway (``fetch_bundle``), an
 immutable ``PipelineBundle``. Executors in the platform process share one
@@ -34,7 +35,6 @@ import os
 import queue
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -52,7 +52,7 @@ from .model import (
     TaskSpec,
 )
 from .registry import TaskError, TaskRegistry
-from .store import path_component
+from .store import _write_file, path_component
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gateway import GatewayClient
@@ -540,16 +540,10 @@ def spool_path(spool_dir: str | Path, experiment_id: str, node_id: str) -> Path:
 
 def write_spool(spool_dir: str | Path, report_doc: dict) -> Path:
     """Durably persist an undelivered report; one document per report."""
-    directory = Path(spool_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = spool_path(directory, report_doc["experiment_id"],
+    path = spool_path(spool_dir, report_doc["experiment_id"],
                       report_doc["node_id"])
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report_doc))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_file(path, json.dumps(report_doc).encode("utf-8"))
     return path
 
 

@@ -16,9 +16,11 @@ experiment, and destroyed at cleanup; their timestamps come from the
 gateway's clock so cross-node ordering has a single authority.
 
 Uploads, reports and node flag sets are accepted only from nodes the
-experiment assigns. Every artifact is written under
-``artifact_root/<experiment>/`` and its metadata is kept in the experiment
-record, so a restarted director lists it.
+experiment assigns. An artifact's bytes are written durably, outside any
+lock, to ``artifact_root/<experiment>/<node>/<sha256>`` before a short mutate
+lists them in the record. Without an ``artifact_root`` the gateway writes to
+a temporary directory removed with it; ``expforge-server`` passes one, so
+its artifacts survive a restart.
 
 Executors in the platform process call the gateway through
 ``InProcessGatewayClient``; executors in other processes use
@@ -31,6 +33,8 @@ WrongPhase. Ids and flag keys travel quoted, one URL path segment each.
 from __future__ import annotations
 
 import hashlib
+import shutil
+import tempfile
 import threading
 import time
 import urllib.parse
@@ -40,6 +44,7 @@ from pathlib import Path
 from typing import Any, Mapping, TYPE_CHECKING
 
 from .errors import (
+    ExpforgeError,
     TransportError,
     UnknownAssignment,
     UnknownExperiment,
@@ -51,6 +56,8 @@ from .store import (
     EXEC_REPORTED,
     EXEC_TIMED_OUT,
     ExperimentRecord,
+    _fsync_dir,
+    _write_file,
     path_component,
 )
 from .transport import HttpTransport, quote
@@ -66,8 +73,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class Gateway:
     def __init__(self, director: "Director", artifact_root: str | Path | None = None):
         self._director = director
-        self._artifact_root = Path(artifact_root) if artifact_root else None
-        self._artifacts: dict[tuple[str, str, str], bytes] = {}
+        if not artifact_root:
+            artifact_root = tempfile.mkdtemp(prefix="expforge-artifacts-")
+            weakref.finalize(self, shutil.rmtree, artifact_root,
+                             ignore_errors=True)
+        self._artifact_root = Path(artifact_root)
         # Reports waiting for their experiment's monitor, with their outcomes.
         self._queued: dict[str, list[_QueuedReport]] = {}
         self._queue_guard = threading.Lock()
@@ -194,30 +204,25 @@ class Gateway:
 
     # -- artifacts ---------------------------------------------------------
 
-    def _artifact_path(self, experiment_id: str, node_id: str,
-                       name: str) -> Path:
+    def _artifact_dir(self, experiment_id: str, node_id: str) -> Path:
         return (self._artifact_root / path_component(experiment_id)
-                / path_component(node_id) / path_component(name))
+                / path_component(node_id))
 
     def store_artifact(self, experiment_id: str, node_id: str, name: str,
                        data: bytes) -> dict:
-        """Write an assigned node's artifact and commit its metadata to the
-        record in one mutate; a later upload of the same name replaces it."""
+        """List an assigned node's artifact once its bytes are durable under
+        their digest, so no crash lists missing bytes; a later upload of the
+        name replaces the listing, and the old bytes stay on disk."""
+        self.require_assigned(experiment_id, node_id)
         meta = {"node_id": node_id, "name": name, "size": len(data),
                 "digest": hashlib.sha256(data).hexdigest()}
+        directory = self._artifact_dir(experiment_id, node_id)
+        directory.mkdir(parents=True, exist_ok=True)
+        _write_file(directory / meta["digest"], data)
+        _fsync_dir(directory)
         with self._director.mutate(experiment_id) as record:
-            if node_id not in record.assigned_nodes:
-                raise _unassigned(experiment_id, node_id)
-            if self._artifact_root is not None:
-                path = self._artifact_path(experiment_id, node_id, name)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(data)
-            else:
-                self._artifacts[(experiment_id, node_id, name)] = data
-            record.artifacts = [
-                e for e in record.artifacts
-                if not (e["node_id"] == node_id and e["name"] == name)
-            ] + [meta]
+            record.artifacts = [e for e in record.artifacts if (
+                e["node_id"], e["name"]) != (node_id, name)] + [meta]
         return dict(meta)
 
     def list_artifacts(self, experiment_id: str) -> list[dict]:
@@ -225,11 +230,15 @@ class Gateway:
             experiment_id, lambda record: record.artifacts)]
 
     def artifact_data(self, experiment_id: str, node_id: str, name: str) -> bytes:
-        with self._director.monitor(experiment_id):
-            if self._artifact_root is not None:
-                return self._artifact_path(experiment_id, node_id,
-                                           name).read_bytes()
-            return self._artifacts[(experiment_id, node_id, name)]
+        """The listed bytes; KeyError if unlisted, ExpforgeError if corrupt."""
+        digest = self._director.store.read(experiment_id, lambda record: {
+            (e["node_id"], e["name"]): e["digest"]
+            for e in record.artifacts})[node_id, name]
+        data = (self._artifact_dir(experiment_id, node_id) / digest).read_bytes()
+        if hashlib.sha256(data).hexdigest() != digest:
+            raise ExpforgeError(f"artifact {name!r} of {node_id!r} in "
+                                f"{experiment_id!r} does not match its digest")
+        return data
 
 
 @dataclass

@@ -55,9 +55,13 @@ class SelectorSpec:
         filters = doc.get("filters", {})
         if not isinstance(filters, Mapping):
             raise ManifestError(f"filters must be a mapping in {where}")
+        take = doc.get("take")
+        if take is not None and (type(take) is not int or take < 0):
+            raise ManifestError(
+                f"take must be an integer >= 0 in {where}: {take!r}")
         return cls(
             filters=tuple((str(k), str(v)) for k, v in filters.items()),
-            take=int(doc["take"]) if doc.get("take") is not None else None,
+            take=take,
             strict=bool(doc.get("strict", False)),
             connector=doc.get("connector"),
         )

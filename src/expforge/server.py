@@ -1,6 +1,6 @@
 """HTTP service exposing the director's API and the gateway endpoints.
 
-Routes (JSON bodies throughout; report payloads may embed base64 binary):
+Routes (bodies are JSON, whatever their Content-Type; artifacts are bytes):
 
     POST /api/v1/experiments                submit a manifest document
     POST /api/v1/experiments/{id}/deploy    also: execute, cancel, cleanup
@@ -114,7 +114,7 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt: str, *args) -> None:
         log.debug("%s %s", self.address_string(), fmt % args)
 
-    def _body(self) -> Any:
+    def _raw_body(self) -> bytes:
         declared = self.headers.get("Content-Length") or "0"
         length = int(declared) if declared.isdecimal() else -1
         if not 0 <= length <= MAX_BODY_BYTES:
@@ -122,14 +122,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise _Rejected(413 if length > MAX_BODY_BYTES else 400,
                             f"Content-Length {declared!r} is not in "
                             f"0..{MAX_BODY_BYTES}")
-        raw = self.rfile.read(length) if length else b""
-        content_type = self.headers.get("Content-Type", "")
-        if "json" in content_type or not raw:
-            try:
-                return json.loads(raw) if raw else None
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"request body is not valid JSON: {exc}")
-        return raw
+        return self.rfile.read(length) if length else b""
+
+    def _body(self) -> Any:
+        try:  # a UnicodeDecodeError is a ValueError too
+            return json.loads(self._raw_body() or b"null")
+        except ValueError as exc:
+            raise ManifestError(f"request body is not valid JSON: {exc}")
 
     def _reply(self, code: int, payload: Any) -> None:
         data = json.dumps(payload).encode("utf-8")
@@ -277,12 +276,9 @@ class _Handler(BaseHTTPRequestHandler):
         match = _segments(self._ARTIFACT_UPLOAD, path)
         if method == "POST" and match:
             experiment_id, node_id = match
-            name = query.get("name", "artifact")
-            data = self._body()
-            if isinstance(data, (dict, list)):
-                data = json.dumps(data).encode("utf-8")
-            meta = gateway.store_artifact(experiment_id, node_id, name,
-                                          data or b"")
+            meta = gateway.store_artifact(experiment_id, node_id,
+                                          query.get("name", "artifact"),
+                                          self._raw_body())
             self._reply(200, meta)
             return True
 

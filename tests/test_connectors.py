@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conftest import FakeGatewayClient, make_bundle
+from expforge import Director, MemoryStore
 import expforge.connectors as connectors_module
 from expforge.compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from expforge.connectors import ExecutorConfig, load_connectors
@@ -466,11 +467,15 @@ def test_infrastructure_seeded_attribute_layout():
     assert groups == ["a", "b", "a", "b", "a"]
 
 
+@pytest.mark.parametrize("make", [
+    lambda name: SimulatedConnector(name, node_count=2),
+    LocalConnector,
+    lambda name: Director(MemoryStore(), builtin_registry(), {}),
+], ids=["simulated", "local", "director-without-artifact-root"])
 def test_dropped_simulated_connectors_leave_no_spool_dir(tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch, make):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    connectors = [SimulatedConnector(f"leak{i}", node_count=2)
-                  for i in range(3)]
+    connectors = [make(f"leak{i}") for i in range(3)]
     assert len(list(tmp_path.iterdir())) == 3
     del connectors
     gc.collect()

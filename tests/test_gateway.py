@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from conftest import drive, wait_status
 from expforge import Director, FileStore, MemoryStore, builtin_registry
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
 from expforge.errors import (
+    ExpforgeError,
     UnknownAssignment,
     UnknownExperiment,
     WrongPhase,
@@ -527,9 +529,18 @@ class TestFlags:
 # artifacts
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(params=["default-root", "given-root"])
+def artifact_platform(request, make_director, tmp_path):
+    """A platform whose gateway writes to its own temporary directory, or
+    to a given ``artifact_root``: both take one path."""
+    connector = SimulatedConnector("sim", node_count=3, fault=FAST)
+    root = tmp_path / "artifacts" if request.param == "given-root" else None
+    return make_director({"sim": connector}, artifact_root=root), connector
+
+
 class TestArtifacts:
-    def test_store_list_and_read(self, platform):
-        director, connector = platform
+    def test_store_list_and_read(self, artifact_platform):
+        director, connector = artifact_platform
         eid = submit_sleep_experiment(director, connector, name="art")
         meta = director.gateway.store_artifact(eid, "sim-000", "t.pcap",
                                                b"\x00pcap")
@@ -562,13 +573,119 @@ class TestArtifacts:
         with pytest.raises(UnknownExperiment):  # no record, no listing
             reborn.gateway.list_artifacts("ghost")
 
-    def test_artifact_for_unknown_experiment(self, platform):
-        director, _ = platform
+    def test_restart_keeps_bytes_that_match_their_digest(self, make_director,
+                                                        tmp_path):
+        store = FileStore(tmp_path / "records")
+        connector = SimulatedConnector("sim", node_count=3, fault=FAST)
+        root = tmp_path / "artifacts"
+        director = make_director({"sim": connector}, store=store,
+                                 artifact_root=root)
+        eid = submit_sleep_experiment(director, connector, name="art")
+        for node_id, data in [("sim-000", b"old"), ("sim-001", b"\x00pcap"),
+                              ("sim-000", b"new!")]:
+            director.gateway.store_artifact(eid, node_id, "t.pcap", data)
+        director.close()
+        gateway = make_director({"sim": connector}, store=store,
+                                artifact_root=root).gateway
+        listed = gateway.list_artifacts(eid)
+        assert len(listed) == 2
+        for meta in listed:
+            path = (root / path_component(eid)
+                    / path_component(meta["node_id"]) / meta["digest"])
+            data = gateway.artifact_data(eid, meta["node_id"], "t.pcap")
+            assert path.read_bytes() == data
+            assert hashlib.sha256(data).hexdigest() == meta["digest"]
+            assert len(data) == meta["size"]
+        tampered = bytearray(path.read_bytes())
+        tampered[0] ^= 1
+        path.write_bytes(bytes(tampered))
+        with pytest.raises(ExpforgeError, match="digest"):
+            gateway.artifact_data(eid, listed[-1]["node_id"], "t.pcap")
+
+    def test_unlisted_artifact_is_a_key_error(self, artifact_platform):
+        director, connector = artifact_platform
+        eid = submit_sleep_experiment(director, connector, name="art")
+        director.gateway.store_artifact(eid, "sim-000", "t.pcap", b"x")
+        for node_id, name in [("sim-000", "other"), ("sim-001", "t.pcap")]:
+            with pytest.raises(KeyError):
+                director.gateway.artifact_data(eid, node_id, name)
+
+    def test_report_commits_while_an_upload_is_written(self, platform,
+                                                       monkeypatch):
+        director, connector = platform
+        eid = submit_held_experiment(director, connector, name="held-write")
+        deploy_and_start(director, eid)
+        writing, release = threading.Event(), threading.Event()
+        write_file = gateway_module._write_file
+
+        def held_write(path, data):
+            writing.set()
+            assert release.wait(10)
+            write_file(path, data)
+
+        monkeypatch.setattr(gateway_module, "_write_file", held_write)
+        upload = threading.Thread(
+            target=director.gateway.store_artifact,
+            args=(eid, "sim-000", "big.pcap", b"\x00" * 1024))
+        upload.start()
+        try:
+            assert writing.wait(10)
+            outcome = []
+            report = threading.Thread(target=lambda: outcome.append(
+                director.gateway.ingest_report(report_doc(eid, "sim-001"))))
+            report.start()
+            report.join(5)
+            assert outcome == ["accepted"]
+            assert "sim-001" in director.record(eid).reports
+            assert director.gateway.list_artifacts(eid) == []
+        finally:
+            release.set()
+            upload.join(10)
+            report.join(10)
+        assert not upload.is_alive() and not report.is_alive()
+        assert [m["name"] for m in director.gateway.list_artifacts(eid)] \
+            == ["big.pcap"]
+        director.gateway.set_flag(eid, "release", "test")
+        wait_status(director, eid, {Status.FINISHED})
+
+    def test_racing_uploads_of_one_name_leave_a_readable_winner(
+            self, artifact_platform):
+        director, connector = artifact_platform
+        eid = submit_sleep_experiment(director, connector, name="race")
+        gateway = director.gateway
+        payloads = [bytes([i]) * (1000 + i) for i in range(4)]
+
+        def upload(start, data):
+            start.wait()
+            gateway.store_artifact(eid, "sim-000", "t.pcap", data)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(30):
+                start = threading.Barrier(len(payloads), timeout=10)
+                threads = [threading.Thread(target=upload, args=(start, data))
+                           for data in payloads]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10)
+                    assert not thread.is_alive()
+                [meta] = gateway.list_artifacts(eid)
+                data = gateway.artifact_data(eid, "sim-000", "t.pcap")
+                assert data in payloads
+                assert hashlib.sha256(data).hexdigest() == meta["digest"]
+                assert len(data) == meta["size"]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_artifact_for_unknown_experiment(self, artifact_platform):
+        director, _ = artifact_platform
         with pytest.raises(UnknownExperiment):
             director.gateway.store_artifact("ghost", "n", "a", b"")
 
-    def test_unassigned_node_cannot_upload(self, platform):
-        director, connector = platform
+    def test_unassigned_node_cannot_upload(self, artifact_platform):
+        director, connector = artifact_platform
         eid = submit_sleep_experiment(director, connector, name="stranger")
         with pytest.raises(UnknownAssignment):
             director.gateway.store_artifact(eid, "sim-002", "t.pcap", b"x")

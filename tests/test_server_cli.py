@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -123,6 +124,21 @@ class TestHttpApi:
         assert response.status_code == 400, response.text
         assert response.json()["error"] == "ManifestError"
         assert "finite number > 0" in response.json()["message"]
+
+    @pytest.mark.parametrize("take", [-1, "abc", 1.5, True])
+    def test_bad_take_400(self, server, take):
+        doc = yaml.safe_load(load_bundled_example())
+        doc["selectors"]["server"]["take"] = take
+        response = api(server, "POST", "/api/v1/experiments", json=doc)
+        assert response.status_code == 400, response.text
+        assert response.json()["error"] == "ManifestError"
+        assert "take must be an integer >= 0" in response.json()["message"]
+
+    def test_undecodable_body_400(self, server):
+        response = api(server, "POST", "/api/v1/experiments", data=b"\xff",
+                       headers={"Content-Type": "application/json"})
+        assert response.status_code == 400, response.text
+        assert response.json()["error"] == "ManifestError"
 
     def test_nodes_query_with_filters(self, server):
         response = api(server, "GET", "/api/v1/nodes",
@@ -258,6 +274,25 @@ class TestGatewayHttp:
                   "results": [], "executor_version": "t"}
         assert client.deliver_report(report) in ("accepted", "duplicate")
         assert client.deliver_report(report) == "duplicate"
+        wait_status(server.director, eid, {Status.FINISHED})
+
+    @pytest.mark.parametrize("content_type", ["application/json",
+                                              "application/octet-stream"])
+    @pytest.mark.parametrize("body", [b'"x"', b"5", b"null", b'{"a":  1}',
+                                      b"", b"\xff\x00"])
+    def test_artifact_upload_stores_the_bytes_sent(self, server, body,
+                                                   content_type):
+        eid = self.start_held(server)
+        response = api(server, "POST",
+                       f"/gw/v1/artifacts/{eid}/sim-000?name=a.json",
+                       data=body, headers={"Content-Type": content_type})
+        assert response.status_code == 200, response.text
+        meta = response.json()
+        assert meta["digest"] == hashlib.sha256(body).hexdigest()
+        assert meta["size"] == len(body)
+        assert server.director.gateway.artifact_data(
+            eid, "sim-000", "a.json") == body
+        server.director.gateway.set_flag(eid, "release", "test")
         wait_status(server.director, eid, {Status.FINISHED})
 
     def test_unassigned_node_rejected_on_the_wire(self, server):
