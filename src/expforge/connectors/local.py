@@ -30,6 +30,8 @@ log = logging.getLogger("expforge.local")
 # (e.g. ``PYTHONPATH=src``) no longer resolves, so this absolute path goes
 # first on the child's PYTHONPATH.
 PACKAGE_ROOT = str(Path(__file__).resolve().parents[2])
+# How long a stopped child may take to exit after SIGTERM before SIGKILL.
+STOP_GRACE_S = 5.0
 
 
 class LocalConnector(Connector):
@@ -109,6 +111,6 @@ class LocalConnector(Connector):
             return
         proc.terminate()
         try:
-            proc.wait(timeout=5)
+            proc.wait(timeout=STOP_GRACE_S)
         except subprocess.TimeoutExpired:
             proc.kill()

@@ -7,9 +7,10 @@ ordered by (node, scope, sequence-within-scope); two runs with the same seed,
 fault model, and workload produce identical traces.
 
 Simulated command execution interprets a tiny vocabulary (true / false /
-exit N / sleep N / echo / write-file) plus task hooks; any other command
-"succeeds" with recorded intent, keeping simulation hermetic. Sleeps are
-scaled by ``fault.sleep_scale`` so long pipeline shapes replay at desk speed.
+exit N / echo) plus the scratch-wipe and capture-stop tokens; any other
+command "succeeds" with recorded intent, keeping simulation hermetic. Sleeps
+are scaled by ``fault.sleep_scale`` so long pipeline shapes replay at desk
+speed.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class FaultModel:
     prepare_fail_prob: float = 0.0
     prepare_fail_nodes: frozenset[str] = frozenset()
     silent_nodes: frozenset[str] = frozenset()
-    per_command_latency_ms: float = 0.0
     report_drop_prob: float = 0.0
     sleep_scale: float = 1.0
 
@@ -56,7 +56,6 @@ class FaultModel:
             prepare_fail_prob=float(doc.get("prepare_fail_prob", 0.0)),
             prepare_fail_nodes=frozenset(doc.get("prepare_fail_nodes", ())),
             silent_nodes=frozenset(doc.get("silent_nodes", ())),
-            per_command_latency_ms=float(doc.get("per_command_latency_ms", 0.0)),
             report_drop_prob=float(doc.get("report_drop_prob", 0.0)),
             sleep_scale=float(doc.get("sleep_scale", 1.0)),
         )
@@ -121,10 +120,6 @@ class SimNode:
         with self._lock:
             return path in self.fs
 
-    def size(self, path: str) -> int:
-        with self._lock:
-            return len(self.fs[path])
-
     def files(self) -> list[str]:
         with self._lock:
             return sorted(self.fs)
@@ -186,20 +181,15 @@ class SimRuntime(NodeRuntime):
     def scoped(self, scope: str) -> "SimRuntime":
         return SimRuntime(self.node, self.fault, scope)
 
-    def _latency(self) -> None:
-        if self.fault.per_command_latency_ms > 0:
-            time.sleep(self.fault.per_command_latency_ms / 1000.0)
-
     def run_command(self, command: str, cancel: threading.Event,
                     timeout: float | None = None) -> tuple[int, str]:
-        self._latency()
-        code, output, recorded = self._interpret(command, cancel)
+        code, output, recorded = self._interpret(command)
         self.node.log(self._command_scope,
                       "intent" if recorded else "command",
                       {"command": command, "exit": code})
         return code, output
 
-    def _interpret(self, command: str, cancel: threading.Event) -> tuple[int, str, bool]:
+    def _interpret(self, command: str) -> tuple[int, str, bool]:
         try:
             argv = shlex.split(command)
         except ValueError:
@@ -216,20 +206,8 @@ class SimRuntime(NodeRuntime):
                 return int(argv[1]) if len(argv) > 1 else 0, "", False
             except ValueError:
                 return 1, f"bad exit code {argv[1]!r}", False
-        if head == "sleep":
-            try:
-                seconds = float(argv[1]) if len(argv) > 1 else 0.0
-            except ValueError:
-                return 1, f"bad sleep duration {argv[1]!r}", False
-            self.sleep(seconds, cancel)
-            return 0, "", False
         if head == "echo":
             return 0, " ".join(argv[1:]) + "\n", False
-        if head == "write-file":
-            if len(argv) < 2:
-                return 1, "write-file requires a path", False
-            self.node.write(argv[1], " ".join(argv[2:]))
-            return 0, "", False
         if head == CLEAN_SCRATCH_COMMAND:
             self.node.wipe()
             return 0, "", False
@@ -250,9 +228,6 @@ class SimRuntime(NodeRuntime):
 
     def file_exists(self, path: str) -> bool:
         return self.node.exists(path)
-
-    def file_size(self, path: str) -> int:
-        return self.node.size(path)
 
     def log_event(self, scope: str, name: str, detail: dict | None = None) -> None:
         self.node.log(scope, name, detail)

@@ -473,20 +473,17 @@ class Director:
         )
 
     def _execute_worker(self, experiment_id: str) -> None:
-        record = self.record(experiment_id)
-        if record.status is not Status.RUNNING or self._closed.is_set():
-            return
-        nodes = {n.node_id: n for n in self._nodes_of(record)}
         # Every token is durable before any launch: at-most-once per node.
-        with self.mutate(experiment_id) as rec:
-            if rec.status is not Status.RUNNING:
+        with self.mutate(experiment_id) as record:
+            if record.status is not Status.RUNNING or self._closed.is_set():
                 return
-            tokenless = [node_id for node_id in rec.prepared_nodes()
-                         if not rec.node_exec(node_id).get("token")]
+            tokenless = [node_id for node_id in record.prepared_nodes()
+                         if not record.node_exec(node_id).get("token")]
             for node_id in tokenless:
-                rec.node_exec(node_id).update(
+                record.node_exec(node_id).update(
                     {"token": uuid.uuid4().hex, "token_at": time.time(),
                      "state": EXEC_RUNNING})
+        nodes = {n.node_id: n for n in self._nodes_of(record)}
         for node_id in tokenless:
             if self._closed.is_set():
                 return

@@ -16,6 +16,8 @@ propagates to the caller. The finished report is flushed to a local spool
 file before the first delivery attempt and removed only after the gateway
 acknowledged it, so a crash or an unreachable gateway never loses results.
 The spool is written as the store writes a file: temp file, fsync, rename.
+Spooled reports of earlier runs are retried at start; one the gateway
+refuses (unknown experiment, unassigned node) is kept and skipped.
 
 Every executor gets its bundle from the gateway (``fetch_bundle``), an
 immutable ``PipelineBundle``. Executors in the platform process share one
@@ -29,10 +31,12 @@ EXPFORGE_NODE_ID and EXPFORGE_SCRATCH; the report spool is
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
 import queue
+import signal
 import subprocess
 import sys
 import threading
@@ -42,7 +46,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, TYPE_CHECKING
 
-from .errors import TransportError
+from .errors import TransportError, UnknownAssignment, UnknownExperiment
 from .model import (
     NodeDescriptor,
     Outcome,
@@ -52,7 +56,7 @@ from .model import (
     TaskSpec,
 )
 from .registry import TaskError, TaskRegistry
-from .store import _write_file, path_component
+from .store import _make_dirs, _write_file, path_component
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gateway import GatewayClient
@@ -203,9 +207,6 @@ class NodeRuntime:
     def file_exists(self, path: str) -> bool:
         raise NotImplementedError
 
-    def file_size(self, path: str) -> int:
-        raise NotImplementedError
-
     def log_event(self, scope: str, name: str, detail: dict | None = None) -> None:
         """Record an execution event (no-op outside the simulator)."""
 
@@ -229,8 +230,12 @@ class LocalRuntime(NodeRuntime):
 
     def run_command(self, command: str, cancel: threading.Event,
                     timeout: float | None = None) -> tuple[int, str]:
+        """(exit code, output); at ``timeout`` or on ``cancel`` the shell's
+        whole process group is killed, so no child it started holds the
+        output open, and the answer is -9 with the output so far."""
         proc = subprocess.Popen(
             command, shell=True, cwd=str(self.scratch),
+            start_new_session=True,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -240,7 +245,8 @@ class LocalRuntime(NodeRuntime):
             except subprocess.TimeoutExpired:
                 expired = deadline is not None and time.monotonic() > deadline
                 if cancel.is_set() or expired:
-                    proc.kill()
+                    with contextlib.suppress(ProcessLookupError):  # all ended
+                        os.killpg(proc.pid, signal.SIGKILL)
                     output = proc.communicate()[0]
                     return -9, output or ""
 
@@ -250,19 +256,14 @@ class LocalRuntime(NodeRuntime):
     def write_file(self, path: str, content: str | bytes) -> None:
         target = self.resolve(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(content, bytes):
-            target.write_bytes(content)
-        else:
-            target.write_text(content, encoding="utf-8")
+        target.write_bytes(content.encode("utf-8") if isinstance(content, str)
+                           else content)
 
     def read_file(self, path: str) -> bytes:
         return self.resolve(path).read_bytes()
 
     def file_exists(self, path: str) -> bool:
         return self.resolve(path).exists()
-
-    def file_size(self, path: str) -> int:
-        return self.resolve(path).stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +540,12 @@ def spool_path(spool_dir: str | Path, experiment_id: str, node_id: str) -> Path:
 
 
 def write_spool(spool_dir: str | Path, report_doc: dict) -> Path:
-    """Durably persist an undelivered report; one document per report."""
+    """Durably persist an undelivered report; one document per report.
+    The spool directory is made durably; the file's rename is not followed
+    by a directory fsync."""
     path = spool_path(spool_dir, report_doc["experiment_id"],
                       report_doc["node_id"])
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dirs(path.parent)
     _write_file(path, json.dumps(report_doc).encode("utf-8"))
     return path
 
@@ -567,7 +570,11 @@ def deliver_report(report_doc: dict, gateway: "GatewayClient",
 
 
 def redeliver_spooled(spool_dir: str | Path, gateway: "GatewayClient") -> int:
-    """Try undelivered reports from previous runs once each; keep failures."""
+    """Try undelivered reports from previous runs once each; keep failures.
+
+    A report the gateway refuses, because it does not know the experiment
+    or the experiment does not assign the node, is kept and skipped too, so
+    it never stops this executor's own pipeline."""
     directory = Path(spool_dir)
     if not directory.is_dir():
         return 0
@@ -581,7 +588,10 @@ def redeliver_spooled(spool_dir: str | Path, gateway: "GatewayClient") -> int:
             continue
         try:
             gateway.deliver_report(report_doc)
-        except TransportError:
+        except (TransportError, UnknownExperiment, UnknownAssignment) as exc:
+            log.warning("spooled report of %s on %s not redelivered: %s",
+                        report_doc.get("experiment_id"),
+                        report_doc.get("node_id"), exc)
             continue
         path.unlink(missing_ok=True)
         delivered += 1

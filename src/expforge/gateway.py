@@ -57,6 +57,7 @@ from .store import (
     EXEC_TIMED_OUT,
     ExperimentRecord,
     _fsync_dir,
+    _make_dirs,
     _write_file,
     path_component,
 )
@@ -217,7 +218,7 @@ class Gateway:
         meta = {"node_id": node_id, "name": name, "size": len(data),
                 "digest": hashlib.sha256(data).hexdigest()}
         directory = self._artifact_dir(experiment_id, node_id)
-        directory.mkdir(parents=True, exist_ok=True)
+        _make_dirs(directory)
         _write_file(directory / meta["digest"], data)
         _fsync_dir(directory)
         with self._director.mutate(experiment_id) as record:

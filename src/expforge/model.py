@@ -693,7 +693,9 @@ def check_experiment(exp: Experiment, registry: "TaskRegistry") -> tuple[
         list[ValidationIssue], dict[tuple[int, str], Resolution]]:
     """:func:`validate_experiment`'s issues, plus the :data:`Resolution` of
     every (assignment index, node kind), which is complete only when there
-    are no issues. Each task is resolved once per kind of its assignment."""
+    are no issues. Each task is resolved once per kind of its assignment.
+    An empty stage or a bad timeout cannot get this far: ``Stage`` and
+    ``TaskSpec`` refuse them when they are built."""
     issues: list[ValidationIssue] = []
     resolved: dict[tuple[int, str], Resolution] = {}
 
@@ -714,19 +716,12 @@ def check_experiment(exp: Experiment, registry: "TaskRegistry") -> tuple[
         pipeline = assignment.pipeline
         names: set[str] = set()
         for stage in pipeline.stages:
-            if not stage.tasks:
-                issues.append(ValidationIssue(
-                    "empty-stage", pipeline.pipeline_id, "stage has no tasks"))
             for task in stage.tasks:
                 if task.name in names:
                     issues.append(ValidationIssue(
                         "duplicate-task-name", pipeline.pipeline_id,
                         f"task name {task.name!r} used twice"))
                 names.add(task.name)
-                if not valid_timeout(task.timeout_s):
-                    issues.append(ValidationIssue(
-                        "bad-timeout", task.name,
-                        "timeout_s must be a finite number > 0"))
 
         kinds = sorted({n.kind for n in assignment.nodes})
         for kind in kinds:

@@ -74,9 +74,6 @@ class TaskRegistry:
         self._by_key[key] = impl
         self._by_id[impl.impl_id] = impl
 
-    def __len__(self) -> int:
-        return len(self._by_id)
-
     def task_types(self) -> list[str]:
         return sorted({t for t, _ in self._by_key})
 

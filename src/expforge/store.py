@@ -27,7 +27,8 @@ lines over the snapshot up to the first one that is torn or does not parse;
 the next append overwrites that one. The save that makes a record terminal
 writes a new snapshot, then removes the journal; a line the snapshot
 already holds (a crash between the two) is skipped by its number. Whole
-files go through a temp file, fsync, rename and a directory fsync.
+files go through a temp file, fsync, rename and a directory fsync, and a
+new directory's parent is fsynced once it is made (``_make_dirs``).
 Non-terminal records stay in memory; terminal ones are read from disk.
 """
 
@@ -323,6 +324,21 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _make_dirs(path: Path) -> None:
+    """``mkdir -p`` that leaves every new directory durable: each missing
+    ancestor is made from the top down and its parent fsynced, so a file
+    fsynced inside it survives a power loss. An existing directory costs
+    nothing."""
+    missing = []
+    while not path.is_dir():
+        missing.append(path)
+        path = path.parent
+    for directory in reversed(missing):
+        with contextlib.suppress(FileExistsError):  # made by a racing caller
+            directory.mkdir()
+        _fsync_dir(directory.parent)
+
+
 def _changed(new: Any, old: Any) -> bool:
     return new is not old and new != old
 
@@ -357,7 +373,7 @@ class FileStore(Store):
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        _make_dirs(self.root)
         self._lock = threading.Lock()  # writes, and reads that go to disk
         # Committed non-terminal records, each with its last sequence number
         # and the length of its journal.
@@ -375,11 +391,7 @@ class FileStore(Store):
 
     def save(self, record: ExperimentRecord) -> None:
         with self._lock:
-            try:
-                base, seq, end = self._current(record.experiment_id)
-            except UnknownExperiment:
-                base, seq, end = None, 0, 0
-            self._commit(record, base, seq, end)
+            self._commit(record, *self._current(record.experiment_id))
 
     def _committed(self, experiment_id: str) -> ExperimentRecord:
         current = self._records.get(experiment_id)
@@ -444,7 +456,7 @@ class FileStore(Store):
         new = record.snapshot()
         directory = self._dir(new.experiment_id)
         if base is None:
-            directory.mkdir(exist_ok=True)
+            _make_dirs(directory)
             _write_file(directory / EXPERIMENT, _encode(new.experiment_doc))
             (directory / JOURNAL).write_bytes(b"")
             _fsync_dir(directory)

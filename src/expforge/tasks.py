@@ -27,6 +27,12 @@ def _require(params: Mapping[str, Any], key: str) -> Any:
     return params[key]
 
 
+def _gateway(ctx: TaskContext):
+    if ctx.gateway is None:
+        raise TaskError("gateway unreachable: no client configured")
+    return ctx.gateway
+
+
 def _number(params: Mapping[str, Any], key: str, default=None) -> float:
     value = params.get(key, default)
     if value is None:
@@ -96,9 +102,7 @@ class SetFlagTask(TaskImplementation):
 
     def run(self, params, ctx: TaskContext):
         key = str(_require(params, "key"))
-        if ctx.gateway is None:
-            raise TaskError("gateway unreachable: no client configured")
-        flag = ctx.gateway.set_flag(ctx.experiment_id, key, ctx.node.node_id)
+        flag = _gateway(ctx).set_flag(ctx.experiment_id, key, ctx.node.node_id)
         return json.dumps({"key": key, "flag": flag})
 
 
@@ -111,10 +115,8 @@ class WaitFlagTask(TaskImplementation):
     def run(self, params, ctx: TaskContext):
         key = str(_require(params, "key"))
         timeout_s = _number(params, "timeout_s", 60.0)
-        if ctx.gateway is None:
-            raise TaskError("gateway unreachable: no client configured")
-        flag = ctx.gateway.wait_flag(ctx.experiment_id, key, timeout_s,
-                                     cancel=ctx.cancel)
+        flag = _gateway(ctx).wait_flag(ctx.experiment_id, key, timeout_s,
+                                       cancel=ctx.cancel)
         if flag is None:
             raise TaskError(f"flag {key!r} not set within {timeout_s}s")
         return json.dumps({"key": key, "flag": flag})
@@ -177,8 +179,8 @@ class CaptureStopTask(TaskImplementation):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-        size = (ctx.runtime.file_size(entry["out_path"])
-                if ctx.runtime.file_exists(entry["out_path"]) else 0)
+        target = ctx.runtime.resolve(entry["out_path"])  # type: ignore[attr-defined]
+        size = target.stat().st_size if target.exists() else 0
         return json.dumps({"handle": handle, "out_path": entry["out_path"],
                            "size_bytes": size})
 
@@ -356,15 +358,14 @@ class UploadTask(TaskImplementation):
             raise TaskError(
                 f"only the gateway artifact store is supported as a "
                 f"destination, got {destination!r}")
-        if ctx.gateway is None:
-            raise TaskError("gateway unreachable: no client configured")
+        gateway = _gateway(ctx)
         missing = [p for p in paths if not ctx.runtime.file_exists(p)]
         if missing:
             raise TaskError(f"missing files: {', '.join(sorted(missing))}")
         uploaded = []
         for path in paths:
             data = ctx.runtime.read_file(path)
-            info = ctx.gateway.upload_artifact(
+            info = gateway.upload_artifact(
                 ctx.experiment_id, ctx.node.node_id, path, data)
             uploaded.append({"path": path, "size_bytes": len(data),
                              "digest": info.get("digest")})

@@ -98,8 +98,6 @@ def _close_all(connections: list[http.client.HTTPConnection]) -> None:
 
 
 def _readable(sock) -> bool:
-    if hasattr(select, "poll"):
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
-        return bool(poller.poll(0))
-    return bool(select.select([sock], [], [], 0)[0])
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))

@@ -338,3 +338,12 @@ def test_compile_builds_each_pipeline_doc_once(registry, monkeypatch):
     plan = compile_experiment(exp, registry)
     assert len(built) == 3
     assert len(plan.pipelines) == 3
+
+
+def test_spec_for_a_pair_the_plan_lacks_is_a_key_error(registry):
+    exp = Experiment("one").map(shell_pipeline("p", "x"), [node(0)])
+    plan = compile_experiment(exp, registry)
+    (digest,) = plan.pipelines
+    assert plan.spec_for(digest, "simulated").pipeline_digest == digest
+    with pytest.raises(KeyError):
+        plan.spec_for(digest, "ssh-host")

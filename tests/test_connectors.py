@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import gc
 import os
+import signal
 import socket
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -13,8 +16,10 @@ import pytest
 from conftest import FakeGatewayClient, make_bundle
 from expforge import Director, MemoryStore
 import expforge.connectors as connectors_module
+import expforge.connectors.local as local_module
+import expforge.connectors.ssh as ssh_module
 from expforge.compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
-from expforge.connectors import ExecutorConfig, load_connectors
+from expforge.connectors import ExecutorConfig, LaunchHandle, load_connectors
 from expforge.connectors.local import LocalConnector
 from expforge.connectors.simulated import (
     FaultModel,
@@ -24,7 +29,7 @@ from expforge.connectors.simulated import (
 from expforge.connectors.ssh import SshConnector, SshHost
 from expforge.errors import ConnectorUnavailable, LaunchFailed, NodeUnreachable
 from expforge.executor import EXIT_STARTUP_ERROR
-from expforge.model import Pipeline, StagedFile, TaskSpec
+from expforge.model import NodeDescriptor, Pipeline, StagedFile, TaskSpec
 from expforge.store import path_component
 from expforge.tasks import builtin_registry
 
@@ -408,6 +413,10 @@ def test_sim_launch_requires_client_and_registry():
     with pytest.raises(LaunchFailed):
         connector.launch_executor(node, ExecutorConfig(
             experiment_id="exp", node_id=node.node_id))
+    with pytest.raises(LaunchFailed, match="registry"):
+        connector.launch_executor(node, ExecutorConfig(
+            experiment_id="exp", node_id=node.node_id,
+            gateway_client=FakeGatewayClient()))
 
 
 # ---------------------------------------------------------------------------
@@ -480,3 +489,149 @@ def test_dropped_simulated_connectors_leave_no_spool_dir(tmp_path,
     del connectors
     gc.collect()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sim_node_outside_the_connector_is_refused():
+    connector = SimulatedConnector("sim", node_count=1)
+    ghost = NodeDescriptor("ghost", "simulated", connector_ref="sim")
+    with pytest.raises(LaunchFailed, match="not part of 'sim'"):
+        connector.prepare(ghost, env_spec())
+
+
+def test_sim_executor_crash_is_logged_not_raised(caplog):
+    """A simulated executor that cannot start is a dead node: its thread
+    logs the crash and ends, and nothing escapes it."""
+    connector = SimulatedConnector("sim", node_count=1)
+    node = connector.list_nodes().nodes[0]
+    handle = connector.launch_executor(node, ExecutorConfig(
+        experiment_id="exp", node_id=node.node_id,
+        gateway_client=FakeGatewayClient(), registry=builtin_registry()))
+    handle.thread.join(timeout=10)
+    assert not handle.thread.is_alive()
+    assert "simulated executor for sim-000 crashed" in caplog.text
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("true", (0, "")),
+    ("false", (1, "")),
+    ("exit", (0, "")),
+    ("exit 7", (7, "")),
+    ("exit seven", (1, "bad exit code 'seven'")),
+    ("echo a  'b c'", (0, "a b c\n")),
+    ("", (1, "empty command")),
+    ("echo 'unbalanced", (1, "unparseable command: echo 'unbalanced")),
+    ("stop-captures", (0, "")),
+    ("install-anything --now", (0, "")),
+])
+def test_sim_shell_vocabulary(command, expected):
+    connector = SimulatedConnector("sim", node_count=1)
+    node = connector.list_nodes().nodes[0]
+    assert connector.run(node, command) == expected
+    event = connector.infra.node(node.node_id).events[-1]
+    recorded = command == "install-anything --now"
+    assert event.name == ("intent" if recorded else "command")
+
+
+def test_load_connectors_rejects_an_empty_config():
+    with pytest.raises(ConnectorUnavailable, match="no connectors"):
+        load_connectors({"connectors": []})
+
+
+def test_local_spawn_failure_is_a_launch_failure(tmp_path, monkeypatch):
+    connector = LocalConnector("local", workdir=tmp_path)
+    node = connector.list_nodes().nodes[0]
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
+    with pytest.raises(LaunchFailed, match="could not spawn executor"):
+        connector.launch_executor(node, ExecutorConfig(
+            experiment_id="exp", node_id=node.node_id,
+            gateway_url="http://127.0.0.1:9"))
+
+
+def test_local_stop_executor_terminates_then_kills(tmp_path, monkeypatch):
+    """SIGTERM first; a child that ignores it is killed after the grace.
+    A handle whose child already exited, or that has none, is left alone."""
+    connector = LocalConnector("local", workdir=tmp_path)
+    monkeypatch.setattr(local_module, "STOP_GRACE_S", 0.2)
+
+    def child(ignore_term: bool) -> subprocess.Popen:
+        code = ("import signal, time\n"
+                + ("signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+                   if ignore_term else "")
+                + "print('ready', flush=True)\ntime.sleep(30)\n")
+        proc = subprocess.Popen([sys.executable, "-c", code],
+                                stdout=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "ready\n"
+        return proc
+
+    for ignore_term, returncode in ((False, -signal.SIGTERM),
+                                    (True, -signal.SIGKILL)):
+        proc = child(ignore_term)
+        handle = LaunchHandle("local-host", "exp", process=proc)
+        connector.stop_executor(handle)
+        assert proc.wait(timeout=10) == returncode
+        proc.stdout.close()
+        connector.stop_executor(handle)  # already exited: a no-op
+    connector.stop_executor(LaunchHandle("local-host", "exp"))
+
+
+class TestSshPrimitives:
+    def connector(self, runner, **kwargs) -> SshConnector:
+        return SshConnector("lab", hosts=[SshHost("h1")], runner=runner,
+                            **kwargs)
+
+    def test_host_given_as_a_bare_name(self):
+        connectors = load_connectors({"connectors": [
+            {"name": "lab", "type": "ssh", "params": {"hosts": ["h1"]}}]})
+        assert [n.node_id for n in connectors["lab"].list_nodes()] \
+            == ["lab-h1"]
+
+    def test_duplicate_node_id_is_refused(self):
+        with pytest.raises(ValueError, match="duplicate ssh node id"):
+            SshConnector("lab", hosts=[SshHost("h1"), SshHost("h1")])
+
+    def test_ssh_argv_carries_key_and_port(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(ssh_module, "run_bounded",
+                            lambda argv: seen.append(argv) or (0, ""))
+        connector = SshConnector("lab", hosts=[SshHost("h1", port=2222)],
+                                 user="probe", key_path="/keys/id")
+        connector.run(connector.list_nodes().nodes[0], "true")
+        argv = seen[0]
+        assert argv[argv.index("-i") + 1] == "/keys/id"
+        assert argv[argv.index("-p") + 1] == "2222"
+        assert "probe@h1" in argv
+
+    def test_unknown_node_is_refused(self):
+        connector = self.connector(ScriptedRunner())
+        with pytest.raises(LaunchFailed, match="not part of 'lab'"):
+            connector.run(NodeDescriptor("lab-h9", "ssh-host"), "true")
+
+    def test_clean_scratch_token_empties_the_workdir(self):
+        runner = ScriptedRunner()
+        connector = self.connector(runner)
+        connector.run(connector.list_nodes().nodes[0], CLEAN_SCRATCH_COMMAND)
+        assert "rm -rf ./* ./.spool" in runner.calls[0][1]
+
+    def test_launch_needs_a_gateway_url(self):
+        connector = self.connector(ScriptedRunner())
+        node = connector.list_nodes().nodes[0]
+        with pytest.raises(LaunchFailed, match="gateway HTTP endpoint"):
+            connector.launch_executor(node, ExecutorConfig(
+                experiment_id="exp", node_id=node.node_id))
+
+    def test_launch_that_fails_on_the_host(self):
+        connector = self.connector(ScriptedRunner(fail_on="nohup"))
+        node = connector.list_nodes().nodes[0]
+        with pytest.raises(LaunchFailed, match="executor launch on lab-h1"):
+            connector.launch_executor(node, ExecutorConfig(
+                experiment_id="exp", node_id=node.node_id,
+                gateway_url="http://director:8714"))
+
+    def test_stop_kills_the_pid_of_a_known_node_only(self):
+        runner = ScriptedRunner()
+        connector = self.connector(runner)
+        connector.stop_executor(LaunchHandle("lab-h9", "exp", process="7"))
+        connector.stop_executor(LaunchHandle("lab-h1", "exp", process=""))
+        assert runner.calls == []
+        connector.stop_executor(LaunchHandle("lab-h1", "exp", process="7"))
+        assert runner.calls == [("h1", "kill 7 2>/dev/null || true")]

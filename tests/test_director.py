@@ -15,13 +15,16 @@ from conftest import (
     kill_director_at,
     wait_status,
 )
+import expforge.director as director_module
 from expforge import Director, FileStore, MemoryStore
+from expforge.compiler import CLEAN_SCRATCH_COMMAND
 from expforge.connectors.ssh import SshConnector, SshHost
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
 from expforge.errors import (
     AlreadyTerminal,
     DuplicateExperimentName,
     InvalidTransition,
+    LaunchFailed,
     NotReady,
     UnknownExperiment,
     ValidationFailed,
@@ -644,3 +647,232 @@ def test_ended_experiments_keep_no_monitor(make_director, sim20):
     while len(director._monitors) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert len(director._monitors) == 0
+
+
+# ---------------------------------------------------------------------------
+# paths that only a fault or a racing cancel reaches
+# ---------------------------------------------------------------------------
+
+def hold_spawns(director, monkeypatch) -> list:
+    """Keep the workers ``director`` starts from now on; the test runs each
+    one itself, at the point of the race it wants."""
+    spawned: list = []
+    monkeypatch.setattr(director, "_spawn",
+                        lambda target, *args, name: spawned.append(
+                            lambda: target(*args)))
+    return spawned
+
+
+def test_deploy_requires_submitted(make_director, sim20):
+    director = make_director({"sim": sim20})
+    eid = director.submit(sleep_experiment(sim20))
+    director.cancel(eid)
+    with pytest.raises(InvalidTransition, match="deploy requires SUBMITTED"):
+        director.deploy(eid)
+
+
+def test_workers_started_after_a_cancel_change_nothing(make_director, sim20,
+                                                       monkeypatch):
+    director = make_director({"sim": sim20})
+    ready = director.submit(sleep_experiment(sim20, name="ready"))
+    director.deploy(ready)
+    wait_status(director, ready, {Status.READY})
+    spawned = hold_spawns(director, monkeypatch)
+    compiling = director.submit(sleep_experiment(sim20, name="compiling"))
+    director.deploy(compiling)
+    director.execute(ready)
+    for eid in (compiling, ready):
+        director.cancel(eid)
+    before = {eid: director.record(eid) for eid in (compiling, ready)}
+    for worker in spawned:
+        worker()
+    for eid, record in before.items():
+        after = director.record(eid)
+        assert after.status is Status.CANCELLED
+        assert (after.plan_doc, after.exec_state, after.errors) \
+            == (record.plan_doc, record.exec_state, record.errors)
+    assert sim20.infra.task_start_events() == []
+
+
+@pytest.mark.parametrize("compiles", [True, False],
+                         ids=["compiled", "compile-failed"])
+def test_cancel_during_compile_wins(make_director, sim20, monkeypatch,
+                                    compiles):
+    director = make_director({"sim": sim20})
+    spawned = hold_spawns(director, monkeypatch)
+    eid = director.submit(sleep_experiment(sim20))
+    real_compile = director_module.compile_experiment
+
+    def compile_then_cancel(exp, registry):
+        plan = real_compile(exp, registry)
+        director.cancel(exp.experiment_id)
+        if not compiles:
+            raise ValidationFailed([])
+        return plan
+
+    monkeypatch.setattr(director_module, "compile_experiment",
+                        compile_then_cancel)
+    director.deploy(eid)
+    spawned.pop()()
+    record = director.record(eid)
+    assert record.status is Status.CANCELLED
+    assert (record.plan_doc, record.errors) == (None, [])
+
+
+def test_cancel_during_prepare_wins(make_director, monkeypatch):
+    class CancelsOnPrepare(SimulatedConnector):
+        def prepare(self, node, env):
+            if node.node_id == "sim-000":
+                director.cancel("exp")
+            return super().prepare(node, env)
+
+    connector = CancelsOnPrepare("sim", node_count=3, fault=FAST_SIM)
+    director = make_director({"sim": connector})
+    spawned = hold_spawns(director, monkeypatch)
+    director.submit(sleep_experiment(connector, nodes=3))
+    director.deploy("exp")
+    spawned.pop()()
+    record = director.record("exp")
+    assert record.status is Status.CANCELLED
+    assert record.errors == []
+    assert len(record.prepared_nodes()) == 3
+
+
+def test_prepare_that_raises_fails_only_its_node(make_director):
+    class BrokenPrepare(SimulatedConnector):
+        def prepare(self, node, env):
+            if node.node_id == "sim-001":
+                raise RuntimeError("disk on fire")
+            return super().prepare(node, env)
+
+    connector = BrokenPrepare("sim", node_count=3, fault=FAST_SIM)
+    director = make_director({"sim": connector})
+    eid = director.submit(sleep_experiment(connector, nodes=3,
+                                           strictness="best-effort"))
+    assert drive(director, eid) is Status.FINISHED
+    record = director.record(eid)
+    assert record.deploy_state["sim-001"] == {"state": "prepare-failed",
+                                              "reason": "disk on fire"}
+    assert len(record.reports) == 2
+
+
+def test_close_during_the_launch_loop_stops_launching(make_director,
+                                                      monkeypatch):
+    class ClosesOnLaunch(SimulatedConnector):
+        def launch_executor(self, node, config):
+            director.close()
+            return super().launch_executor(node, config)
+
+    connector = ClosesOnLaunch("sim", node_count=3, fault=FAST_SIM)
+    director = make_director({"sim": connector})
+    eid = director.submit(sleep_experiment(connector, nodes=3, seconds=0))
+    director.deploy(eid)
+    wait_status(director, eid, {Status.READY})
+    spawned = hold_spawns(director, monkeypatch)
+    director.execute(eid)
+    spawned.pop()()
+    launched = [node_id for node_id, node in connector.infra.nodes.items()
+                if any(e.scope == "launch" for e in node.events)]
+    assert launched == ["sim-000"]
+
+
+def test_missing_connector_at_launch_ends_each_node(make_director, sim20):
+    director = make_director({"sim": sim20})
+    eid = director.submit(sleep_experiment(sim20, nodes=2))
+    director.deploy(eid)
+    wait_status(director, eid, {Status.READY})
+    del director.connectors["sim"]
+    director.execute(eid)
+    assert wait_status(director, eid, TERMINAL_STATUSES) is Status.FAILED
+    record = director.record(eid)
+    assert {s["state"] for s in record.exec_state.values()} == {"unreachable"}
+    assert record.exec_state["sim-000"]["reason"] == "connector 'sim' missing"
+
+
+def test_cancel_survives_a_stop_that_raises(make_director, caplog):
+    class StubbornStop(SimulatedConnector):
+        def stop_executor(self, handle):
+            super().stop_executor(handle)
+            raise LaunchFailed(f"{handle.node_id} did not answer the stop")
+
+    connector = StubbornStop("sim", node_count=2, fault=FAST_SIM)
+    director = make_director({"sim": connector})
+    pipeline = Pipeline("p").then(
+        TaskSpec("wait-flag", params={"key": "never", "timeout_s": 30}))
+    eid = director.submit(Experiment("stuck").map(
+        pipeline, connector.list_nodes().take(2)))
+    director.deploy(eid)
+    wait_status(director, eid, {Status.READY})
+    director.execute(eid)
+    deadline = time.monotonic() + 5
+    while len(director._handles) < 2:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    director.cancel(eid)
+    assert director.record(eid).status is Status.CANCELLED
+    assert caplog.text.count("could not stop executor") == 2
+
+
+def test_status_view_marks_a_late_report(make_director):
+    connector = SimulatedConnector(
+        "sim", node_count=2,
+        fault=FaultModel(silent_nodes=frozenset({"sim-001"}),
+                         sleep_scale=0.01))
+    director = make_director({"sim": connector})
+    eid = director.submit(sleep_experiment(connector, nodes=2,
+                                           timeout_s=0.5))
+    assert drive(director, eid) is Status.FINISHED
+    assert "late" not in director.status(eid)["nodes"]["sim-001"]
+    assert director.gateway.ingest_report(
+        {"experiment_id": eid, "node_id": "sim-001", "results": []}) \
+        == "accepted"
+    node = director.status(eid)["nodes"]["sim-001"]
+    assert (node["execution"], node["late"]) == ("timed-out", True)
+
+
+def test_cleanup_reports_each_node_that_failed(make_director):
+    """A node that never prepared is skipped; a command that fails, a
+    connector that raises and a connector that is gone each get an outcome
+    that names why, and the rest are cleaned."""
+    class FlakyCleanup(SimulatedConnector):
+        def run(self, node, command):
+            if command == CLEAN_SCRATCH_COMMAND and node.node_id == "sim-002":
+                raise LaunchFailed("sim-002 is gone")
+            if command == CLEAN_SCRATCH_COMMAND and node.node_id == "sim-003":
+                return 1, "device busy"
+            return super().run(node, command)
+
+    connector = FlakyCleanup(
+        "sim", node_count=4,
+        fault=FaultModel(prepare_fail_nodes=frozenset({"sim-001"}),
+                         sleep_scale=0.01))
+    director = make_director({"sim": connector})
+    eid = director.submit(sleep_experiment(connector, nodes=4, seconds=0,
+                                           strictness="best-effort"))
+    assert drive(director, eid) is Status.FINISHED
+    assert director.cleanup(eid) == {
+        "sim-000": {"ok": True},
+        "sim-002": {"ok": False, "error": "sim-002 is gone"},
+        "sim-003": {"ok": False, "failed_command": CLEAN_SCRATCH_COMMAND,
+                    "output": "device busy"}}
+    del director.connectors["sim"]
+    gone = {"ok": False, "error": "connector missing"}
+    assert director.cleanup(eid) == dict.fromkeys(
+        ("sim-000", "sim-002", "sim-003"), gone)
+    assert director.record(eid).cleanup["sim-000"] == gone
+
+
+def test_recovery_skips_a_record_it_cannot_load(make_director, sim20,
+                                                tmp_path):
+    """A record directory that no longer sits under its experiment's name
+    is listed but cannot be loaded; recovery passes over it."""
+    root = tmp_path / "records"
+    director = make_director({"sim": sim20}, store=FileStore(root))
+    eid = director.submit(sleep_experiment(sim20))
+    director.close()
+    (root / eid).rename(root / "moved")
+    store = FileStore(root)
+    assert store.list_ids() == [eid]
+    reborn = make_director({"sim": sim20}, store=store)
+    with pytest.raises(UnknownExperiment):
+        reborn.record(eid)

@@ -8,8 +8,19 @@ import time
 
 import pytest
 
-from conftest import FakeGatewayClient, make_bundle, sleep_pipeline
-from expforge.connectors.simulated import FaultModel, SimNode, SimRuntime
+from conftest import (
+    FAST_SIM,
+    FakeGatewayClient,
+    drive,
+    make_bundle,
+    sleep_pipeline,
+)
+from expforge.connectors.simulated import (
+    FaultModel,
+    SimNode,
+    SimRuntime,
+    SimulatedConnector,
+)
 from expforge.executor import (
     CANCEL_GRACE_S,
     EXIT_OK,
@@ -20,6 +31,7 @@ from expforge.executor import (
     RetryPolicy,
     TaskContext,
     deliver_report,
+    main as executor_main,
     redeliver_spooled,
     run_executor,
     run_pipeline,
@@ -28,7 +40,15 @@ from expforge.executor import (
     spool_path,
     write_spool,
 )
-from expforge.model import NodeDescriptor, Outcome, Pipeline, TaskSpec
+from expforge.model import (
+    Experiment,
+    NodeDescriptor,
+    Outcome,
+    Pipeline,
+    Policies,
+    Status,
+    TaskSpec,
+)
 from expforge.registry import TaskImplementation
 
 
@@ -488,3 +508,69 @@ def test_spool_names_keep_distinct_ids_apart(tmp_path):
     for eid, nid in pairs:
         write_spool(tmp_path, small_report(eid, nid))
     assert len(list(tmp_path.glob("*.report.json"))) == len(pairs)
+
+
+def test_local_command_is_killed_at_its_timeout_or_cancel(local_runtime):
+    """The kill takes the shell's children too, so the call returns at the
+    deadline with the output so far, not when the last child exits."""
+    started = time.monotonic()
+    assert local_runtime.run_command("echo started; sleep 5",
+                                     threading.Event(), timeout=0.2) \
+        == (-9, "started\n")
+    cancel = threading.Event()
+    timer = threading.Timer(0.2, cancel.set)
+    timer.start()
+    assert local_runtime.run_command("sleep 5", cancel) == (-9, "")
+    timer.join()
+    assert time.monotonic() - started < 3.0
+
+
+def test_local_runtime_writes_text_and_bytes(local_runtime):
+    local_runtime.write_file("out/a.txt", "measured")
+    local_runtime.write_file("out/b.bin", b"\x00\xff")
+    assert local_runtime.read_file("out/a.txt") == b"measured"
+    assert local_runtime.read_file("out/b.bin") == b"\x00\xff"
+
+
+def test_corrupt_spool_file_is_dropped(tmp_path):
+    spool_dir = tmp_path / "spool"
+    write_spool(spool_dir, small_report())
+    torn = spool_dir / "torn.report.json"
+    torn.write_text('{"experiment_id": ')
+    gateway = FakeGatewayClient()
+    assert redeliver_spooled(spool_dir, gateway) == 1
+    assert list(spool_dir.iterdir()) == []
+
+
+def test_child_without_a_gateway_is_a_startup_error(monkeypatch):
+    monkeypatch.delenv("EXPFORGE_GATEWAY", raising=False)
+    assert executor_main() == EXIT_STARTUP_ERROR
+
+
+@pytest.mark.parametrize("stale", [
+    {"experiment_id": "gone", "node_id": "sim-000"},
+    {"experiment_id": "other", "node_id": "sim-000"},
+], ids=["unknown-experiment", "unassigned-node"])
+def test_stale_spooled_report_does_not_stop_later_executors(
+        make_director, caplog, stale):
+    """A spooled report the gateway refuses is kept and skipped: the next
+    executor on its node runs its own pipeline and reports."""
+    connector = SimulatedConnector("sim", node_count=2, fault=FAST_SIM)
+    director = make_director({"sim": connector})
+    sim_000, sim_001 = connector.list_nodes().take(2)
+    pipeline = sleep_pipeline(1, 1, seconds=0)
+    director.submit(Experiment("other").map(pipeline, [sim_001]))
+    spooled = write_spool(connector.spool_root / "sim-000",
+                          {**stale, "results": []})
+    eid = director.submit(Experiment(
+        "exp", policies=Policies(experiment_timeout_s=3)).map(
+        pipeline, [sim_000, sim_001]))
+    started = time.monotonic()
+    assert drive(director, eid) is Status.FINISHED
+    assert time.monotonic() - started < 1.5
+    assert {node: state["state"] for node, state
+            in director.record(eid).exec_state.items()} \
+        == {"sim-000": "reported", "sim-001": "reported"}
+    assert spooled.exists()
+    assert (f"spooled report of {stale['experiment_id']} on sim-000 "
+            "not redelivered") in caplog.text

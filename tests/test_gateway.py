@@ -20,12 +20,13 @@ from expforge import Director, FileStore, MemoryStore, builtin_registry
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
 from expforge.errors import (
     ExpforgeError,
+    TransportError,
     UnknownAssignment,
     UnknownExperiment,
     WrongPhase,
 )
 from expforge.executor import PipelineReport
-from expforge.gateway import InProcessGatewayClient
+from expforge.gateway import HttpGatewayClient, InProcessGatewayClient
 from expforge.model import (
     Experiment,
     NodeDescriptor,
@@ -737,3 +738,45 @@ def test_artifacts_stay_in_the_experiment_namespace(experiment_id, node_id,
         written = [p for p in Path(tmp).rglob("*") if p.is_file()]
         assert len(written) == 1
         assert written[0].resolve().is_relative_to(namespace.resolve())
+
+
+def test_simulated_nodes_upload_through_the_in_process_client(make_director):
+    connector = SimulatedConnector("sim", node_count=2, fault=FAST)
+    director = make_director({"sim": connector})
+    pipeline = (Pipeline("p")
+                .then(TaskSpec("capture-start", params={"out_path": "t.pcap"}))
+                .then(TaskSpec("capture-stop"))
+                .then(TaskSpec("upload", params={"paths": "t.pcap"})))
+    eid = director.submit(Experiment("uploads").map(
+        pipeline, connector.list_nodes().take(2)))
+    assert drive(director, eid) is Status.FINISHED
+    assert sorted((a["node_id"], a["name"])
+                  for a in director.gateway.list_artifacts(eid)) \
+        == [("sim-000", "t.pcap"), ("sim-001", "t.pcap")]
+    assert director.gateway.artifact_data(eid, "sim-001", "t.pcap") \
+        == b"synthetic-capture(any)"
+
+
+class _Replies:
+    """A transport that answers every request with one status and payload."""
+
+    def __init__(self, status: int, payload: dict):
+        self.reply = (status, payload)
+
+    def request(self, method, path, body=None, timeout_s=None):
+        return self.reply
+
+
+@pytest.mark.parametrize("status, payload, error, message", [
+    (503, {}, TransportError, "server error 503"),
+    (413, {"message": "too big"}, TransportError, "413 too big"),
+    (400, {}, TransportError, "400 request failed"),
+    (404, {"error": "UnknownAssignment", "message": "no"}, UnknownAssignment,
+     "no"),
+    (409, {"message": "not now"}, WrongPhase, "not now"),
+])
+def test_http_client_maps_error_statuses(status, payload, error, message):
+    client = HttpGatewayClient("http://127.0.0.1:9")
+    client._transport = _Replies(status, payload)
+    with pytest.raises(error, match=message):
+        client.deliver_report({"experiment_id": "e", "node_id": "n"})

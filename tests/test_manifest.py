@@ -286,3 +286,54 @@ def manifests(draw) -> ExperimentManifest:
 @given(manifests())
 def test_parse_render_roundtrip(manifest):
     assert parse_manifest(render_manifest(manifest)) == manifest
+
+
+def valid_manifest_doc() -> dict:
+    return {"name": "x", "selectors": {"all": {}},
+            "pipelines": {"p": {"stages": [[{"type": "sleep"}]]}},
+            "assignments": [{"pipeline": "p", "nodes": "all"}]}
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ((), ["not", "a", "mapping"], "manifest must be a mapping"),
+    (("selectors",), ["all"], "selectors must be a mapping"),
+    (("selectors", "all", "filters"), ["a=b"], "filters must be a mapping"),
+    (("pipelines",), {}, "at least one pipeline"),
+    (("pipelines", "p", "stages", 0, 0, "params"), [1],
+     "params must be a mapping"),
+    (("pipelines", "p", "stages", 0), {"type": "sleep"},
+     "must be a non-empty task list"),
+    (("assignments",), [], "at least one assignment"),
+    (("assignments", 0), "p->all", "assignment 0 must be a mapping"),
+    (("assignments", 0, "nodes"), "nobody", "unknown selector 'nobody'"),
+    (("policies",), [], "policies must be a mapping"),
+    (("policies",), {"deploy_strictness": "most"},
+     "unknown deploy_strictness 'most'"),
+])
+def test_manifest_shape_errors(path, value, message):
+    doc = valid_manifest_doc()
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    with pytest.raises(ManifestError, match=message):
+        manifest_from_doc(doc)
+
+
+def test_undecodable_text_is_a_syntax_error():
+    with pytest.raises(ManifestError, match="syntax error"):
+        parse_manifest("name: x\x00")
+
+
+def test_task_environment_round_trips():
+    doc = valid_manifest_doc()
+    doc["pipelines"]["p"]["stages"][0][0]["environment"] = {
+        "setup_commands": ["install-probe"],
+        "staged_files": [{"path": "probe.cfg", "content": "interval=5"}]}
+    manifest = manifest_from_doc(doc)
+    assert parse_manifest(render_manifest(manifest)) == manifest
+    task = manifest.pipelines[0][1].stages[0][0].to_task_spec()
+    assert task.environment.staged_files[0].content == "interval=5"

@@ -514,3 +514,56 @@ def test_canonical_json_equals_normalize_then_dump(doc):
     expected = json.dumps(_normalized_reference(doc), sort_keys=True,
                           separators=(",", ":"), ensure_ascii=True)
     assert canonical_json(doc) == expected
+
+
+# ---------------------------------------------------------------------------
+# values refused where they are built
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: NodeDescriptor("n", "mainframe"), ValueError),
+    (lambda: NodePool().take(-1), ValueError),
+    (lambda: TaskSpec(""), ValueError),
+    (lambda: Stage(()), EmptyStage),
+    (lambda: TaskResult("t", "n", 0, Outcome.SUCCESS, started_mono=1.0),
+     ValueError),
+    (lambda: Policies(deploy_strictness="most"), ValueError),
+    (lambda: Experiment(""), ValueError),
+])
+def test_invalid_values_are_refused_at_construction(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_skipped_result_has_no_duration_and_round_trips():
+    skipped = TaskResult("t", "n", 0, Outcome.SKIPPED)
+    assert skipped.duration_s() is None
+    ran = TaskResult("t", "n", 0, Outcome.SUCCESS, started_mono=1.0,
+                     finished_mono=1.5, payload="text")
+    for result in (skipped, ran):
+        assert TaskResult.from_doc(result.to_doc()) == result
+
+
+def test_check_experiment_reports_shapes_only_a_raw_build_reaches():
+    """``map`` and ``then`` refuse an empty node list and a repeated task
+    name; an ``Assignment`` or ``Pipeline`` built directly, or decoded from
+    a document, can still hold one, and validation names it."""
+    node = NodeDescriptor("sim-000", "simulated", {}, "sim")
+    task = TaskSpec("sleep", name="nap", params={"seconds": 0})
+    twice = Pipeline("twice", stages=(Stage((task, task)),))
+    experiment = Experiment("raw", assignments=(
+        model_module.Assignment(twice, (node,)),
+        model_module.Assignment(Pipeline("p").then(task), ())))
+    issues = validate_experiment(experiment, builtin_registry())
+    assert [(i.code, i.subject) for i in issues] == [
+        ("empty-node-list", "p"), ("duplicate-task-name", "twice")]
+    assert issues[0].to_doc() == {"code": "empty-node-list", "subject": "p",
+                                  "message": "assignment has no nodes"}
+
+
+def test_environment_with_staged_files_round_trips():
+    environment = EnvironmentRequirement(
+        staged_files=(model_module.StagedFile("probe.cfg", "interval=5"),))
+    decoded = EnvironmentRequirement.from_doc(
+        json.loads(json.dumps(environment.to_doc())))
+    assert decoded == environment

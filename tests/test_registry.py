@@ -65,3 +65,11 @@ def test_manifest_entry_mismatch_rejected():
     manifest = {"tasks": {"probe": {"linux-shell": "probe@simulated"}}}
     with pytest.raises(ValueError):
         TaskRegistry.from_manifest(manifest, [_Impl("probe", "simulated")])
+
+
+def test_implementation_without_type_or_kind_rejected():
+    class Nameless(TaskImplementation):
+        kind = "simulated"
+
+    with pytest.raises(ValueError, match="must declare task_type and kind"):
+        TaskRegistry([Nameless()])

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import threading
 import time
 
 import pytest
@@ -22,8 +24,13 @@ from expforge.cli import (
     EXIT_VALIDATION,
     main as cli_main,
 )
-from expforge.connectors.simulated import SimulatedConnector
-from expforge.errors import UnknownAssignment, UnknownExperiment, WrongPhase
+from expforge.connectors.simulated import FaultModel, SimulatedConnector
+from expforge.errors import (
+    ExpforgeError,
+    UnknownAssignment,
+    UnknownExperiment,
+    WrongPhase,
+)
 from expforge.executor import EXIT_STARTUP_ERROR, LocalRuntime, run_executor
 from expforge.gateway import HttpGatewayClient
 from expforge.manifest import load_bundled_example
@@ -411,3 +418,145 @@ class TestCli:
             assert code == EXIT_EXPERIMENT
         finally:
             platform.stop()
+
+
+# ---------------------------------------------------------------------------
+# error answers, and the CLI's single-step commands
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def serving(connector):
+    director = Director(MemoryStore(), builtin_registry(), {"sim": connector})
+    platform = PlatformServer(director).start()
+    try:
+        yield platform
+    finally:
+        platform.stop()
+
+
+def one_node_manifest(name: str, task: dict, timeout_s: float = 60) -> dict:
+    return {"name": name,
+            "selectors": {"one": {"connector": "sim", "take": 1}},
+            "pipelines": {"p": {"stages": [[task]]}},
+            "assignments": [{"pipeline": "p", "nodes": "one"}],
+            "policies": {"experiment_timeout_s": timeout_s}}
+
+
+def write_manifest(tmp_path, doc: dict):
+    path = tmp_path / f"{doc['name']}.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+HOLD = {"type": "wait-flag", "params": {"key": "never", "timeout_s": 30}}
+
+
+class TestErrorAnswers:
+    def test_validation_failure_lists_its_issues(self, server):
+        doc = one_node_manifest("teleport", {"type": "teleport"})
+        response = api(server, "POST", "/api/v1/experiments", json=doc)
+        assert response.status_code == 400, response.text
+        assert response.json()["error"] == "ValidationFailed"
+        assert [i["code"] for i in response.json()["issues"]] \
+            == ["unsupported-task"]
+
+    @pytest.mark.parametrize("path", ["/api/v1/experiments", "/gw/v1/report"])
+    def test_body_that_is_not_a_document_400(self, server, path):
+        response = api(server, "POST", path, json=["a", "list"])
+        assert response.status_code == 400, response.text
+        assert response.json()["error"] == "ManifestError"
+
+    @pytest.mark.parametrize("fault, error", [
+        (ExpforgeError("store offline"), "ExpforgeError"),
+        (RuntimeError("bug"), "InternalError"),
+    ])
+    def test_unexpected_fault_is_a_500_and_the_server_lives(
+            self, server, monkeypatch, fault, error):
+        def broken(experiment_id):
+            raise fault
+
+        monkeypatch.setattr(server.director, "results", broken)
+        response = api(server, "GET", "/api/v1/experiments/x/results")
+        assert response.status_code == 500
+        assert response.json() == {"error": error, "message": str(fault)}
+        assert cli(server, "results", "x") == EXIT_TRANSPORT
+        assert api(server, "GET", "/api/v1/nodes").status_code == 200
+
+
+class TestCliSteps:
+    def test_submit_deploy_execute_results_cleanup(self, server,
+                                                   manifest_path, capsys):
+        assert cli(server, "submit", manifest_path) == EXIT_OK
+        eid = capsys.readouterr().out.strip()
+        assert cli(server, "deploy", eid) == EXIT_OK
+        assert capsys.readouterr().out == f"deploying {eid}\n"
+        wait_status(server.director, eid, {Status.READY})
+        assert cli(server, "execute", eid) == EXIT_OK
+        assert capsys.readouterr().out == f"executing {eid}\n"
+        wait_status(server.director, eid, {Status.FINISHED})
+        assert cli(server, "results", eid) == EXIT_OK
+        results = yaml.safe_load(capsys.readouterr().out)
+        assert results["status"] == "FINISHED"
+        assert cli(server, "cleanup", eid) == EXIT_OK
+        outcomes = json.loads(capsys.readouterr().out)["cleanup"]
+        assert len(outcomes) == 21 and all(o["ok"] for o in outcomes.values())
+
+    def test_cancel_a_running_experiment(self, server, tmp_path, capsys):
+        path = write_manifest(tmp_path, one_node_manifest("held", HOLD))
+        assert cli(server, "submit", path) == EXIT_OK
+        capsys.readouterr()
+        server.director.deploy("held")
+        wait_status(server.director, "held", {Status.READY})
+        server.director.execute("held")
+        assert cli(server, "cancel", "held") == EXIT_OK
+        assert capsys.readouterr().out == "cancelled held\n"
+        assert server.director.record("held").status is Status.CANCELLED
+
+    def test_nodes_by_connector_and_bad_filter(self, server, capsys):
+        assert cli(server, "nodes", "--connector", "sim",
+                   "location=azure") == EXIT_OK
+        assert capsys.readouterr().out.startswith("sim-000\tsimulated\tsim\t")
+        assert cli(server, "nodes", "location") == EXIT_VALIDATION
+        assert "expected key=value" in capsys.readouterr().err
+
+    def test_server_side_rejection_is_exit_2(self, server, tmp_path, capsys):
+        doc = one_node_manifest("warp", HOLD)
+        doc["selectors"]["one"]["connector"] = "warp"
+        assert cli(server, "submit", write_manifest(tmp_path, doc)) \
+            == EXIT_VALIDATION
+        assert "unknown connector 'warp'" in capsys.readouterr().err
+
+    def test_run_times_out_while_deploying(self, tmp_path, capsys):
+        class HeldPrepare(SimulatedConnector):
+            release = threading.Event()
+
+            def prepare(self, node, env):
+                self.release.wait(10)
+                return super().prepare(node, env)
+
+        connector = HeldPrepare("sim", node_count=1)
+        with serving(connector) as platform:
+            try:
+                path = write_manifest(tmp_path, one_node_manifest(
+                    "slow", {"type": "sleep", "params": {"seconds": 0}}))
+                code = cli(platform, "--timeout", "0.3", "run", path)
+            finally:
+                connector.release.set()
+            wait_status(platform.director, "slow", {Status.READY})
+        assert code == EXIT_EXPERIMENT
+        assert "timed out waiting for deployment" in capsys.readouterr().err
+
+    def test_run_that_ends_failed_prints_its_errors(self, tmp_path, capsys):
+        connector = SimulatedConnector(
+            "sim", node_count=1,
+            fault=FaultModel(silent_nodes=frozenset({"sim-000"}),
+                             sleep_scale=0.01))
+        with serving(connector) as platform:
+            path = write_manifest(tmp_path, one_node_manifest(
+                "silent", {"type": "sleep", "params": {"seconds": 0}},
+                timeout_s=0.5))
+            code = cli(platform, "run", path,
+                       "--output", tmp_path / "r.yaml")
+        assert code == EXIT_EXPERIMENT
+        err = capsys.readouterr().err
+        assert "execute: no node delivered a report" in err

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import expforge.store as store_module
 from expforge import Director, builtin_registry
 from expforge.compiler import compile_experiment
+from expforge.executor import write_spool
 from expforge.errors import (
     DuplicateExperimentName,
     InvalidTransition,
@@ -477,8 +478,9 @@ class TestStoreContract:
 
         monkeypatch.setattr(os, "fsync", counting)
         # (directory fsyncs, file fsyncs) per step; any other step is one
-        # journal append.
-        expected = {"submitted": (2, 2), "planned": (1, 2),
+        # journal append. Submit also fsyncs the root, which holds the new
+        # experiment directory.
+        expected = {"submitted": (3, 2), "planned": (1, 2),
                     f"report {NODES[-1]}": (1, 1), "finished": (0, 0),
                     "cleaned": (1, 1)}
         for step in lifecycle(director):
@@ -514,3 +516,91 @@ def test_path_component_is_one_plain_name(name):
     assert component not in ("", ".", "..")
     assert "/" not in component and "\x00" not in component
     assert Path(component).name == component
+
+
+class TestDurableDirectories:
+    """Every directory the platform makes has its parent fsynced once it
+    exists; a directory that is already there costs no fsync."""
+
+    @pytest.fixture
+    def fsynced(self, monkeypatch) -> list[Path]:
+        calls: list[Path] = []
+        real = store_module._fsync_dir
+
+        def recording(path):
+            calls.append(Path(path))
+            real(path)
+
+        monkeypatch.setattr(store_module, "_fsync_dir", recording)
+        return calls
+
+    def test_store_root_and_experiment_directories(self, tmp_path, fsynced):
+        root = tmp_path / "a" / "records"
+        store = FileStore(root)
+        assert fsynced == [tmp_path, tmp_path / "a"]
+        fsynced.clear()
+        FileStore(root)
+        assert fsynced == []
+        store.create(record("new"))
+        # the new directory's parent, then the directory after each rename
+        assert fsynced == [root, root / "new", root / "new"]
+        fsynced.clear()
+        (root / "reused").mkdir()
+        store.create(record("reused"))
+        assert fsynced == [root / "reused", root / "reused"]
+
+    def test_spool_directory(self, tmp_path, fsynced):
+        spool_dir = tmp_path / "spool" / "sim-000"
+        doc = {"experiment_id": "exp", "node_id": "sim-000", "results": []}
+        write_spool(spool_dir, doc)
+        assert fsynced == [tmp_path, tmp_path / "spool"]
+        fsynced.clear()
+        write_spool(spool_dir, {**doc, "experiment_id": "exp-2"})
+        assert fsynced == []
+
+    def test_artifact_directories(self, tmp_path, fsynced):
+        director = Director(MemoryStore(), builtin_registry(), {},
+                            recover=False,
+                            artifact_root=tmp_path / "artifacts")
+        node = NodeDescriptor("sim-000", "simulated", {}, "sim")
+        director.submit(Experiment("exp").map(
+            Pipeline("p").then(TaskSpec("sleep", params={"seconds": 0})),
+            [node]))
+        director.gateway.store_artifact("exp", "sim-000", "a", b"1")
+        assert fsynced == [tmp_path, tmp_path / "artifacts",
+                           tmp_path / "artifacts" / "exp"]
+        fsynced.clear()
+        director.gateway.store_artifact("exp", "sim-000", "b", b"2")
+        assert fsynced == []
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="no space"):
+        store_module._write_file(tmp_path / "head.json", b"{}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_short_journal_append_raises(tmp_path, monkeypatch):
+    journal = tmp_path / store_module.JOURNAL
+    journal.write_bytes(b"")
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: len(data) - 1)
+    with pytest.raises(OSError, match="short write"):
+        store_module._append(journal, b"{}\n", 0)
+
+
+def test_list_ids_skips_heads_it_cannot_read(tmp_path):
+    store = FileStore(tmp_path / "records")
+    store.create(record("good"))
+    for name, text in (("torn", '{"experiment_'), ("anonymous", "{}")):
+        (store.root / name).mkdir()
+        (store.root / name / store_module.HEAD).write_text(text)
+    assert store.list_ids() == ["good"]
+
+
+def test_file_store_saves_only_what_it_created(tmp_path):
+    with pytest.raises(UnknownExperiment):
+        FileStore(tmp_path / "records").save(record("never-created"))

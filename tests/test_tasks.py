@@ -296,3 +296,30 @@ def test_upload_on_local_runtime(registry, local_ctx):
     payload = json.loads(impl(registry, "upload", "linux-shell").run(
         {"paths": ["out/result.txt"]}, local_ctx))
     assert payload["count"] == 1
+
+
+@pytest.mark.parametrize("task_type, params, message", [
+    ("shell", {}, "missing required param 'command'"),
+    ("sleep", {}, "missing required param 'seconds'"),
+    ("sleep", {"seconds": "soon"}, "param 'seconds' must be a number"),
+    ("sleep", {"seconds": [1]}, "param 'seconds' must be a number"),
+])
+def test_bad_params_fail_the_task(registry, sim_ctx, task_type, params,
+                                  message):
+    with pytest.raises(TaskError, match=message):
+        impl(registry, task_type, "simulated").run(params, sim_ctx)
+
+
+def test_sim_port_check_is_synthetic(registry, sim_ctx, sim_node):
+    out = json.loads(impl(registry, "port-check", "simulated").run(
+        {"host": "10.0.0.1", "port": 443}, sim_ctx))
+    assert out == {"host": "10.0.0.1", "port": 443, "open": True,
+                   "synthetic": True}
+    assert sim_node.events[-1].name == "port-check-intent"
+
+
+def test_upload_takes_one_path_as_a_string(registry, sim_ctx):
+    sim_ctx.runtime.write_file("one.txt", "1")
+    out = json.loads(impl(registry, "upload", "simulated").run(
+        {"paths": "one.txt"}, sim_ctx))
+    assert [u["path"] for u in out["uploaded"]] == ["one.txt"]

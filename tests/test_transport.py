@@ -19,7 +19,7 @@ from conftest import FAST_SIM
 from expforge import Director, MemoryStore, builtin_registry
 from expforge.cli import DirectorClient
 from expforge.connectors.simulated import SimulatedConnector
-from expforge.errors import UnknownAssignment
+from expforge.errors import TransportError, UnknownAssignment
 from expforge.gateway import HttpGatewayClient
 from expforge.server import PlatformServer
 from expforge.transport import HttpTransport
@@ -167,3 +167,16 @@ def test_runtime_never_imports_requests():
                  if re.search(r"^\s*(import|from)\s+requests\b",
                               path.read_text(encoding="utf-8"), re.M)]
     assert importing == []
+
+
+def test_transport_refuses_a_url_that_is_not_http():
+    with pytest.raises(TransportError, match="not an http"):
+        HttpTransport("ftp://127.0.0.1/", 1.0)
+
+
+def test_reply_that_is_not_json_becomes_a_message(server):
+    """The server answers an unsupported method with its own HTML error
+    page; the transport hands that text back as the message."""
+    status, payload = HttpTransport(server.url, 5.0).request("PUT", "/x")
+    assert status == 501
+    assert "Unsupported method" in payload["message"]
