@@ -16,7 +16,6 @@ each instance, its type, and its parameters (see :func:`load_connectors`).
 
 from __future__ import annotations
 
-import subprocess
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +25,7 @@ import yaml
 
 from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from ..errors import ConnectorUnavailable
+from ..executor import run_in_group
 from ..model import NodeDescriptor, NodePool, StagedFile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,14 +39,12 @@ TIMED_OUT = -1
 
 def run_bounded(args: str | Sequence[str], **kwargs) -> tuple[int, str]:
     """(exit code, output) of a command; one that runs past
-    ``COMMAND_TIMEOUT_S`` is killed and answers ``TIMED_OUT``."""
-    try:
-        proc = subprocess.run(args, stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, text=True,
-                              timeout=COMMAND_TIMEOUT_S, **kwargs)
-    except subprocess.TimeoutExpired:
+    ``COMMAND_TIMEOUT_S`` is killed with its process group and answers
+    ``TIMED_OUT``."""
+    code, output = run_in_group(args, COMMAND_TIMEOUT_S, **kwargs)
+    if code is None:
         return TIMED_OUT, f"timed out after {COMMAND_TIMEOUT_S:g} s"
-    return proc.returncode, proc.stdout or ""
+    return code, output
 
 
 @dataclass(frozen=True)

@@ -50,25 +50,18 @@ from .errors import (
 )
 from .gateway import Gateway, InProcessGatewayClient
 from .model import (
+    LAUNCHED_NODE_STATES,
     Experiment,
     NodeDescriptor,
     NodePool,
+    NodeState,
     Policies,
     Status,
     TERMINAL_STATUSES,
     validate_experiment,
 )
 from .registry import TaskRegistry
-from .store import (
-    DEPLOY_FAILED,
-    DEPLOY_PENDING,
-    DEPLOY_PREPARED,
-    EXEC_RUNNING,
-    EXEC_UNREACHABLE,
-    EXEC_TIMED_OUT,
-    ExperimentRecord,
-    Store,
-)
+from .store import ExperimentRecord, Store
 
 log = logging.getLogger("expforge.director")
 
@@ -189,6 +182,8 @@ class Director:
             raise ValidationFailed(issues)
         record = ExperimentRecord(experiment_id=exp.experiment_id,
                                   experiment_doc=exp.to_doc())
+        for node in exp.all_nodes():
+            record.node_transition(node.node_id, NodeState.PENDING)
         self.store.create(record)
         log.info("experiment %s submitted (%d assignments, %d nodes)",
                  exp.experiment_id, len(exp.assignments),
@@ -241,15 +236,12 @@ class Director:
     @staticmethod
     def _status_view(record: ExperimentRecord) -> dict:
         nodes = {}
-        for node_id, deploy in record.deploy_state.items():
-            execution = record.exec_state.get(node_id, {})
-            entry = {"deploy": deploy.get("state", DEPLOY_PENDING),
-                     "execution": execution.get("state", "idle")}
-            if deploy.get("failed_command"):
-                entry["failed_command"] = deploy["failed_command"]
-            if execution.get("late"):
-                entry["late"] = True
-            nodes[node_id] = entry
+        for node_id, node in record.nodes.items():
+            launched = node["state"] in LAUNCHED_NODE_STATES
+            nodes[node_id] = {
+                "deploy": "prepared" if launched else node["state"],
+                "execution": node["state"] if launched else "idle",
+                **{k: node[k] for k in ("failed_command", "late") if node.get(k)}}
         return {
             "experiment_id": record.experiment_id,
             "status": record.status.value,
@@ -311,9 +303,9 @@ class Director:
         outcomes: dict[str, dict] = {}
         plan_doc = record.plan_doc or {}
         cleanup_commands = plan_doc.get("cleanup_commands", {})
+        prepared = set(record.prepared_nodes())
         for node in self._nodes_of(record):
-            if record.deploy_state.get(node.node_id, {}).get("state") \
-                    != DEPLOY_PREPARED:
+            if node.node_id not in prepared:
                 continue
             commands = cleanup_commands.get(node.kind, ())
             connector = self.connectors.get(node.connector_ref)
@@ -393,8 +385,6 @@ class Director:
                 if rec.status is not Status.COMPILING:
                     return
                 rec.plan_doc = plan.to_doc()
-                for node in exp.all_nodes():
-                    rec.node_deploy(node.node_id)
                 rec.transition(Status.DEPLOYING)
 
         record = self.record(experiment_id)
@@ -402,12 +392,11 @@ class Director:
             return
         plan = DeploymentPlan.from_doc(record.plan_doc or {})
         nodes = self._nodes_of(record)
-        pending = [n for n in nodes
-                   if record.deploy_state.get(n.node_id, {}).get("state",
-                                              DEPLOY_PENDING) == DEPLOY_PENDING]
+        pending = [n for n in nodes if record.nodes[n.node_id]["state"]
+                   == NodeState.PENDING]
 
         def prepare_one(node: NodeDescriptor) -> dict:
-            outcome = {"state": DEPLOY_FAILED,
+            outcome = {"to": NodeState.PREPARE_FAILED,
                        "reason": f"connector {node.connector_ref!r} missing"}
             connector = self.connectors.get(node.connector_ref)
             if connector is not None:
@@ -415,13 +404,15 @@ class Director:
                     digest = plan.node_bundles[node.node_id]["pipeline_digest"]
                     spec = plan.spec_for(digest, node.kind)
                     result = connector.prepare(node, spec)
-                    outcome = ({"state": DEPLOY_PREPARED} if result.prepared
-                               else {"state": DEPLOY_FAILED,
+                    outcome = ({"to": NodeState.PREPARED} if result.prepared
+                               else {"to": NodeState.PREPARE_FAILED,
                                      "failed_command": result.failed_command,
-                                     "reason": result.output})
+                                     "reason": result.output or
+                                     f"{result.failed_command!r} failed"})
                 except Exception as exc:  # noqa: BLE001 - one bad node must
                     # not strand the whole deployment
-                    outcome = {"state": DEPLOY_FAILED, "reason": str(exc)}
+                    outcome = {"to": NodeState.PREPARE_FAILED,
+                               "reason": str(exc) or repr(exc)}
             return outcome
 
         if pending:
@@ -435,8 +426,8 @@ class Director:
                     done, _ = wait(running, return_when=FIRST_COMPLETED)
                     with self.mutate(experiment_id) as rec:
                         for future in done:
-                            rec.deploy_state[running.pop(future)] = \
-                                future.result()
+                            rec.node_transition(running.pop(future),
+                                                **future.result())
 
         with self.mutate(experiment_id) as rec:
             if rec.status is not Status.DEPLOYING:
@@ -477,12 +468,10 @@ class Director:
         with self.mutate(experiment_id) as record:
             if record.status is not Status.RUNNING or self._closed.is_set():
                 return
-            tokenless = [node_id for node_id in record.prepared_nodes()
-                         if not record.node_exec(node_id).get("token")]
+            tokenless = record.nodes_in((NodeState.PREPARED,))
             for node_id in tokenless:
-                record.node_exec(node_id).update(
-                    {"token": uuid.uuid4().hex, "token_at": time.time(),
-                     "state": EXEC_RUNNING})
+                record.node_transition(node_id, NodeState.RUNNING,
+                                       token=uuid.uuid4().hex)
         nodes = {n.node_id: n for n in self._nodes_of(record)}
         for node_id in tokenless:
             if self._closed.is_set():
@@ -508,11 +497,13 @@ class Director:
                             self._handles[(experiment_id, node_id)] = (
                                 connector, handle)
                 except Exception as exc:  # noqa: BLE001 - see above
-                    failure = str(exc)
+                    failure = str(exc) or repr(exc)
             if failure is not None:
                 with self.mutate(experiment_id) as rec:
-                    rec.node_exec(node_id).update(
-                        {"state": EXEC_UNREACHABLE, "reason": failure})
+                    # a report its executor sent before the launch failed stands
+                    if node_id in rec.pending_execution():
+                        rec.node_transition(node_id, NodeState.UNREACHABLE,
+                                            failure)
                     self.settle(rec)
                 log.warning("experiment %s node %s not launched: %s",
                             experiment_id, node_id, failure)
@@ -528,7 +519,8 @@ class Director:
         with self.mutate(experiment_id) as rec:
             if rec.status is Status.RUNNING:
                 for node_id in rec.pending_execution():
-                    rec.node_exec(node_id)["state"] = EXEC_TIMED_OUT
+                    rec.node_transition(node_id, NodeState.TIMED_OUT,
+                                        "no report by the deadline")
                     log.warning("experiment %s node %s timed out",
                                 experiment_id, node_id)
             self.settle(rec)
@@ -542,7 +534,8 @@ class Director:
         for experiment_id in self.store.list_ids():
             try:
                 record = self.record(experiment_id)
-            except ExpforgeError:
+            except ExpforgeError as exc:
+                log.warning("not recovering %s: %s", experiment_id, exc)
                 continue
             if record.status in (Status.COMPILING, Status.DEPLOYING):
                 log.info("recovering deployment of %s", experiment_id)

@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, TYPE_CHECKING
+from typing import Any, Mapping, Sequence, TYPE_CHECKING
 
 from .errors import TransportError, UnknownAssignment, UnknownExperiment
 from .model import (
@@ -180,6 +180,29 @@ class PipelineReport:
 # node runtimes
 # ---------------------------------------------------------------------------
 
+def run_in_group(args: str | Sequence[str], timeout: float | None,
+                 cancel: threading.Event | None = None,
+                 **popen: Any) -> tuple[int | None, str]:
+    """(exit code, output) of a command started in a session of its own. At
+    ``timeout`` or once ``cancel`` is set its whole process group is killed,
+    so no child it started outlives it or holds the output open, and the
+    exit code is None."""
+    proc = subprocess.Popen(args, start_new_session=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                            text=True, **popen)
+    deadline = None if timeout is None else time.monotonic() + timeout
+    while True:
+        try:
+            output = proc.communicate(timeout=0.05)[0]
+            return proc.returncode, output or ""
+        except subprocess.TimeoutExpired:
+            expired = deadline is not None and time.monotonic() > deadline
+            if expired or (cancel is not None and cancel.is_set()):
+                with contextlib.suppress(ProcessLookupError):  # all ended
+                    os.killpg(proc.pid, signal.SIGKILL)
+                return None, proc.communicate()[0] or ""
+
+
 class NodeRuntime:
     """Target-specific surface task implementations run against.
 
@@ -230,25 +253,11 @@ class LocalRuntime(NodeRuntime):
 
     def run_command(self, command: str, cancel: threading.Event,
                     timeout: float | None = None) -> tuple[int, str]:
-        """(exit code, output); at ``timeout`` or on ``cancel`` the shell's
-        whole process group is killed, so no child it started holds the
-        output open, and the answer is -9 with the output so far."""
-        proc = subprocess.Popen(
-            command, shell=True, cwd=str(self.scratch),
-            start_new_session=True,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                output = proc.communicate(timeout=0.05)[0]
-                return proc.returncode, output or ""
-            except subprocess.TimeoutExpired:
-                expired = deadline is not None and time.monotonic() > deadline
-                if cancel.is_set() or expired:
-                    with contextlib.suppress(ProcessLookupError):  # all ended
-                        os.killpg(proc.pid, signal.SIGKILL)
-                    output = proc.communicate()[0]
-                    return -9, output or ""
+        """(exit code, output); killed at ``timeout`` or on ``cancel``, it
+        answers -9 with the output so far."""
+        code, output = run_in_group(command, timeout, cancel, shell=True,
+                                    cwd=str(self.scratch))
+        return -9 if code is None else code, output
 
     def sleep(self, seconds: float, cancel: threading.Event) -> bool:
         return not cancel.wait(seconds)

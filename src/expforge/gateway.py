@@ -51,10 +51,8 @@ from .errors import (
     WrongPhase,
 )
 from .executor import PipelineBundle
-from .model import Pipeline, Status
+from .model import LAUNCHED_NODE_STATES, NodeState, Pipeline, Status
 from .store import (
-    EXEC_REPORTED,
-    EXEC_TIMED_OUT,
     ExperimentRecord,
     _fsync_dir,
     _make_dirs,
@@ -116,9 +114,8 @@ class Gateway:
 
     def require_assigned(self, experiment_id: str, node_id: str) -> None:
         """Raise UnknownAssignment unless the experiment assigns the node."""
-        assigned = self._director.store.read(
-            experiment_id, lambda record: record.assigned_nodes)
-        if node_id not in assigned:
+        if not self._director.store.read(
+                experiment_id, lambda record: node_id in record.nodes):
             raise _unassigned(experiment_id, node_id)
 
     # -- reports ---------------------------------------------------------------
@@ -126,12 +123,12 @@ class Gateway:
     def ingest_report(self, report_doc: Mapping[str, Any]) -> str:
         """Persist the first report per (experiment, node); 'duplicate' after.
 
-        A report from a node already marked timed-out is still stored (late
-        data beats no data) with a ``late`` annotation on the node state.
-        Reports that wait for the same experiment's monitor are committed
-        together by whichever of their callers gets it first; each caller
-        returns once the save that holds its report is done, or raises what
-        that save raised.
+        A report from a node never launched is refused as an unassigned
+        node's is; one from a node already marked timed-out is stored (late
+        data beats no data) with a ``late`` annotation on the node. Reports
+        waiting for the same experiment's monitor are committed together by
+        whichever caller gets it first; each caller returns once the save
+        holding its report is done, or raises what that save raised.
         """
         experiment_id = report_doc.get("experiment_id", "")
         monitor = self._director.monitor(experiment_id)
@@ -254,22 +251,24 @@ def _add_report(record: ExperimentRecord,
                 report_doc: Mapping[str, Any]) -> str | UnknownAssignment:
     """Add one report to a record being mutated; its caller's outcome."""
     node_id = report_doc.get("node_id", "")
-    if node_id not in record.assigned_nodes:
+    if node_id not in record.nodes:
         return _unassigned(record.experiment_id, node_id)
     if node_id in record.reports:
         return "duplicate"
-    state = record.node_exec(node_id)
-    late = (state.get("state") == EXEC_TIMED_OUT
-            or record.status is not Status.RUNNING)
+    state = record.nodes[node_id]["state"]
+    if state not in LAUNCHED_NODE_STATES:
+        return UnknownAssignment(f"node {node_id!r} of {record.experiment_id!r}"
+                                 f" was never launched")
+    late = state == NodeState.TIMED_OUT or record.status is not Status.RUNNING
     record.reports[node_id] = {
         "received_wall": time.time(),
         "executor_version": report_doc.get("executor_version", ""),
         "late": late,
     }
-    if state.get("state") != EXEC_TIMED_OUT:
-        state["state"] = EXEC_REPORTED
+    if state != NodeState.TIMED_OUT:
+        record.node_transition(node_id, NodeState.REPORTED)
     if late:
-        state["late"] = True
+        record.nodes[node_id] = {**record.nodes[node_id], "late": True}
     record.results.extend(dict(result)
                           for result in report_doc.get("results", ()))
     return "accepted"

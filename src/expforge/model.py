@@ -468,6 +468,36 @@ def is_valid_transition(src: Status, dst: Status) -> bool:
     return dst in VALID_TRANSITIONS[Status(src)]
 
 
+class NodeState(str, Enum):
+    PENDING = "pending"
+    PREPARED = "prepared"
+    PREPARE_FAILED = "prepare-failed"
+    RUNNING = "running"  # its execution token is written
+    REPORTED = "reported"
+    UNREACHABLE = "unreachable"
+    TIMED_OUT = "timed-out"
+
+
+# One node's lifecycle; every node enters it at PENDING. A launch that raised
+# after its executor had started may still report: UNREACHABLE -> REPORTED.
+VALID_NODE_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
+    NodeState.PENDING: frozenset({NodeState.PREPARED, NodeState.PREPARE_FAILED}),
+    NodeState.PREPARED: frozenset({NodeState.RUNNING}),
+    NodeState.PREPARE_FAILED: frozenset(),
+    NodeState.RUNNING: frozenset({NodeState.REPORTED, NodeState.UNREACHABLE,
+                                  NodeState.TIMED_OUT}),
+    NodeState.REPORTED: frozenset(),
+    NodeState.UNREACHABLE: frozenset({NodeState.REPORTED}),
+    NodeState.TIMED_OUT: frozenset(),
+}
+# The states that end a node; each but REPORTED carries a reason.
+TERMINAL_NODE_STATES = frozenset({NodeState.PREPARE_FAILED, NodeState.REPORTED,
+                                  NodeState.UNREACHABLE, NodeState.TIMED_OUT})
+# The states of a node whose execution token was written.
+LAUNCHED_NODE_STATES = frozenset({NodeState.RUNNING, NodeState.REPORTED,
+                                  NodeState.UNREACHABLE, NodeState.TIMED_OUT})
+
+
 # ---------------------------------------------------------------------------
 # task results
 # ---------------------------------------------------------------------------

@@ -21,15 +21,18 @@ per experiment::
     journal.jsonl      one line per save since the snapshot
 
 A non-terminal save appends one fsynced line to the journal, its commit
-point: the save's sequence number, the changed keys of the node maps, the
-tails appended to lists, and any other changed field. A load replays the
-lines over the snapshot up to the first one that is torn or does not parse;
-the next append overwrites that one. The save that makes a record terminal
-writes a new snapshot, then removes the journal; a line the snapshot
-already holds (a crash between the two) is skipped by its number. Whole
-files go through a temp file, fsync, rename and a directory fsync, and a
-new directory's parent is fsynced once it is made (``_make_dirs``).
-Non-terminal records stay in memory; terminal ones are read from disk.
+point: the save's sequence number, the changed keys of maps (a node event
+merges one entry of ``nodes``), the tails appended to lists, and any other
+changed field; a save that changes nothing writes nothing. A load replays
+the lines over the snapshot up to the first one that is torn or does not
+parse; the next append overwrites that one. The save that makes a record
+terminal writes a new snapshot, then removes the journal; a line the
+snapshot already holds (a crash between the two) is skipped by its number.
+Whole files go through a temp file, fsync, rename and a directory fsync,
+and a new directory's parent is fsynced once it is made (``_make_dirs``).
+Non-terminal records stay in memory; terminal ones are read from disk. A
+record written before the node map (with ``deploy_state`` and
+``exec_state``) is refused on load, not migrated.
 """
 
 from __future__ import annotations
@@ -44,26 +47,14 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Container, Mapping, TypeVar
 
-from .errors import DuplicateExperimentName, InvalidTransition, UnknownExperiment
-from .model import Status, TERMINAL_STATUSES, is_valid_transition
-
-# Per-node deployment states
-DEPLOY_PENDING = "pending"
-DEPLOY_PREPARED = "prepared"
-DEPLOY_FAILED = "prepare-failed"
-
-# Per-node execution states
-EXEC_IDLE = "idle"
-EXEC_RUNNING = "running"
-EXEC_REPORTED = "reported"
-EXEC_UNREACHABLE = "unreachable"
-EXEC_TIMED_OUT = "timed-out"
-
-TERMINAL_EXEC_STATES = frozenset({EXEC_REPORTED, EXEC_UNREACHABLE, EXEC_TIMED_OUT})
+from .errors import (DuplicateExperimentName, ExpforgeError, InvalidTransition,
+                     UnknownExperiment)
+from .model import (LAUNCHED_NODE_STATES, TERMINAL_NODE_STATES,
+                    VALID_NODE_TRANSITIONS, NodeState, Status, TERMINAL_STATUSES,
+                    is_valid_transition)
 
 T = TypeVar("T")
 
@@ -99,8 +90,7 @@ class ExperimentRecord:
     status: Status = Status.SUBMITTED
     created_at: float = field(default_factory=time.time)
     transitions: list[dict] = field(default_factory=list)
-    deploy_state: dict[str, dict] = field(default_factory=dict)
-    exec_state: dict[str, dict] = field(default_factory=dict)
+    nodes: dict[str, dict] = field(default_factory=dict)
     plan_doc: dict | None = None
     results: list[dict] = field(default_factory=list)
     reports: dict[str, dict] = field(default_factory=dict)
@@ -122,30 +112,33 @@ class ExperimentRecord:
         })
         self.status = to
 
-    # -- per-node state helpers ----------------------------------------------
+    def node_transition(self, node_id: str, to: NodeState,
+                        reason: str | None = None, at: float | None = None,
+                        **detail: Any) -> None:
+        """The only way a node's state changes: a node enters at PENDING and
+        then follows ``VALID_NODE_TRANSITIONS``, and every terminal state but
+        REPORTED needs a reason. The node's entry is replaced by one stamped
+        ``at`` that adds ``reason`` and ``detail`` (a token, a command)."""
+        node = self.nodes.get(node_id, {})
+        src = node.get("state")
+        edges = VALID_NODE_TRANSITIONS[src] if src else (NodeState.PENDING,)
+        if to not in edges or not reason and to in TERMINAL_NODE_STATES \
+                and to is not NodeState.REPORTED:
+            raise InvalidTransition(f"{self.experiment_id}: node {node_id} "
+                                    f"{src} -> {to.value}, reason {reason!r}")
+        self.nodes[node_id] = {**node, **detail, "state": to.value,
+                               "at": at if at is not None else time.time(),
+                               **({"reason": reason} if reason else {})}
 
-    def node_deploy(self, node_id: str) -> dict:
-        return self.deploy_state.setdefault(node_id, {"state": DEPLOY_PENDING})
-
-    def node_exec(self, node_id: str) -> dict:
-        return self.exec_state.setdefault(node_id, {"state": EXEC_IDLE})
+    def nodes_in(self, states: Container[str]) -> list[str]:
+        return [n for n, s in self.nodes.items() if s["state"] in states]
 
     def prepared_nodes(self) -> list[str]:
-        return [n for n, s in self.deploy_state.items()
-                if s.get("state") == DEPLOY_PREPARED]
+        return self.nodes_in(LAUNCHED_NODE_STATES | {NodeState.PREPARED})
 
     def pending_execution(self) -> list[str]:
-        """Prepared nodes that have not reached a terminal execution state."""
-        return [n for n in self.prepared_nodes()
-                if self.exec_state.get(n, {}).get("state")
-                not in TERMINAL_EXEC_STATES]
-
-    @cached_property
-    def assigned_nodes(self) -> frozenset[str]:
-        """Ids of the nodes the experiment assigns (its doc never changes)."""
-        return frozenset(n["node_id"]
-                         for a in self.experiment_doc.get("assignments", ())
-                         for n in a.get("nodes", ()))
+        """Prepared nodes that have not reached a terminal state."""
+        return self.nodes_in((NodeState.PREPARED, NodeState.RUNNING))
 
     def snapshot(self) -> "ExperimentRecord":
         """A copy whose containers can change without touching this record.
@@ -155,8 +148,7 @@ class ExperimentRecord:
         """
         clone = copy.copy(self)
         clone.transitions = list(self.transitions)
-        clone.deploy_state = {n: dict(s) for n, s in self.deploy_state.items()}
-        clone.exec_state = {n: dict(s) for n, s in self.exec_state.items()}
+        clone.nodes = {n: dict(s) for n, s in self.nodes.items()}
         clone.results = list(self.results)
         clone.reports = dict(self.reports)
         clone.flags = dict(self.flags)
@@ -166,43 +158,16 @@ class ExperimentRecord:
         return clone
 
     def to_doc(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "experiment_doc": self.experiment_doc,
-            "status": self.status.value,
-            "created_at": self.created_at,
-            "transitions": self.transitions,
-            "deploy_state": self.deploy_state,
-            "exec_state": self.exec_state,
-            "plan_doc": self.plan_doc,
-            "results": self.results,
-            "reports": self.reports,
-            "flags": self.flags,
-            "errors": self.errors,
-            "cleanup": self.cleanup,
-            "artifacts": self.artifacts,
-            "deadline_wall": self.deadline_wall,
-        }
+        return {**{name: getattr(self, name) for name in self.__dataclass_fields__},
+                "status": self.status.value}
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "ExperimentRecord":
-        return cls(
-            experiment_id=doc["experiment_id"],
-            experiment_doc=doc["experiment_doc"],
-            status=Status(doc["status"]),
-            created_at=doc.get("created_at", 0.0),
-            transitions=list(doc.get("transitions", ())),
-            deploy_state=dict(doc.get("deploy_state", {})),
-            exec_state=dict(doc.get("exec_state", {})),
-            plan_doc=doc.get("plan_doc"),
-            results=list(doc.get("results", ())),
-            reports=dict(doc.get("reports", {})),
-            flags=dict(doc.get("flags", {})),
-            errors=list(doc.get("errors", ())),
-            cleanup=dict(doc.get("cleanup", {})),
-            artifacts=list(doc.get("artifacts", ())),
-            deadline_wall=doc.get("deadline_wall"),
-        )
+        if "nodes" not in doc:
+            raise ExpforgeError(f"record {doc['experiment_id']!r} predates the "
+                                "per-node map (deploy_state, exec_state)")
+        return cls(**{**{name: doc[name] for name in cls.__dataclass_fields__
+                         if name in doc}, "status": Status(doc["status"])})
 
 
 class Store:
@@ -452,22 +417,28 @@ class FileStore(Store):
 
     def _commit(self, record: ExperimentRecord, base: ExperimentRecord | None,
                 seq: int, end: int) -> None:
-        """Write what changed since ``base``, then publish the record."""
+        """Write what changed since ``base``, if anything, then publish."""
         new = record.snapshot()
         directory = self._dir(new.experiment_id)
+        head = _head(new, seq + 1)
+        delta = None if base is None or (  # a save that ends it changes it
+            new.status is not base.status and new.status in TERMINAL_STATUSES
+        ) else _delta(head, _head(base, seq))
+        new_plan = new.plan_doc is not None and (
+            base is None or _changed(new.plan_doc, base.plan_doc))
+        if delta == {"set": {"seq": seq + 1}, "merge": {}, "extend": {}} \
+                and not new_plan:
+            return
         if base is None:
             _make_dirs(directory)
             _write_file(directory / EXPERIMENT, _encode(new.experiment_doc))
             (directory / JOURNAL).write_bytes(b"")
             _fsync_dir(directory)
-        if new.plan_doc is not None and (
-                base is None or _changed(new.plan_doc, base.plan_doc)):
+        if new_plan:
             _write_file(directory / PLAN, _encode(new.plan_doc))
             _fsync_dir(directory)  # durable before the commit refers to it
-        head = _head(new, seq + 1)
         if base is not None and new.status not in TERMINAL_STATUSES:
-            line = _encode(_delta(head, _head(base, seq))) + b"\n"
-            end = _append(directory / JOURNAL, line, end)
+            end = _append(directory / JOURNAL, _encode(delta) + b"\n", end)
         else:  # a snapshot; a terminal one ends the journal
             _write_file(directory / HEAD, _encode(head))
             if new.status in TERMINAL_STATUSES:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from conftest import (
     FAST_SIM,
     FakeGatewayClient,
@@ -42,17 +44,41 @@ from expforge.model import (
     Experiment,
     NodeDescriptor,
     NodePool,
+    NodeState,
     Outcome,
     Pipeline,
     Policies,
     Status,
     TaskSpec,
+    TERMINAL_NODE_STATES,
 )
 from expforge.server import PlatformServer
 
 SHAPES = [(1, 1), (2, 10), (100, 1), (100, 10)]
 SLEEP_S = 5.0
 SCALE = 0.001  # desk-scale compression for the long shapes
+
+
+@pytest.fixture(autouse=True)
+def terminal_nodes_carry_at_and_reason(monkeypatch):
+    """After each criterion, every node its records ended carries the ``at``
+    of that edge, and a reason unless it reported."""
+    directors: list[Director] = []
+    init = Director.__init__
+
+    def recording_init(self, *args, **kwargs):
+        directors.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Director, "__init__", recording_init)
+    yield
+    for director in directors:
+        for eid in director.store.list_ids():
+            for node_id, node in director.store.load(eid).nodes.items():
+                if node["state"] in TERMINAL_NODE_STATES:
+                    assert isinstance(node["at"], float), (eid, node_id)
+                    assert node["state"] == NodeState.REPORTED \
+                        or node["reason"], (eid, node_id, node)
 
 
 def _mark(criterion: int, detail: str = "") -> None:
@@ -303,7 +329,7 @@ def test_c07_prepare_faults_and_silent_node():
         eid = director.submit(_fault_experiment(silent, "all-or-nothing",
                                                 timeout_s=1.5))
         assert drive(director, eid) is Status.FINISHED
-        assert director.record(eid).exec_state["sim-002"]["state"] \
+        assert director.record(eid).nodes["sim-002"]["state"] \
             == "timed-out"
     finally:
         director.close()

@@ -358,6 +358,21 @@ class TestSshConnector:
         assert "timed out" in result.output
 
 
+def test_run_bounded_kills_the_children_of_a_timed_out_command(
+        tmp_path, monkeypatch):
+    """The shell's child is killed with it: it never gets to touch its
+    file after the timeout."""
+    monkeypatch.setattr(connectors_module, "COMMAND_TIMEOUT_S", 0.2)
+    started = time.monotonic()
+    assert connectors_module.run_bounded(
+        "(sleep 0.6 && touch survived) & wait", shell=True,
+        cwd=str(tmp_path)) == (connectors_module.TIMED_OUT,
+                               "timed out after 0.2 s")
+    assert time.monotonic() - started < 0.6
+    time.sleep(1.0)
+    assert not (tmp_path / "survived").exists()
+
+
 # ---------------------------------------------------------------------------
 # executor launch preconditions
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from conftest import (
 import expforge.director as director_module
 from expforge import Director, FileStore, MemoryStore
 from expforge.compiler import CLEAN_SCRATCH_COMMAND
+from expforge.connectors import PrepareResult
 from expforge.connectors.ssh import SshConnector, SshHost
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
 from expforge.errors import (
@@ -31,6 +32,7 @@ from expforge.errors import (
 )
 from expforge.model import (
     Experiment,
+    NodeState,
     Pipeline,
     Policies,
     TERMINAL_STATUSES,
@@ -38,6 +40,7 @@ from expforge.model import (
     TaskSpec,
     is_valid_transition,
 )
+from expforge.store import ExperimentRecord
 
 
 def sleep_experiment(connector, *, nodes=2, name="exp", seconds=0.2,
@@ -115,7 +118,7 @@ class TestDeploy:
         assert wait_status(director, eid,
                            {Status.READY, Status.FAILED}) is Status.FAILED
         record = director.record(eid)
-        assert record.deploy_state["sim-007"]["state"] == "prepare-failed"
+        assert record.nodes["sim-007"]["state"] == "prepare-failed"
         assert len(record.prepared_nodes()) == 19
 
     def test_injected_failure_best_effort(self, make_director):
@@ -151,7 +154,7 @@ class TestDeploy:
         director.deploy(eid)
         assert wait_status(director, eid,
                            {Status.READY, Status.FAILED}) is Status.FAILED
-        states = director.record(eid).deploy_state
+        states = director.record(eid).nodes
         assert all(s["state"] == "prepare-failed" for s in states.values())
         assert "connector" in states["sim-000"]["reason"]
 
@@ -222,9 +225,9 @@ class TestExecute:
                                                timeout_s=1.5))
         assert drive(director, eid) is Status.FINISHED
         record = director.record(eid)
-        assert record.exec_state["sim-001"]["state"] == "timed-out"
-        assert record.exec_state["sim-000"]["state"] == "reported"
-        assert record.exec_state["sim-002"]["state"] == "reported"
+        assert record.nodes["sim-001"]["state"] == "timed-out"
+        assert record.nodes["sim-000"]["state"] == "reported"
+        assert record.nodes["sim-002"]["state"] == "reported"
 
     def test_early_stop_failure_produces_skips(self, make_director, sim20):
         director = make_director({"sim": sim20})
@@ -251,8 +254,7 @@ class TestExecute:
         assert drive(director, eid) is Status.FINISHED
         failed_node = connector.infra.node("sim-002")
         assert not any(e.scope == "launch" for e in failed_node.events)
-        assert "token" not in director.record(eid).exec_state.get("sim-002",
-                                                                  {})
+        assert "token" not in director.record(eid).nodes["sim-002"]
 
     def test_launch_fault_ends_the_node_not_the_run(self, make_director):
         def runner(host, command):
@@ -268,7 +270,7 @@ class TestExecute:
         assert drive(director, eid, timeout=1.0) is Status.FAILED
         record = director.record(eid)
         assert record.transitions[-1]["at"] < record.deadline_wall - 1.0
-        state = record.exec_state["lab-h1"]
+        state = record.nodes["lab-h1"]
         assert state["state"] == "unreachable"
         assert "Too many open files" in state["reason"]
 
@@ -283,7 +285,7 @@ class TestExecute:
         starts = sim20.infra.task_start_events()
         assert len(starts) == len(set(starts)), "a task ran twice"
         tokens = [s.get("token") for s in
-                  director.record(eid).exec_state.values()]
+                  director.record(eid).nodes.values()]
         assert all(tokens) and len(set(tokens)) == 4
 
 
@@ -510,7 +512,7 @@ def test_recovery_repolls_inflight_nodes_without_relaunch(make_director,
 
     deadline = time.monotonic() + 10
     while launch_count() < 2 or not all(
-            s.get("token") for s in director.record(eid).exec_state.values()):
+            s.get("token") for s in director.record(eid).nodes.values()):
         assert time.monotonic() < deadline
         time.sleep(0.01)
     launches_before = launch_count()
@@ -539,7 +541,7 @@ def test_tokens_durable_before_first_launch(make_director, tmp_path):
             record = FileStore(root).load(config.experiment_id)
             tokenless_at_launch.append(
                 [n for n in record.prepared_nodes()
-                 if not record.exec_state.get(n, {}).get("token")])
+                 if not record.nodes[n].get("token")])
             return super().launch_executor(node, config)
 
     connector = TokenCheckingConnector("sim", node_count=6, fault=FAST_SIM)
@@ -575,7 +577,7 @@ class PrepareProbe(SimulatedConnector):
 
 def settled_nodes(record) -> int:
     return sum(s.get("state") != "pending"
-               for s in record.deploy_state.values())
+               for s in record.nodes.values())
 
 
 def test_prepare_outcomes_committed_in_batches(make_director):
@@ -689,8 +691,8 @@ def test_workers_started_after_a_cancel_change_nothing(make_director, sim20,
     for eid, record in before.items():
         after = director.record(eid)
         assert after.status is Status.CANCELLED
-        assert (after.plan_doc, after.exec_state, after.errors) \
-            == (record.plan_doc, record.exec_state, record.errors)
+        assert (after.plan_doc, after.nodes, after.errors) \
+            == (record.plan_doc, record.nodes, record.errors)
     assert sim20.infra.task_start_events() == []
 
 
@@ -751,9 +753,31 @@ def test_prepare_that_raises_fails_only_its_node(make_director):
                                            strictness="best-effort"))
     assert drive(director, eid) is Status.FINISHED
     record = director.record(eid)
-    assert record.deploy_state["sim-001"] == {"state": "prepare-failed",
-                                              "reason": "disk on fire"}
+    assert record.nodes["sim-001"] == {"state": "prepare-failed",
+                                       "reason": "disk on fire",
+                                       "at": record.nodes["sim-001"]["at"]}
     assert len(record.reports) == 2
+
+
+def test_silent_prepare_failures_still_carry_a_reason(make_director):
+    """A failing command with no output, and an exception with no message,
+    still end their node with a reason."""
+    class SilentFailures(SimulatedConnector):
+        def prepare(self, node, env):
+            if node.node_id == "sim-000":
+                return PrepareResult(False, "command -v tcpdump", "")
+            raise RuntimeError()
+
+    connector = SilentFailures("sim", node_count=2, fault=FAST_SIM)
+    director = make_director({"sim": connector})
+    eid = director.submit(sleep_experiment(connector, nodes=2))
+    director.deploy(eid)
+    assert wait_status(director, eid, TERMINAL_STATUSES) is Status.FAILED
+    nodes = director.status(eid)["nodes"]
+    record = director.record(eid)
+    assert nodes["sim-000"]["failed_command"] == "command -v tcpdump"
+    assert record.nodes["sim-000"]["reason"] == "'command -v tcpdump' failed"
+    assert record.nodes["sim-001"]["reason"] == "RuntimeError()"
 
 
 def test_close_during_the_launch_loop_stops_launching(make_director,
@@ -776,6 +800,36 @@ def test_close_during_the_launch_loop_stops_launching(make_director,
     assert launched == ["sim-000"]
 
 
+def test_a_report_before_a_failed_launch_ends_stands(make_director):
+    # The executor reports from its own thread while the launch that
+    # started it is still running, and then the launch raises.
+    class ReportsThenRaises(SimulatedConnector):
+        def launch_executor(self, node, config):
+            handle = super().launch_executor(node, config)
+            if node.node_id != "sim-000":
+                return handle
+            monitor = director.monitor(config.experiment_id)
+            give_up = time.monotonic() + 5.0
+            with monitor:  # already held: wait releases it to the report
+                while director.record(config.experiment_id).nodes[
+                        node.node_id]["state"] != "reported" \
+                        and time.monotonic() < give_up:
+                    monitor.wait(0.01)
+            raise LaunchFailed("launch timed out after its executor started")
+
+    connector = ReportsThenRaises("sim", node_count=3, fault=FAST_SIM)
+    director = make_director({"sim": connector})
+    eid = director.submit(sleep_experiment(connector, nodes=3, seconds=0,
+                                           timeout_s=10.0))
+    assert drive(director, eid, timeout=5.0) is Status.FINISHED
+    record = director.record(eid)
+    assert {n: s["state"] for n, s in record.nodes.items()} == {
+        "sim-000": "reported", "sim-001": "reported", "sim-002": "reported"}
+    launched = [node_id for node_id, node in connector.infra.nodes.items()
+                if any(e.scope == "launch" for e in node.events)]
+    assert launched == ["sim-000", "sim-001", "sim-002"]
+
+
 def test_missing_connector_at_launch_ends_each_node(make_director, sim20):
     director = make_director({"sim": sim20})
     eid = director.submit(sleep_experiment(sim20, nodes=2))
@@ -785,8 +839,8 @@ def test_missing_connector_at_launch_ends_each_node(make_director, sim20):
     director.execute(eid)
     assert wait_status(director, eid, TERMINAL_STATUSES) is Status.FAILED
     record = director.record(eid)
-    assert {s["state"] for s in record.exec_state.values()} == {"unreachable"}
-    assert record.exec_state["sim-000"]["reason"] == "connector 'sim' missing"
+    assert {s["state"] for s in record.nodes.values()} == {"unreachable"}
+    assert record.nodes["sim-000"]["reason"] == "connector 'sim' missing"
 
 
 def test_cancel_survives_a_stop_that_raises(make_director, caplog):
@@ -876,3 +930,50 @@ def test_recovery_skips_a_record_it_cannot_load(make_director, sim20,
     reborn = make_director({"sim": sim20}, store=store)
     with pytest.raises(UnknownExperiment):
         reborn.record(eid)
+
+
+def test_status_view_of_each_node_state():
+    """The per-node ``deploy``/``execution`` pair, ``failed_command`` and
+    ``late`` that ``status`` shows for every state of the node map."""
+    n = NodeState
+    paths = {
+        "pending": [],
+        "prepared": [(n.PREPARED, None)],
+        "prepare-failed": [(n.PREPARE_FAILED, "exit 1")],
+        "running": [(n.PREPARED, None), (n.RUNNING, None)],
+        "reported": [(n.PREPARED, None), (n.RUNNING, None),
+                     (n.REPORTED, None)],
+        "unreachable": [(n.PREPARED, None), (n.RUNNING, None),
+                        (n.UNREACHABLE, "refused")],
+        "reported-after-unreachable": [
+            (n.PREPARED, None), (n.RUNNING, None),
+            (n.UNREACHABLE, "refused"), (n.REPORTED, None)],
+        "timed-out": [(n.PREPARED, None), (n.RUNNING, None),
+                      (n.TIMED_OUT, "no report")],
+    }
+    record = ExperimentRecord(experiment_id="view", experiment_doc={})
+    for node_id, path in paths.items():
+        record.node_transition(node_id, n.PENDING)
+        for to, reason in path:
+            detail = {"failed_command": "setup"} \
+                if to is n.PREPARE_FAILED else {}
+            record.node_transition(node_id, to, reason, **detail)
+    for node_id in ("reported", "timed-out"):
+        record.nodes[f"late-{node_id}"] = {**record.nodes[node_id],
+                                           "late": True}
+    assert Director._status_view(record)["nodes"] == {
+        "pending": {"deploy": "pending", "execution": "idle"},
+        "prepared": {"deploy": "prepared", "execution": "idle"},
+        "prepare-failed": {"deploy": "prepare-failed", "execution": "idle",
+                           "failed_command": "setup"},
+        "running": {"deploy": "prepared", "execution": "running"},
+        "reported": {"deploy": "prepared", "execution": "reported"},
+        "unreachable": {"deploy": "prepared", "execution": "unreachable"},
+        "reported-after-unreachable": {"deploy": "prepared",
+                                       "execution": "reported"},
+        "timed-out": {"deploy": "prepared", "execution": "timed-out"},
+        "late-reported": {"deploy": "prepared", "execution": "reported",
+                          "late": True},
+        "late-timed-out": {"deploy": "prepared", "execution": "timed-out",
+                           "late": True},
+    }

@@ -569,7 +569,7 @@ def test_stale_spooled_report_does_not_stop_later_executors(
     assert drive(director, eid) is Status.FINISHED
     assert time.monotonic() - started < 1.5
     assert {node: state["state"] for node, state
-            in director.record(eid).exec_state.items()} \
+            in director.record(eid).nodes.items()} \
         == {"sim-000": "reported", "sim-001": "reported"}
     assert spooled.exists()
     assert (f"spooled report of {stale['experiment_id']} on sim-000 "

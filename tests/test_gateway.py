@@ -61,10 +61,16 @@ def submit_sleep_experiment(director, connector, *, nodes=2,
 
 
 def deploy_and_start(director, experiment_id) -> None:
+    """Deploy and execute, then wait until every prepared node holds its
+    token: the gateway refuses a report from a node never launched."""
     director.deploy(experiment_id)
     wait_status(director, experiment_id, {Status.READY})
     director.execute(experiment_id)
     wait_status(director, experiment_id, {Status.RUNNING})
+    deadline = time.monotonic() + 10
+    while director.record(experiment_id).nodes_in({"prepared"}):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
 
 
 def submit_held_experiment(director, connector, *, nodes=2,
@@ -218,7 +224,7 @@ class TestIngestReport:
         assert director.gateway.ingest_report(doc) == "duplicate"
         record = director.record(eid)
         assert len(record.results) == before
-        assert record.exec_state["sim-000"]["state"] == "reported"
+        assert record.nodes["sim-000"]["state"] == "reported"
 
     def test_n_duplicates_equal_one_report_state(self, platform):
         director, connector = platform
@@ -244,6 +250,32 @@ class TestIngestReport:
         with pytest.raises(UnknownAssignment):
             director.gateway.ingest_report(report_doc(eid, "sim-002"))
 
+    def test_never_launched_node_refused(self, make_director, tmp_path):
+        """A report from an assigned node that never got its token, while
+        READY or once cancelled, is refused as an unassigned node's is, and
+        nothing is committed."""
+        connector = SimulatedConnector("sim", node_count=2, fault=FAST)
+        store = FileStore(tmp_path / "records")
+        director = make_director({"sim": connector}, store=store)
+        eid = submit_sleep_experiment(director, connector, name="unlaunched")
+        director.deploy(eid)
+        wait_status(director, eid, {Status.READY})
+
+        def state() -> tuple[dict, dict]:
+            return director.record(eid).to_doc(), {
+                path.name: path.read_bytes()
+                for path in (store.root / eid).iterdir()}
+
+        for cancel in (False, True):
+            if cancel:
+                director.cancel(eid)
+            before = state()
+            with pytest.raises(UnknownAssignment, match="never launched"):
+                director.gateway.ingest_report(report_doc(eid, "sim-000"))
+            assert state() == before
+            assert director.record(eid).nodes["sim-000"]["state"] \
+                == "prepared"
+
     def test_late_report_from_timed_out_node(self, make_director):
         connector = SimulatedConnector(
             "sim", node_count=2,
@@ -258,13 +290,13 @@ class TestIngestReport:
             .map(pipeline, list(pool)))
         assert drive(director, eid) is Status.FINISHED
         record = director.record(eid)
-        assert record.exec_state["sim-001"]["state"] == "timed-out"
+        assert record.nodes["sim-001"]["state"] == "timed-out"
 
         outcome = director.gateway.ingest_report(report_doc(eid, "sim-001"))
         assert outcome == "accepted"
         record = director.record(eid)
-        assert record.exec_state["sim-001"]["state"] == "timed-out"
-        assert record.exec_state["sim-001"]["late"] is True
+        assert record.nodes["sim-001"]["state"] == "timed-out"
+        assert record.nodes["sim-001"]["late"] is True
         assert record.reports["sim-001"]["late"] is True
         assert any(r["node_id"] == "sim-001" for r in record.results)
 
@@ -284,11 +316,6 @@ def start_held(director, connector, *, nodes, name) -> str:
     director commits nothing more until a report or flag arrives."""
     eid = submit_held_experiment(director, connector, nodes=nodes, name=name)
     deploy_and_start(director, eid)
-    deadline = time.monotonic() + 10
-    while sum(bool(state.get("token")) for state
-              in director.record(eid).exec_state.values()) < nodes:
-        assert time.monotonic() < deadline
-        time.sleep(0.01)
     return eid
 
 
@@ -367,8 +394,7 @@ class TestGroupCommit:
         stored once and the queue is left empty."""
         connector = SimulatedConnector("sim", node_count=40, fault=FAST)
         director = make_director({"sim": connector})
-        eid = submit_sleep_experiment(director, connector, nodes=40,
-                                      name="stress")
+        eid = start_held(director, connector, nodes=40, name="stress")
         nodes = [f"sim-{index:03d}" for index in range(40)]
         outcomes: dict[str, list[str]] = {node: [] for node in nodes}
 

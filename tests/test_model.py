@@ -16,6 +16,7 @@ from expforge.errors import (
     EmptyNodeList,
     EmptyStage,
     InsufficientNodes,
+    InvalidTransition,
     NodeAlreadyAssigned,
 )
 import expforge.model as model_module
@@ -26,6 +27,7 @@ from expforge.model import (
     Experiment,
     NodeDescriptor,
     NodePool,
+    NodeState,
     Outcome,
     Pipeline,
     Policies,
@@ -33,11 +35,14 @@ from expforge.model import (
     Status,
     TaskResult,
     TaskSpec,
+    TERMINAL_NODE_STATES,
+    VALID_NODE_TRANSITIONS,
     VALID_TRANSITIONS,
     canonical_json,
     is_valid_transition,
     validate_experiment,
 )
+from expforge.store import ExperimentRecord
 from expforge.tasks import builtin_registry
 
 
@@ -367,6 +372,69 @@ class TestTransitions:
     def test_terminal_states_have_no_exits(self):
         for status in (Status.FINISHED, Status.FAILED, Status.CANCELLED):
             assert VALID_TRANSITIONS[status] == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# node transitions
+# ---------------------------------------------------------------------------
+
+NODE_EDGES = {(src, dst) for src, dsts in VALID_NODE_TRANSITIONS.items()
+              for dst in dsts}
+
+
+def node_record() -> ExperimentRecord:
+    return ExperimentRecord(experiment_id="exp", experiment_doc={})
+
+
+class TestNodeTransitions:
+    def test_expected_edge_set(self):
+        n = NodeState
+        assert NODE_EDGES == {
+            (n.PENDING, n.PREPARED), (n.PENDING, n.PREPARE_FAILED),
+            (n.PREPARED, n.RUNNING),
+            (n.RUNNING, n.REPORTED), (n.RUNNING, n.UNREACHABLE),
+            (n.RUNNING, n.TIMED_OUT),
+            (n.UNREACHABLE, n.REPORTED),
+        }
+        assert set(VALID_NODE_TRANSITIONS) == set(NodeState)
+
+    @given(st.lists(st.tuples(st.sampled_from(list(NodeState)),
+                              st.sampled_from([None, "why"])),
+                    min_size=1, max_size=12))
+    def test_random_walks_accepted_iff_edge_valid(self, path):
+        """A step is taken iff it is an edge (or the first one enters at
+        PENDING) and, into a terminal state other than REPORTED, carries a
+        reason; a refused step changes nothing, a taken one is stamped."""
+        record, state = node_record(), None
+        for at, (step, reason) in enumerate(path):
+            valid = (step is NodeState.PENDING if state is None
+                     else (state, step) in NODE_EDGES)
+            needs_reason = step in TERMINAL_NODE_STATES - {NodeState.REPORTED}
+            before = dict(record.nodes)
+            if valid and (reason or not needs_reason):
+                record.node_transition("n", step, reason, at=float(at))
+                state = step
+                node = record.nodes["n"]
+                assert (node["state"], node["at"]) == (step.value, at)
+                assert node.get("reason") == (reason or before.get(
+                    "n", {}).get("reason"))
+            else:
+                with pytest.raises(InvalidTransition):
+                    record.node_transition("n", step, reason, at=float(at))
+                assert record.nodes == before
+
+    def test_stamps_the_time_and_keeps_the_detail(self):
+        record = node_record()
+        started = time.time()
+        record.node_transition("n", NodeState.PENDING)
+        record.node_transition("n", NodeState.PREPARED, at=5.0)
+        assert record.nodes["n"] == {"state": "prepared", "at": 5.0}
+        record.node_transition("n", NodeState.RUNNING, token="t")
+        record.node_transition("n", NodeState.TIMED_OUT, "no report")
+        node = record.nodes["n"]
+        assert node["at"] >= started
+        assert (node["state"], node["token"], node["reason"]) == \
+            ("timed-out", "t", "no report")
 
 
 # ---------------------------------------------------------------------------

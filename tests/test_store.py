@@ -21,12 +21,14 @@ from expforge.compiler import compile_experiment
 from expforge.executor import write_spool
 from expforge.errors import (
     DuplicateExperimentName,
+    ExpforgeError,
     InvalidTransition,
     UnknownExperiment,
 )
 from expforge.model import (
     Experiment,
     NodeDescriptor,
+    NodeState,
     Pipeline,
     Policies,
     Status,
@@ -165,8 +167,9 @@ class TestRecordTransitions:
     def test_doc_roundtrip(self):
         rec = record()
         rec.transition(Status.COMPILING)
-        rec.deploy_state["n1"] = {"state": "prepared"}
-        rec.exec_state["n1"] = {"state": "running", "token": "abc"}
+        for state in (NodeState.PENDING, NodeState.PREPARED):
+            rec.node_transition("n1", state)
+        rec.node_transition("n1", NodeState.RUNNING, token="abc")
         rec.flags["go"] = {"set_wall": 1.0, "set_mono": 2.0, "node_id": "n1"}
         clone = ExperimentRecord.from_doc(
             json.loads(json.dumps(rec.to_doc())))
@@ -174,11 +177,9 @@ class TestRecordTransitions:
 
     def test_pending_execution_tracks_prepared_only(self):
         rec = record()
-        rec.deploy_state = {"a": {"state": "prepared"},
-                            "b": {"state": "prepare-failed"},
-                            "c": {"state": "prepared"}}
-        rec.exec_state = {"a": {"state": "reported"},
-                          "c": {"state": "running"}}
+        rec.nodes = {"a": {"state": "reported"},
+                     "b": {"state": "prepare-failed"},
+                     "c": {"state": "running"}}
         assert rec.pending_execution() == ["c"]
 
 
@@ -215,8 +216,6 @@ def lifecycle(director: Director):
 
     def plan(record):
         record.plan_doc = compile_experiment(exp, builtin_registry()).to_doc()
-        for node_id in NODES:
-            record.node_deploy(node_id)
         record.transition(Status.DEPLOYING)
 
     def run(record):
@@ -225,13 +224,12 @@ def lifecycle(director: Director):
 
     steps = [("compiling", lambda r: r.transition(Status.COMPILING)),
              ("planned", plan)]
-    steps += [(f"prepared {n}", lambda r, n=n: r.deploy_state.update(
-        {n: {"state": "prepared"}})) for n in NODES]
+    steps += [(f"prepared {n}", lambda r, n=n: r.node_transition(
+        n, NodeState.PREPARED)) for n in NODES]
     steps += [("ready", lambda r: r.transition(Status.READY)),
               ("running", run)]
-    steps += [(f"token {n}", lambda r, n=n: r.node_exec(n).update(
-        {"token": n * 4, "token_at": 1.0, "state": "running"}))
-        for n in NODES]
+    steps += [(f"token {n}", lambda r, n=n: r.node_transition(
+        n, NodeState.RUNNING, at=1.0, token=n * 4)) for n in NODES]
     for name, change in steps:
         with director.mutate("life") as record:
             change(record)
@@ -275,7 +273,7 @@ class TestStoreContract:
             with director_on.mutate("life") as record:
                 record.transition(Status.FINISHED)
                 record.results.append({"node_id": "n-1"})
-                record.exec_state["n-1"]["state"] = "reported"
+                record.nodes["n-1"]["state"] = "reported"
                 record.flags["stop"] = {"set_wall": 1.0}
                 raise RuntimeError("body failed")
         assert frozen(store.load("life")) == before
@@ -291,8 +289,8 @@ class TestStoreContract:
         snapshot = store.load("life")
         snapshot.transition(Status.FINISHED)
         snapshot.results.append({"node_id": "n-1"})
-        snapshot.exec_state["n-0"]["state"] = "tampered"
-        snapshot.deploy_state["n-0"]["state"] = "tampered"
+        snapshot.nodes["n-0"]["state"] = "tampered"
+        snapshot.nodes["n-0"]["token"] = "tampered"
         snapshot.reports["n-1"] = {}
         snapshot.flags["go"] = {}
         snapshot.errors.append({})
@@ -446,14 +444,13 @@ class TestStoreContract:
             store = FileStore(tmp_path / f"records-{nodes}")
             rec = record("wide")
             for i in range(nodes):
-                rec.deploy_state[f"n-{i}"] = {"state": "prepared"}
-                rec.exec_state[f"n-{i}"] = {"state": "running", "token": "t"}
+                rec.nodes[f"n-{i}"] = {"state": "running", "token": "t"}
             store.create(rec)
             journal = store.root / "wide" / store_module.JOURNAL
             sizes = []
             for i in range(nodes):
                 rec = store.load("wide")
-                rec.exec_state[f"n-{i}"] = {"state": "reported", "token": "t"}
+                rec.nodes[f"n-{i}"] = {"state": "reported", "token": "t"}
                 rec.reports[f"n-{i}"] = {"executor_version": "t"}
                 rec.results.extend(report(f"n-{i}")["results"])
                 size = journal.stat().st_size
@@ -487,6 +484,79 @@ class TestStoreContract:
             assert (calls.count("dir"), calls.count("file")) \
                 == expected.get(step, (0, 1)), step
             calls.clear()
+
+    def test_a_save_that_changes_nothing_writes_nothing(self, tmp_path,
+                                                        monkeypatch):
+        """deploy() on a READY record, an execute worker that starts after a
+        cancel, and any save of an unchanged record write no journal line
+        and no head.json."""
+        store = FileStore(tmp_path / "records")
+        director = Director(store, builtin_registry(), {}, recover=False)
+        for step in lifecycle(director):
+            if step == "ready":
+                break
+        writes: list[str] = []
+        real_write, real_append = store_module._write_file, store_module._append
+
+        def counting_write(path, data):
+            writes.append(path.name)
+            real_write(path, data)
+
+        def counting_append(path, data, end):
+            writes.append(path.name)
+            return real_append(path, data, end)
+
+        monkeypatch.setattr(store_module, "_write_file", counting_write)
+        monkeypatch.setattr(store_module, "_append", counting_append)
+        for _ in range(3):
+            director.deploy("life")
+        store.save(store.load("life"))
+        assert writes == []
+        director.cancel("life")
+        assert writes == [store_module.HEAD]
+        director._execute_worker("life")
+        store.save(store.load("life"))
+        assert writes == [store_module.HEAD]
+        assert FileStore(store.root).load("life").status is Status.CANCELLED
+
+
+    def test_head_and_journal_keys(self, tmp_path):
+        """The format a FileStore writes: the keys of head.json, and a node
+        event journalled as a merge into the one node map."""
+        store = FileStore(tmp_path / "records")
+        director = Director(store, builtin_registry(), {}, recover=False)
+        directory = store.root / "life"
+        for step in lifecycle(director):
+            if step == "prepared n-1":
+                journal = (directory / store_module.JOURNAL).read_bytes()
+                line = json.loads(journal.splitlines()[-1])
+                assert line["merge"].keys() == {"nodes"}
+                assert line["merge"]["nodes"].keys() == {"n-1"}
+        head = json.loads((directory / store_module.HEAD).read_bytes())
+        assert set(head) == {
+            "experiment_id", "status", "created_at", "transitions", "nodes",
+            "results", "reports", "flags", "errors", "cleanup", "artifacts",
+            "deadline_wall", "has_plan", "seq"}
+
+    def test_record_of_the_old_node_format_is_refused(self, tmp_path, caplog):
+        """A head.json that keeps deploy_state and exec_state instead of the
+        node map is not read, and recovery logs it and passes over it."""
+        store = FileStore(tmp_path / "records")
+        store.create(record("old"))
+        store.create(record("new"))
+        head_path = store.root / "old" / store_module.HEAD
+        head = json.loads(head_path.read_bytes())
+        del head["nodes"]
+        head.update(deploy_state={"n": {"state": "prepared"}},
+                    exec_state={"n": {"state": "running", "token": "t"}})
+        head_path.write_text(json.dumps(head))
+        reopened_store = FileStore(store.root)
+        with pytest.raises(ExpforgeError, match="'old'"):
+            reopened_store.load("old")
+        Director(reopened_store, builtin_registry(), {})
+        assert "not recovering old" in caplog.text
+        assert reopened_store.load("new").nodes == {}
+
 
 HOSTILE_IDS = st.text(max_size=80)
 

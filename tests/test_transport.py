@@ -70,7 +70,7 @@ def test_odd_ids_and_flag_keys_round_trip(server, name):
     wait_view(client, eid, "RUNNING")
 
     gateway = HttpGatewayClient(server.url)
-    (node_id,) = server.director.record(eid).assigned_nodes
+    (node_id,) = server.director.record(eid).nodes
     assert gateway.get_flag(eid, FLAG_KEY) == {"set": False}
     assert gateway.set_flag(eid, FLAG_KEY, node_id)["node_id"] == node_id
     assert gateway.get_flag(eid, FLAG_KEY)["set"] is True
@@ -95,7 +95,7 @@ def test_shared_client_sets_during_another_threads_long_poll(server):
     wait_view(client, eid, "READY")
     client.execute(eid)
     wait_view(client, eid, "RUNNING")
-    (node_id,) = server.director.record(eid).assigned_nodes
+    (node_id,) = server.director.record(eid).nodes
     gateway = HttpGatewayClient(server.url)
     assert gateway.get_flag(eid, "late") == {"set": False}  # one idle
     waited: list[dict | None] = []
