@@ -277,9 +277,10 @@ class Director:
         }
 
     def cancel(self, experiment_id: str) -> None:
-        """Stop the executors, then commit CANCELLED, under the experiment
-        lock: a flag waiter released by the status change finds its
-        executor already stopped, so no later stage starts."""
+        """Stop the executors, then commit CANCELLED and end every running
+        node, under the experiment lock: a flag waiter released by the
+        status change finds its executor already stopped, so no later stage
+        starts."""
         with self.mutate(experiment_id) as record:
             if record.status in TERMINAL_STATUSES:
                 raise AlreadyTerminal(
@@ -290,6 +291,9 @@ class Director:
                 except ExpforgeError:
                     log.warning("could not stop executor on %s",
                                 handle.node_id)
+            for node_id in record.nodes_in((NodeState.RUNNING,)):
+                record.node_transition(node_id, NodeState.CANCELLED,
+                                       reason="experiment cancelled")
             record.transition(Status.CANCELLED)
         log.info("experiment %s cancelled", experiment_id)
 

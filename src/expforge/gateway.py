@@ -124,8 +124,9 @@ class Gateway:
         """Persist the first report per (experiment, node); 'duplicate' after.
 
         A report from a node never launched is refused as an unassigned
-        node's is; one from a node already marked timed-out is stored (late
-        data beats no data) with a ``late`` annotation on the node. Reports
+        node's is; one from a node already marked timed-out or cancelled is
+        stored (late data beats no data) with a ``late`` annotation on the
+        node, which keeps its state. Reports
         waiting for the same experiment's monitor are committed together by
         whichever caller gets it first; each caller returns once the save
         holding its report is done, or raises what that save raised.
@@ -259,13 +260,14 @@ def _add_report(record: ExperimentRecord,
     if state not in LAUNCHED_NODE_STATES:
         return UnknownAssignment(f"node {node_id!r} of {record.experiment_id!r}"
                                  f" was never launched")
-    late = state == NodeState.TIMED_OUT or record.status is not Status.RUNNING
+    ended = state in (NodeState.TIMED_OUT, NodeState.CANCELLED)
+    late = ended or record.status is not Status.RUNNING
     record.reports[node_id] = {
         "received_wall": time.time(),
         "executor_version": report_doc.get("executor_version", ""),
         "late": late,
     }
-    if state != NodeState.TIMED_OUT:
+    if not ended:
         record.node_transition(node_id, NodeState.REPORTED)
     if late:
         record.nodes[node_id] = {**record.nodes[node_id], "late": True}

@@ -476,6 +476,7 @@ class NodeState(str, Enum):
     REPORTED = "reported"
     UNREACHABLE = "unreachable"
     TIMED_OUT = "timed-out"
+    CANCELLED = "cancelled"
 
 
 # One node's lifecycle; every node enters it at PENDING. A launch that raised
@@ -485,17 +486,20 @@ VALID_NODE_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
     NodeState.PREPARED: frozenset({NodeState.RUNNING}),
     NodeState.PREPARE_FAILED: frozenset(),
     NodeState.RUNNING: frozenset({NodeState.REPORTED, NodeState.UNREACHABLE,
-                                  NodeState.TIMED_OUT}),
+                                  NodeState.TIMED_OUT, NodeState.CANCELLED}),
     NodeState.REPORTED: frozenset(),
     NodeState.UNREACHABLE: frozenset({NodeState.REPORTED}),
     NodeState.TIMED_OUT: frozenset(),
+    NodeState.CANCELLED: frozenset(),
 }
 # The states that end a node; each but REPORTED carries a reason.
 TERMINAL_NODE_STATES = frozenset({NodeState.PREPARE_FAILED, NodeState.REPORTED,
-                                  NodeState.UNREACHABLE, NodeState.TIMED_OUT})
+                                  NodeState.UNREACHABLE, NodeState.TIMED_OUT,
+                                  NodeState.CANCELLED})
 # The states of a node whose execution token was written.
 LAUNCHED_NODE_STATES = frozenset({NodeState.RUNNING, NodeState.REPORTED,
-                                  NodeState.UNREACHABLE, NodeState.TIMED_OUT})
+                                  NodeState.UNREACHABLE, NodeState.TIMED_OUT,
+                                  NodeState.CANCELLED})
 
 
 # ---------------------------------------------------------------------------

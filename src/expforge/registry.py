@@ -93,31 +93,3 @@ class TaskRegistry:
         except KeyError:
             raise UnsupportedTaskForKind(
                 f"unknown implementation id {impl_id!r}") from None
-
-    # --- manifest interface -------------------------------------------------
-    # Third parties extend the library by shipping TaskImplementation
-    # subclasses plus a manifest entry naming them.
-
-    def to_manifest(self) -> dict:
-        doc: dict[str, dict[str, str]] = {}
-        for (task_type, kind), impl in sorted(self._by_key.items()):
-            doc.setdefault(task_type, {})[kind] = impl.impl_id
-        return {"tasks": doc}
-
-    @classmethod
-    def from_manifest(cls, doc: Mapping[str, Any],
-                      implementations: Iterable[TaskImplementation]) -> "TaskRegistry":
-        available = {impl.impl_id: impl for impl in implementations}
-        registry = cls()
-        for task_type, kinds in doc.get("tasks", {}).items():
-            for kind, impl_id in kinds.items():
-                impl = available.get(impl_id)
-                if impl is None:
-                    raise UnsupportedTaskForKind(
-                        f"manifest names unknown implementation {impl_id!r}")
-                if impl.task_type != task_type or impl.kind != kind:
-                    raise ValueError(
-                        f"manifest entry ({task_type}, {kind}) does not match "
-                        f"implementation {impl_id!r}")
-                registry.register(impl)
-        return registry

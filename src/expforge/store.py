@@ -12,27 +12,20 @@ as tuples (``EnvironmentRequirement.to_doc``), which nothing can change in
 place; JSON writes them as arrays, so a record read from disk holds lists.
 Serializing writers per experiment is the director's job.
 
-``MemoryStore`` keeps records as objects. ``FileStore`` keeps one directory
-per experiment::
-
-    experiment.json    the experiment doc, written once
-    plan.json          the compiled plan, written once
-    head.json          a snapshot of everything else, with its sequence number
-    journal.jsonl      one line per save since the snapshot
-
-A non-terminal save appends one fsynced line to the journal, its commit
-point: the save's sequence number, the changed keys of maps (a node event
-merges one entry of ``nodes``), the tails appended to lists, and any other
-changed field; a save that changes nothing writes nothing. A load replays
-the lines over the snapshot up to the first one that is torn or does not
-parse; the next append overwrites that one. The save that makes a record
-terminal writes a new snapshot, then removes the journal; a line the
-snapshot already holds (a crash between the two) is skipped by its number.
-Whole files go through a temp file, fsync, rename and a directory fsync,
-and a new directory's parent is fsynced once it is made (``_make_dirs``).
-Non-terminal records stay in memory; terminal ones are read from disk. A
-record written before the node map (with ``deploy_state`` and
-``exec_state``) is refused on load, not migrated.
+``MemoryStore`` keeps records as objects. ``FileStore`` keeps one file per
+experiment, ``<path_component(id)>.jsonl``. Its first line is the whole
+record doc. A non-terminal save appends one fsynced line, its commit point:
+the changed keys of maps (a node event merges one entry of ``nodes``), the
+tails appended to lists, and any other changed field; a save that changes
+nothing writes nothing. A load applies the later lines to the first and
+stops at one that is torn or does not parse; the next append overwrites
+it. ``create``, the save that makes a record terminal and any later save
+of a terminal record replace the whole file with a one-line doc: temp file,
+fsync, rename, then an fsync of the root. Non-terminal records stay in
+memory; terminal ones are read from disk. A record written before the node
+map (with ``deploy_state`` and ``exec_state``) is refused on load, and a
+directory of the earlier per-experiment layout is not read; neither is
+migrated.
 """
 
 from __future__ import annotations
@@ -246,12 +239,6 @@ class MemoryStore(Store):
             return sorted(self._records)
 
 
-HEAD = "head.json"
-EXPERIMENT = "experiment.json"
-PLAN = "plan.json"
-JOURNAL = "journal.jsonl"
-
-
 def _encode(doc: Any) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
@@ -308,22 +295,16 @@ def _changed(new: Any, old: Any) -> bool:
     return new is not old and new != old
 
 
-def _head(record: ExperimentRecord, seq: int) -> dict:
-    head = {**record.to_doc(), "has_plan": record.plan_doc is not None,
-            "seq": seq}
-    del head["experiment_doc"], head["plan_doc"]
-    return head
-
-
 def _delta(new: dict, old: dict) -> dict:
-    """The journal line from head ``old`` to ``new``: the changed keys of maps
-    that lost none, the tails of lists, and other changed fields (``seq``)."""
+    """The journal line from record doc ``old`` to ``new``: the changed keys
+    of maps that lost none, the tails of lists, and other changed fields."""
     changes, merges, tails = {}, {}, {}
     for key, value in new.items():
         was = old[key]
         if not _changed(value, was):
             continue
-        if isinstance(value, dict) and was.keys() <= value.keys():
+        if isinstance(value, dict) and isinstance(was, dict) \
+                and was.keys() <= value.keys():
             merges[key] = {k: v for k, v in value.items()
                            if k not in was or _changed(v, was[k])}
         elif isinstance(value, list) and value[:len(was)] == was:
@@ -334,25 +315,24 @@ def _delta(new: dict, old: dict) -> dict:
 
 
 class FileStore(Store):
-    """One directory per experiment under ``root`` (see the module doc)."""
+    """One file per experiment under ``root`` (see the module doc)."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         _make_dirs(self.root)
         self._lock = threading.Lock()  # writes, and reads that go to disk
-        # Committed non-terminal records, each with its last sequence number
-        # and the length of its journal.
-        self._records: dict[str, tuple[ExperimentRecord, int, int]] = {}
+        # Committed non-terminal records, each with the length of its file.
+        self._records: dict[str, tuple[ExperimentRecord, int]] = {}
 
-    def _dir(self, experiment_id: str) -> Path:
-        return self.root / path_component(experiment_id)
+    def _path(self, experiment_id: str) -> Path:
+        return self.root / f"{path_component(experiment_id)}.jsonl"
 
     def create(self, record: ExperimentRecord) -> None:
         with self._lock:
             if (record.experiment_id in self._records
-                    or (self._dir(record.experiment_id) / HEAD).exists()):
+                    or self._path(record.experiment_id).exists()):
                 raise _duplicate(record.experiment_id)
-            self._commit(record, None, 0, 0)
+            self._commit(record, None, 0)
 
     def save(self, record: ExperimentRecord) -> None:
         with self._lock:
@@ -367,81 +347,63 @@ class FileStore(Store):
 
     def list_ids(self) -> list[str]:
         ids = []
-        for head in self.root.glob(f"*/{HEAD}"):
+        for path in self.root.glob("*.jsonl"):
             try:
-                ids.append(json.loads(head.read_bytes())["experiment_id"])
+                with path.open("rb") as handle:
+                    ids.append(json.loads(handle.readline())["experiment_id"])
             except (json.JSONDecodeError, KeyError):
                 continue
         return sorted(ids)
 
     # -- under self._lock ---------------------------------------------------
 
-    def _current(self, experiment_id: str) -> tuple[ExperimentRecord, int, int]:
+    def _current(self, experiment_id: str) -> tuple[ExperimentRecord, int]:
         current = self._records.get(experiment_id)
         if current is None:
             current = self._read(experiment_id)
             self._publish(*current)
         return current
 
-    def _publish(self, record: ExperimentRecord, seq: int, end: int) -> None:
+    def _publish(self, record: ExperimentRecord, end: int) -> None:
         if record.status in TERMINAL_STATUSES:
             self._records.pop(record.experiment_id, None)
         else:
-            self._records[record.experiment_id] = (record, seq, end)
+            self._records[record.experiment_id] = (record, end)
 
-    def _read(self, experiment_id: str) -> tuple[ExperimentRecord, int, int]:
-        directory = self._dir(experiment_id)
+    def _read(self, experiment_id: str) -> tuple[ExperimentRecord, int]:
         try:
-            head = json.loads((directory / HEAD).read_bytes())
+            first, *lines = self._path(experiment_id).read_bytes().split(b"\n")
         except FileNotFoundError:
             raise _unknown(experiment_id) from None
-        journal = directory / JOURNAL
-        end = 0
-        lines = journal.read_bytes().split(b"\n") if journal.exists() else [b""]
+        doc = json.loads(first)
+        end = len(first) + 1
         for raw in lines[:-1]:  # the last piece lacks its newline
             try:
                 line = json.loads(raw)
             except ValueError:
                 break
             end += len(raw) + 1
-            if line["set"]["seq"] > head["seq"]:  # not in the snapshot yet
-                head.update(line["set"])
-                for key, changes in line["merge"].items():
-                    head[key].update(changes)
-                for key, tail in line["extend"].items():
-                    head[key].extend(tail)
-        head["experiment_doc"] = json.loads((directory / EXPERIMENT).read_bytes())
-        head["plan_doc"] = (json.loads((directory / PLAN).read_bytes())
-                            if head["has_plan"] else None)
-        return ExperimentRecord.from_doc(head), head["seq"], end
+            doc.update(line["set"])
+            for key, changes in line["merge"].items():
+                doc[key].update(changes)
+            for key, tail in line["extend"].items():
+                doc[key].extend(tail)
+        return ExperimentRecord.from_doc(doc), end
 
     def _commit(self, record: ExperimentRecord, base: ExperimentRecord | None,
-                seq: int, end: int) -> None:
+                end: int) -> None:
         """Write what changed since ``base``, if anything, then publish."""
         new = record.snapshot()
-        directory = self._dir(new.experiment_id)
-        head = _head(new, seq + 1)
-        delta = None if base is None or (  # a save that ends it changes it
-            new.status is not base.status and new.status in TERMINAL_STATUSES
-        ) else _delta(head, _head(base, seq))
-        new_plan = new.plan_doc is not None and (
-            base is None or _changed(new.plan_doc, base.plan_doc))
-        if delta == {"set": {"seq": seq + 1}, "merge": {}, "extend": {}} \
-                and not new_plan:
+        doc = new.to_doc()
+        delta = None if base is None else _delta(doc, base.to_doc())
+        if delta is not None and not any(delta.values()):
             return
-        if base is None:
-            _make_dirs(directory)
-            _write_file(directory / EXPERIMENT, _encode(new.experiment_doc))
-            (directory / JOURNAL).write_bytes(b"")
-            _fsync_dir(directory)
-        if new_plan:
-            _write_file(directory / PLAN, _encode(new.plan_doc))
-            _fsync_dir(directory)  # durable before the commit refers to it
-        if base is not None and new.status not in TERMINAL_STATUSES:
-            end = _append(directory / JOURNAL, _encode(delta) + b"\n", end)
-        else:  # a snapshot; a terminal one ends the journal
-            _write_file(directory / HEAD, _encode(head))
-            if new.status in TERMINAL_STATUSES:
-                (directory / JOURNAL).unlink(missing_ok=True)
-            _fsync_dir(directory)
-        self._publish(new, seq + 1, end)
+        path = self._path(new.experiment_id)
+        if base is None or new.status in TERMINAL_STATUSES:
+            data = _encode(doc) + b"\n"
+            _write_file(path, data)
+            _fsync_dir(self.root)
+            end = len(data)
+        else:
+            end = _append(path, _encode(delta) + b"\n", end)
+        self._publish(new, end)

@@ -314,6 +314,39 @@ class TestCancelCleanup:
         for node in sim20.infra.nodes.values():
             assert not any("late-work" in str(e.detail) for e in node.events)
 
+    def test_cancel_ends_every_launched_node(self, make_director, sim20):
+        director = make_director({"sim": sim20})
+        pipeline = Pipeline("p").then(
+            TaskSpec("wait-flag", params={"key": "never", "timeout_s": 30}))
+        eid = director.submit(
+            Experiment("ends").map(pipeline, sim20.list_nodes().take(2)))
+        director.deploy(eid)
+        wait_status(director, eid, {Status.READY})
+        director.execute(eid)
+        wait_status(director, eid, {Status.RUNNING})
+        deadline = time.monotonic() + 10
+        while director.record(eid).nodes_in(("prepared",)):  # tokens unwritten
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        before = time.time()
+        director.cancel(eid)
+        record = director.record(eid)
+        assert len(record.nodes) == 2
+        for node in record.nodes.values():
+            assert node["state"] == "cancelled"
+            assert node["reason"] == "experiment cancelled"
+            assert node["at"] >= before
+        view = director.status(eid)
+        assert {n["execution"] for n in view["nodes"].values()} \
+            == {"cancelled"}
+        # a report that still arrives is kept as late; the node stays ended
+        node_id = sorted(record.nodes)[0]
+        assert director.gateway.ingest_report(
+            {"experiment_id": eid, "node_id": node_id, "results": []}) \
+            == "accepted"
+        node = director.record(eid).nodes[node_id]
+        assert (node["state"], node["late"]) == ("cancelled", True)
+
     def test_cancel_finished_already_terminal(self, make_director, sim20):
         director = make_director({"sim": sim20})
         eid = director.submit(sleep_experiment(sim20))
@@ -918,13 +951,13 @@ def test_cleanup_reports_each_node_that_failed(make_director):
 
 def test_recovery_skips_a_record_it_cannot_load(make_director, sim20,
                                                 tmp_path):
-    """A record directory that no longer sits under its experiment's name
-    is listed but cannot be loaded; recovery passes over it."""
+    """A record file that no longer sits under its experiment's name is
+    listed but cannot be loaded; recovery passes over it."""
     root = tmp_path / "records"
     director = make_director({"sim": sim20}, store=FileStore(root))
     eid = director.submit(sleep_experiment(sim20))
     director.close()
-    (root / eid).rename(root / "moved")
+    (root / f"{eid}.jsonl").rename(root / "moved.jsonl")
     store = FileStore(root)
     assert store.list_ids() == [eid]
     reborn = make_director({"sim": sim20}, store=store)
@@ -950,6 +983,8 @@ def test_status_view_of_each_node_state():
             (n.UNREACHABLE, "refused"), (n.REPORTED, None)],
         "timed-out": [(n.PREPARED, None), (n.RUNNING, None),
                       (n.TIMED_OUT, "no report")],
+        "cancelled": [(n.PREPARED, None), (n.RUNNING, None),
+                      (n.CANCELLED, "experiment cancelled")],
     }
     record = ExperimentRecord(experiment_id="view", experiment_doc={})
     for node_id, path in paths.items():
@@ -972,6 +1007,7 @@ def test_status_view_of_each_node_state():
         "reported-after-unreachable": {"deploy": "prepared",
                                        "execution": "reported"},
         "timed-out": {"deploy": "prepared", "execution": "timed-out"},
+        "cancelled": {"deploy": "prepared", "execution": "cancelled"},
         "late-reported": {"deploy": "prepared", "execution": "reported",
                           "late": True},
         "late-timed-out": {"deploy": "prepared", "execution": "timed-out",

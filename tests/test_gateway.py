@@ -263,8 +263,7 @@ class TestIngestReport:
 
         def state() -> tuple[dict, dict]:
             return director.record(eid).to_doc(), {
-                path.name: path.read_bytes()
-                for path in (store.root / eid).iterdir()}
+                path.name: path.read_bytes() for path in store.root.iterdir()}
 
         for cancel in (False, True):
             if cancel:
@@ -419,6 +418,7 @@ class TestGroupCommit:
         record = director.record(eid)
         assert sorted(record.reports) == nodes
         assert sorted(r["node_id"] for r in record.results) == nodes
+        join_executors(eid)  # released executors deliver duplicates
         assert director.gateway._queued == {}
 
     def test_failed_save_fails_the_whole_batch(self, make_director):

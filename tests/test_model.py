@@ -393,7 +393,7 @@ class TestNodeTransitions:
             (n.PENDING, n.PREPARED), (n.PENDING, n.PREPARE_FAILED),
             (n.PREPARED, n.RUNNING),
             (n.RUNNING, n.REPORTED), (n.RUNNING, n.UNREACHABLE),
-            (n.RUNNING, n.TIMED_OUT),
+            (n.RUNNING, n.TIMED_OUT), (n.RUNNING, n.CANCELLED),
             (n.UNREACHABLE, n.REPORTED),
         }
         assert set(VALID_NODE_TRANSITIONS) == set(NodeState)

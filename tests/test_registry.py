@@ -1,4 +1,4 @@
-"""Task registry: resolution, manifest round trip, builtin closure."""
+"""Task registry: resolution and builtin closure."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from expforge.errors import UnsupportedTaskForKind
 from expforge.registry import TaskImplementation, TaskRegistry
-from expforge.tasks import builtin_implementations, builtin_registry
+from expforge.tasks import builtin_registry
 
 
 class _Impl(TaskImplementation):
@@ -43,28 +43,6 @@ def test_builtin_closure_simulated_and_linux():
         for kind in ("simulated", "linux-shell"):
             impl_id = registry.resolve(task_type, kind)
             assert registry.implementation(impl_id).task_type == task_type
-
-
-def test_manifest_roundtrip_preserves_resolution():
-    registry = builtin_registry()
-    manifest = registry.to_manifest()
-    rebuilt = TaskRegistry.from_manifest(manifest, builtin_implementations())
-    for task_type in registry.task_types():
-        for kind in ("simulated", "linux-shell", "ssh-host"):
-            assert rebuilt.resolve(task_type, kind) \
-                == registry.resolve(task_type, kind)
-
-
-def test_manifest_with_unknown_impl_rejected():
-    manifest = {"tasks": {"probe": {"simulated": "probe@simulated"}}}
-    with pytest.raises(UnsupportedTaskForKind):
-        TaskRegistry.from_manifest(manifest, [])
-
-
-def test_manifest_entry_mismatch_rejected():
-    manifest = {"tasks": {"probe": {"linux-shell": "probe@simulated"}}}
-    with pytest.raises(ValueError):
-        TaskRegistry.from_manifest(manifest, [_Impl("probe", "simulated")])
 
 
 def test_implementation_without_type_or_kind_rejected():

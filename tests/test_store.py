@@ -94,9 +94,9 @@ class TestStores:
         store.save(rec)
         for view in (store, reopened(store)):
             assert view.load("a").results == [{"n": 1}, {"n": 9}]
-        if isinstance(store, FileStore):  # one journal line per save
-            journal = store.root / "a" / store_module.JOURNAL
-            assert journal.read_bytes().count(b"\n") == 3
+        if isinstance(store, FileStore):  # the record, then a line per save
+            journal = store.root / "a.jsonl"
+            assert journal.read_bytes().count(b"\n") == 4
 
     def test_list_ids(self, store):
         for name in ("b", "a", "c"):
@@ -352,7 +352,7 @@ class TestStoreContract:
             director.gateway.ingest_report(report("n-1", 2))
         monkeypatch.setattr(store_module, "_append", real_append)
 
-        journal = store.root / "life" / store_module.JOURNAL
+        journal = store.root / "life.jsonl"
         assert not journal.read_bytes().endswith(b"\n")  # the torn line
         assert frozen(store.load("life")) == before
         assert frozen(FileStore(store.root).load("life")) == before
@@ -402,42 +402,64 @@ class TestStoreContract:
         *appended, compacted = written
         assert min(appended) > one_report / 2, written  # counted at all
         assert max(appended) - min(appended) < one_report / 4, written
-        # The last report makes the record terminal: one snapshot, no line.
-        directory = store.root / "life"
-        assert compacted == (directory / store_module.HEAD).stat().st_size
-        assert not (directory / store_module.JOURNAL).exists()
+        # The last report makes the record terminal: the file is rewritten
+        # as the one line of the whole record.
+        path = store.root / "life.jsonl"
+        assert compacted == path.stat().st_size
+        assert path.read_bytes().count(b"\n") == 1
 
-    def test_crash_between_compaction_and_journal_removal(self, tmp_path):
+    def test_interrupted_terminal_rewrite(self, tmp_path, monkeypatch):
+        """A crash while the terminal save writes its temp file leaves that
+        ``.tmp-*`` file next to the record: a reopened store ignores it and
+        loads the last journalled state, and the next save succeeds."""
         store = FileStore(tmp_path / "records")
         director = Director(store, builtin_registry(), {}, recover=False)
-        journal = store.root / "life" / store_module.JOURNAL
         for step in lifecycle(director):
             if step == f"report {NODES[-2]}":
-                lines = journal.read_bytes()
-            if step == f"report {NODES[-1]}":
                 break
-        assert not journal.exists()
-        finished = frozen(store.load("life"))
-        journal.write_bytes(lines)  # as if the removal never happened
+        before = frozen(store.load("life"))
+
+        def crash(path, data):
+            fd, _ = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+            os.write(fd, data[:len(data) // 2])
+            os.close(fd)
+            raise OSError("crashed before the rename")
+
+        monkeypatch.setattr(store_module, "_write_file", crash)
+        with pytest.raises(OSError):
+            director.gateway.ingest_report(report(NODES[-1], 2))
+        monkeypatch.undo()
+        assert len(list(store.root.glob(".tmp-*"))) == 1
 
         restarted = FileStore(store.root)
-        assert frozen(restarted.load("life")) == finished
-        rec = restarted.load("life")
-        assert len(rec.results) == 2 * len(NODES)
-        assert len(rec.transitions) == len({t["to"] for t in rec.transitions})
-        rec.cleanup = {"n-0": {"ok": True}}
-        restarted.save(rec)
-        assert not journal.exists()
-        assert FileStore(store.root).load("life").cleanup == rec.cleanup
+        assert restarted.list_ids() == ["life"]
+        assert frozen(restarted.load("life")) == before
+        gateway = Director(restarted, builtin_registry(), {},
+                           recover=False).gateway
+        assert gateway.ingest_report(report(NODES[-1], 2)) == "accepted"
+        finished = FileStore(store.root).load("life")
+        assert finished.status is Status.FINISHED
+        assert len(finished.results) == 2 * len(NODES)
 
-    def test_terminal_record_leaves_no_journal(self, tmp_path):
+    def test_terminal_record_is_one_line(self, tmp_path):
         store = FileStore(tmp_path / "records")
         director = Director(store, builtin_registry(), {}, recover=False)
-        journal = store.root / "life" / store_module.JOURNAL
+        path = store.root / "life.jsonl"
         for step in lifecycle(director):
             terminal = store.load("life").status in TERMINAL_STATUSES
-            assert journal.exists() is not terminal, step
+            one_line = path.read_bytes().count(b"\n") == 1
+            assert one_line is (terminal or step == "submitted"), step
         assert terminal
+
+    def test_root_holds_one_file_per_experiment(self, tmp_path):
+        store = FileStore(tmp_path / "records")
+        director = Director(store, builtin_registry(), {}, recover=False)
+        for _ in lifecycle(director):
+            pass
+        store.create(record("other"))
+        director.cancel("other")
+        assert sorted(path.name for path in store.root.iterdir()) \
+            == ["life.jsonl", "other.jsonl"]
 
     def test_journal_bytes_per_report_do_not_grow_with_nodes(self, tmp_path):
         def bytes_per_report(nodes: int) -> float:
@@ -446,7 +468,7 @@ class TestStoreContract:
             for i in range(nodes):
                 rec.nodes[f"n-{i}"] = {"state": "running", "token": "t"}
             store.create(rec)
-            journal = store.root / "wide" / store_module.JOURNAL
+            journal = store.root / "wide.jsonl"
             sizes = []
             for i in range(nodes):
                 rec = store.load("wide")
@@ -474,10 +496,10 @@ class TestStoreContract:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", counting)
-        # (directory fsyncs, file fsyncs) per step; any other step is one
-        # journal append. Submit also fsyncs the root, which holds the new
-        # experiment directory.
-        expected = {"submitted": (3, 2), "planned": (1, 2),
+        # (directory fsyncs, file fsyncs) per step; any other step, the plan
+        # included, is one journal append. Submit and every save of a
+        # terminal record replace the record's file and fsync the root.
+        expected = {"submitted": (1, 1), "planned": (0, 1),
                     f"report {NODES[-1]}": (1, 1), "finished": (0, 0),
                     "cleaned": (1, 1)}
         for step in lifecycle(director):
@@ -489,7 +511,7 @@ class TestStoreContract:
                                                         monkeypatch):
         """deploy() on a READY record, an execute worker that starts after a
         cancel, and any save of an unchanged record write no journal line
-        and no head.json."""
+        and do not replace the record's file."""
         store = FileStore(tmp_path / "records")
         director = Director(store, builtin_registry(), {}, recover=False)
         for step in lifecycle(director):
@@ -513,43 +535,43 @@ class TestStoreContract:
         store.save(store.load("life"))
         assert writes == []
         director.cancel("life")
-        assert writes == [store_module.HEAD]
+        assert writes == ["life.jsonl"]
         director._execute_worker("life")
         store.save(store.load("life"))
-        assert writes == [store_module.HEAD]
+        assert writes == ["life.jsonl"]
         assert FileStore(store.root).load("life").status is Status.CANCELLED
 
 
     def test_head_and_journal_keys(self, tmp_path):
-        """The format a FileStore writes: the keys of head.json, and a node
-        event journalled as a merge into the one node map."""
+        """The format a FileStore writes: the keys of the record's first
+        line, the head, and a node event journalled as a merge into the one
+        node map."""
         store = FileStore(tmp_path / "records")
         director = Director(store, builtin_registry(), {}, recover=False)
-        directory = store.root / "life"
+        path = store.root / "life.jsonl"
         for step in lifecycle(director):
             if step == "prepared n-1":
-                journal = (directory / store_module.JOURNAL).read_bytes()
-                line = json.loads(journal.splitlines()[-1])
+                line = json.loads(path.read_bytes().splitlines()[-1])
                 assert line["merge"].keys() == {"nodes"}
                 assert line["merge"]["nodes"].keys() == {"n-1"}
-        head = json.loads((directory / store_module.HEAD).read_bytes())
+        head = json.loads(path.read_bytes().splitlines()[0])
         assert set(head) == {
-            "experiment_id", "status", "created_at", "transitions", "nodes",
-            "results", "reports", "flags", "errors", "cleanup", "artifacts",
-            "deadline_wall", "has_plan", "seq"}
+            "experiment_id", "experiment_doc", "status", "created_at",
+            "transitions", "nodes", "plan_doc", "results", "reports", "flags",
+            "errors", "cleanup", "artifacts", "deadline_wall"}
 
     def test_record_of_the_old_node_format_is_refused(self, tmp_path, caplog):
-        """A head.json that keeps deploy_state and exec_state instead of the
+        """A record that keeps deploy_state and exec_state instead of the
         node map is not read, and recovery logs it and passes over it."""
         store = FileStore(tmp_path / "records")
         store.create(record("old"))
         store.create(record("new"))
-        head_path = store.root / "old" / store_module.HEAD
+        head_path = store.root / "old.jsonl"
         head = json.loads(head_path.read_bytes())
         del head["nodes"]
         head.update(deploy_state={"n": {"state": "prepared"}},
                     exec_state={"n": {"state": "running", "token": "t"}})
-        head_path.write_text(json.dumps(head))
+        head_path.write_text(json.dumps(head) + "\n")
         reopened_store = FileStore(store.root)
         with pytest.raises(ExpforgeError, match="'old'"):
             reopened_store.load("old")
@@ -604,7 +626,7 @@ class TestDurableDirectories:
         monkeypatch.setattr(store_module, "_fsync_dir", recording)
         return calls
 
-    def test_store_root_and_experiment_directories(self, tmp_path, fsynced):
+    def test_store_root_and_new_records(self, tmp_path, fsynced):
         root = tmp_path / "a" / "records"
         store = FileStore(root)
         assert fsynced == [tmp_path, tmp_path / "a"]
@@ -612,12 +634,8 @@ class TestDurableDirectories:
         FileStore(root)
         assert fsynced == []
         store.create(record("new"))
-        # the new directory's parent, then the directory after each rename
-        assert fsynced == [root, root / "new", root / "new"]
-        fsynced.clear()
-        (root / "reused").mkdir()
-        store.create(record("reused"))
-        assert fsynced == [root / "reused", root / "reused"]
+        # the root, after the rename that made the record's file
+        assert fsynced == [root]
 
     def test_spool_directory(self, tmp_path, fsynced):
         spool_dir = tmp_path / "spool" / "sim-000"
@@ -650,12 +668,12 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="no space"):
-        store_module._write_file(tmp_path / "head.json", b"{}")
+        store_module._write_file(tmp_path / "record.jsonl", b"{}")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_short_journal_append_raises(tmp_path, monkeypatch):
-    journal = tmp_path / store_module.JOURNAL
+    journal = tmp_path / "record.jsonl"
     journal.write_bytes(b"")
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: len(data) - 1)
     with pytest.raises(OSError, match="short write"):
@@ -666,9 +684,18 @@ def test_list_ids_skips_heads_it_cannot_read(tmp_path):
     store = FileStore(tmp_path / "records")
     store.create(record("good"))
     for name, text in (("torn", '{"experiment_'), ("anonymous", "{}")):
-        (store.root / name).mkdir()
-        (store.root / name / store_module.HEAD).write_text(text)
+        (store.root / f"{name}.jsonl").write_text(text)
     assert store.list_ids() == ["good"]
+
+
+def test_directory_of_the_earlier_layout_is_not_read(tmp_path):
+    root = tmp_path / "records"
+    (root / "old").mkdir(parents=True)
+    (root / "old" / "head.json").write_text('{"experiment_id": "old"}')
+    store = FileStore(root)
+    assert store.list_ids() == []
+    with pytest.raises(UnknownExperiment):
+        store.load("old")
 
 
 def test_file_store_saves_only_what_it_created(tmp_path):
