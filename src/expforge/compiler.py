@@ -22,8 +22,6 @@ from .registry import TaskRegistry
 # it natively instead of trusting an rm -rf string.
 CLEAN_SCRATCH_COMMAND = "expforge-clean-scratch"
 
-DEFAULT_REPORT_RETRY = {"base_delay_s": 1.0, "factor": 2.0, "max_attempts": 5}
-
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
@@ -147,8 +145,6 @@ def compile_experiment(exp: Experiment, registry: TaskRegistry) -> DeploymentPla
                 "node_kind": node.kind,
                 "pipeline_digest": pipeline_digest,
                 "impl_ids": dict(impl_ids),
-                "early_stop": pipeline.early_stop,
-                "report_retry": dict(DEFAULT_REPORT_RETRY),
             }
 
     for kind in cleanup:

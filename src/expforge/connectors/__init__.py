@@ -9,6 +9,9 @@ reachability check: a node that cannot be reached raises from
 ``launch_executor``. Connectors are stateless between calls apart from
 launch handles, and must be safely shareable across threads; the director
 serializes per-node calls, calls for distinct nodes may run concurrently.
+Every launch ends in ``executor.run_executor``, which takes the node's
+``ExecutorConfig`` (re-exported here): called on a thread, or by a child
+``python -m expforge.executor`` started with ``ExecutorConfig.to_env``.
 
 Connector instances are configuration-driven: a structured config file names
 each instance, its type, and its parameters (see :func:`load_connectors`).
@@ -19,17 +22,14 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence, TYPE_CHECKING
+from typing import Any, Mapping, Sequence
 
 import yaml
 
 from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from ..errors import ConnectorUnavailable
-from ..executor import run_in_group
+from ..executor import ExecutorConfig, run_in_group
 from ..model import NodeDescriptor, NodePool, StagedFile
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..registry import TaskRegistry
 
 # The longest any one node command (setup, verify, cleanup, ssh) may run.
 COMMAND_TIMEOUT_S = 120.0
@@ -65,17 +65,6 @@ class CommandResult:
     command: str
     exit_code: int
     output: str = ""
-
-
-@dataclass
-class ExecutorConfig:
-    """What a connector needs to start an executor for one node."""
-
-    experiment_id: str
-    node_id: str
-    gateway_url: str | None = None
-    gateway_client: Any = None
-    registry: "TaskRegistry | None" = None
 
 
 @dataclass

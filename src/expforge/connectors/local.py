@@ -78,20 +78,10 @@ class LocalConnector(Connector):
 
     def launch_executor(self, node: NodeDescriptor,
                         config: ExecutorConfig) -> LaunchHandle:
-        if not config.gateway_url:
-            raise LaunchFailed(
-                "local connector needs a gateway HTTP endpoint to hand to "
-                "the child executor")
         scratch = self.scratch_dir(node.node_id)
-        env = dict(os.environ)
-        env.update({
-            "PYTHONPATH": os.pathsep.join(
-                filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH")))),
-            "EXPFORGE_GATEWAY": config.gateway_url,
-            "EXPFORGE_EXPERIMENT_ID": config.experiment_id,
-            "EXPFORGE_NODE_ID": config.node_id,
-            "EXPFORGE_SCRATCH": str(scratch),
-        })
+        env = {**os.environ, **config.to_env(str(scratch))}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
         log_name = f"{path_component(config.experiment_id)}.stderr"
         (scratch / ".logs").mkdir(exist_ok=True)
         try:

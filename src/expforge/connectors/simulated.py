@@ -30,7 +30,7 @@ from typing import Any, Mapping, Sequence
 
 from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from ..errors import LaunchFailed, TransportError
-from ..executor import NodeRuntime, run_executor
+from ..executor import EXIT_OK, NodeRuntime, run_executor
 from ..model import NodeDescriptor, NodePool, StagedFile
 from . import Connector, ExecutorConfig, LaunchHandle, PrepareResult
 
@@ -341,14 +341,11 @@ class SimulatedConnector(Connector):
         def run() -> None:
             sim.log("launch", "executor-launch",
                     {"experiment_id": config.experiment_id})
-            try:
-                bundle = config.gateway_client.fetch_bundle(
-                    config.experiment_id, config.node_id)
-                run_executor(bundle, config.registry, runtime, proxy,
-                             spool_dir, stop=stop,
-                             sleeper=lambda s: time.sleep(s * scale))
-            except Exception:  # noqa: BLE001 - a dead node, not a dead platform
-                log.exception("simulated executor for %s crashed", sim.node_id)
+            code = run_executor(config, runtime, proxy, spool_dir, stop=stop,
+                                sleeper=lambda s: time.sleep(s * scale))
+            if code != EXIT_OK:
+                log.warning("simulated executor for %s exited with code %d",
+                            sim.node_id, code)
 
         thread = threading.Thread(
             target=run, daemon=True,

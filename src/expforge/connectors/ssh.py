@@ -112,15 +112,9 @@ class SshConnector(Connector):
 
     def launch_executor(self, node: NodeDescriptor,
                         config: ExecutorConfig) -> LaunchHandle:
-        if not config.gateway_url:
-            raise LaunchFailed("ssh connector needs a gateway HTTP endpoint")
         env_assignments = " ".join(
-            f"{key}={shlex.quote(value)}" for key, value in {
-                "EXPFORGE_GATEWAY": config.gateway_url,
-                "EXPFORGE_EXPERIMENT_ID": config.experiment_id,
-                "EXPFORGE_NODE_ID": config.node_id,
-                "EXPFORGE_SCRATCH": ".",
-            }.items())
+            f"{key}={shlex.quote(value)}"
+            for key, value in config.to_env(".").items())
         launch = (f"{env_assignments} nohup {self.python} -m expforge.executor "
                   f">/dev/null 2>&1 & echo $!")
         code, output = self.run(node, launch)

@@ -19,14 +19,16 @@ The spool is written as the store writes a file: temp file, fsync, rename.
 Spooled reports of earlier runs are retried at start; one the gateway
 refuses (unknown experiment, unassigned node) is kept and skipped.
 
-Every executor gets its bundle from the gateway (``fetch_bundle``), an
-immutable ``PipelineBundle``. Executors in the platform process share one
-decoded ``Pipeline`` per digest, so its digest is checked once; a child
-process decodes its own copy from the wire and checks that. As a child
-process (``python -m expforge.executor``) configuration comes from
-environment variables: EXPFORGE_GATEWAY, EXPFORGE_EXPERIMENT_ID,
-EXPFORGE_NODE_ID and EXPFORGE_SCRATCH; the report spool is
-``<EXPFORGE_SCRATCH>/.spool``.
+``run_executor`` is the one executor entry of every backend: a simulated
+node's thread and a child process (``python -m expforge.executor``) both
+call it with the node's ``ExecutorConfig``. It fetches the node's immutable
+``PipelineBundle`` from the gateway and ends in one exit code (``EXIT_*``).
+Executors in the platform process share one decoded ``Pipeline`` per
+digest, so its digest is checked once; a child process decodes its own copy
+from the wire and checks that. ``ExecutorConfig.to_env`` and ``from_env``
+write and read a child's environment: EXPFORGE_GATEWAY,
+EXPFORGE_EXPERIMENT_ID, EXPFORGE_NODE_ID and EXPFORGE_SCRATCH; the report
+spool is ``<EXPFORGE_SCRATCH>/.spool``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence, TYPE_CHECKING
 
-from .errors import TransportError, UnknownAssignment, UnknownExperiment
+from .errors import (LaunchFailed, TransportError, UnknownAssignment,
+                     UnknownExperiment)
 from .model import (
     NodeDescriptor,
     Outcome,
@@ -67,8 +70,9 @@ EXECUTOR_VERSION = "0.1.0"
 
 # Exit codes: connectors distinguish launch problems from task failures.
 EXIT_OK = 0                 # report delivered or spooled (task failures included)
-EXIT_STARTUP_ERROR = 2      # bundle unavailable or digest mismatch
+EXIT_STARTUP_ERROR = 2      # bundle fetch failed, or digest mismatch
 EXIT_STOPPED = 3            # stopped before the pipeline finished
+EXIT_CRASHED = 4            # any other exception, logged with its traceback
 
 CANCEL_GRACE_S = 1.0
 
@@ -81,15 +85,38 @@ class RetryPolicy:
     factor: float = 2.0
     max_attempts: int = 5
 
-    def to_doc(self) -> dict:
-        return {"base_delay_s": self.base_delay_s, "factor": self.factor,
-                "max_attempts": self.max_attempts}
+
+REPORT_RETRY = RetryPolicy()
+
+
+@dataclass
+class ExecutorConfig:
+    """What a connector needs to start an executor for one node."""
+
+    experiment_id: str
+    node_id: str
+    gateway_url: str | None = None
+    gateway_client: Any = None
+    registry: TaskRegistry | None = None
+
+    def to_env(self, scratch: str) -> dict[str, str]:
+        """The environment of a child executor working in ``scratch``."""
+        if not self.gateway_url:
+            raise LaunchFailed("a child executor needs a gateway HTTP endpoint")
+        return {"EXPFORGE_GATEWAY": self.gateway_url,
+                "EXPFORGE_EXPERIMENT_ID": self.experiment_id,
+                "EXPFORGE_NODE_ID": self.node_id,
+                "EXPFORGE_SCRATCH": scratch}
 
     @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "RetryPolicy":
-        return cls(base_delay_s=float(doc.get("base_delay_s", 1.0)),
-                   factor=float(doc.get("factor", 2.0)),
-                   max_attempts=int(doc.get("max_attempts", 5)))
+    def from_env(cls, env: Mapping[str, str]) -> "ExecutorConfig":
+        """A child's config; it runs the builtin tasks."""
+        from .tasks import builtin_registry
+
+        return cls(experiment_id=env.get("EXPFORGE_EXPERIMENT_ID", ""),
+                   node_id=env.get("EXPFORGE_NODE_ID", ""),
+                   gateway_url=env.get("EXPFORGE_GATEWAY"),
+                   registry=builtin_registry())
 
 
 @dataclass(frozen=True)
@@ -106,8 +133,6 @@ class PipelineBundle:
     pipeline: Pipeline
     pipeline_digest: str
     impl_ids: Mapping[str, str]
-    early_stop: bool = False
-    report_retry: RetryPolicy = RetryPolicy()
 
     def __post_init__(self):
         object.__setattr__(self, "impl_ids",
@@ -125,8 +150,6 @@ class PipelineBundle:
             "pipeline": self.pipeline.to_doc(),
             "pipeline_digest": self.pipeline_digest,
             "impl_ids": dict(self.impl_ids),
-            "early_stop": self.early_stop,
-            "report_retry": self.report_retry.to_doc(),
         }
 
     @classmethod
@@ -145,8 +168,6 @@ class PipelineBundle:
             pipeline=pipeline,
             pipeline_digest=doc["pipeline_digest"],
             impl_ids=doc.get("impl_ids", {}),
-            early_stop=bool(doc.get("early_stop", False)),
-            report_retry=RetryPolicy.from_doc(doc.get("report_retry", {})),
         )
 
 
@@ -528,7 +549,7 @@ def run_pipeline(bundle: PipelineBundle, registry: TaskRegistry,
                 _stage_runs(stage, stage_index, bundle, registry, base_ctx),
                 workers, last=stage_index == len(bundle.pipeline.stages) - 1)
             results.extend(stage_results)
-            if bundle.early_stop and any(
+            if bundle.pipeline.early_stop and any(
                     r.outcome in (Outcome.FAILURE, Outcome.TIMEOUT)
                     for r in stage_results):
                 abort = True
@@ -607,67 +628,61 @@ def redeliver_spooled(spool_dir: str | Path, gateway: "GatewayClient") -> int:
     return delivered
 
 
-def run_executor(bundle: PipelineBundle, registry: TaskRegistry,
-                 runtime: NodeRuntime, gateway: "GatewayClient",
-                 spool_dir: str | Path,
+def run_executor(config: ExecutorConfig, runtime: NodeRuntime,
+                 gateway: "GatewayClient", spool_dir: str | Path,
                  stop: threading.Event | None = None,
                  sleeper=time.sleep) -> int:
-    """Full executor run: spool replay, digest check, pipeline, report."""
-    redeliver_spooled(spool_dir, gateway)
-
-    if not bundle.digest_matches():
-        log.error("bundle digest mismatch for %s/%s",
-                  bundle.experiment_id, bundle.node_id)
+    """Full executor run of one node: bundle fetch, spool replay, digest
+    check, pipeline, report. Every way it ends is an exit code."""
+    try:
+        bundle = gateway.fetch_bundle(config.experiment_id, config.node_id)
+    except Exception as exc:  # noqa: BLE001 - startup failure is the contract
+        log.error("could not obtain bundle for %s/%s: %s",
+                  config.experiment_id, config.node_id, exc)
         return EXIT_STARTUP_ERROR
-
-    started_wall, started_mono = time.time(), time.monotonic()
-    results = run_pipeline(bundle, registry, runtime, gateway, stop)
-    finished_wall, finished_mono = time.time(), time.monotonic()
-
-    if stop is not None and stop.is_set():
-        return EXIT_STOPPED
-
-    report = PipelineReport(
-        experiment_id=bundle.experiment_id,
-        node_id=bundle.node_id,
-        results=tuple(results),
-        started_wall=started_wall,
-        finished_wall=finished_wall,
-        started_mono=started_mono,
-        finished_mono=finished_mono,
-    )
-    report_doc = report.to_doc()
-    path = write_spool(spool_dir, report_doc)
-    if deliver_report(report_doc, gateway, bundle.report_retry,
-                      sleeper=sleeper) == "delivered":
-        path.unlink(missing_ok=True)
-    return EXIT_OK
+    try:
+        redeliver_spooled(spool_dir, gateway)
+        if not bundle.digest_matches():
+            log.error("bundle digest mismatch for %s/%s",
+                      bundle.experiment_id, bundle.node_id)
+            return EXIT_STARTUP_ERROR
+        started_wall, started_mono = time.time(), time.monotonic()
+        results = run_pipeline(bundle, config.registry, runtime, gateway,
+                               stop)
+        if stop is not None and stop.is_set():
+            return EXIT_STOPPED
+        report_doc = PipelineReport(
+            bundle.experiment_id, bundle.node_id, tuple(results),
+            started_wall=started_wall, finished_wall=time.time(),
+            started_mono=started_mono,
+            finished_mono=time.monotonic()).to_doc()
+        path = write_spool(spool_dir, report_doc)
+        if deliver_report(report_doc, gateway, REPORT_RETRY,
+                          sleeper=sleeper) == "delivered":
+            path.unlink(missing_ok=True)
+        return EXIT_OK
+    except Exception:  # noqa: BLE001 - a dead node, not a dead platform
+        log.exception("executor for %s/%s crashed", config.experiment_id,
+                      config.node_id)
+        return EXIT_CRASHED
 
 
 # ---------------------------------------------------------------------------
 # child-process entry point
 # ---------------------------------------------------------------------------
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     from .gateway import HttpGatewayClient
-    from .tasks import builtin_registry
 
     logging.basicConfig(level=os.environ.get("EXPFORGE_LOG_LEVEL", "WARNING"))
-    gateway_url = os.environ.get("EXPFORGE_GATEWAY")
-    if not gateway_url:
+    config = ExecutorConfig.from_env(os.environ)
+    if not config.gateway_url:
         log.error("EXPFORGE_GATEWAY is not set")
         return EXIT_STARTUP_ERROR
-    scratch = os.environ.get("EXPFORGE_SCRATCH", "./expforge-scratch")
-    spool = str(Path(scratch) / ".spool")
-    try:
-        gateway = HttpGatewayClient(gateway_url)
-        bundle = gateway.fetch_bundle(os.environ["EXPFORGE_EXPERIMENT_ID"],
-                                      os.environ["EXPFORGE_NODE_ID"])
-    except Exception as exc:  # noqa: BLE001 - startup failure is the contract
-        log.error("could not obtain bundle: %s", exc)
-        return EXIT_STARTUP_ERROR
-    runtime = LocalRuntime(scratch)
-    return run_executor(bundle, builtin_registry(), runtime, gateway, spool)
+    scratch = Path(os.environ.get("EXPFORGE_SCRATCH", "./expforge-scratch"))
+    return run_executor(config, LocalRuntime(scratch),
+                        HttpGatewayClient(config.gateway_url),
+                        scratch / ".spool")
 
 
 if __name__ == "__main__":  # pragma: no cover

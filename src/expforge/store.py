@@ -21,7 +21,8 @@ nothing writes nothing. A load applies the later lines to the first and
 stops at one that is torn or does not parse; the next append overwrites
 it. ``create``, the save that makes a record terminal and any later save
 of a terminal record replace the whole file with a one-line doc: temp file,
-fsync, rename, then an fsync of the root. Non-terminal records stay in
+fsync, rename, then an fsync of the root; a temp file that a crash left
+in the root is removed when a store opens it. Non-terminal records stay in
 memory; terminal ones are read from disk. A record written before the node
 map (with ``deploy_state`` and ``exec_state``) is refused on load, and a
 directory of the earlier per-experiment layout is not read; neither is
@@ -320,6 +321,8 @@ class FileStore(Store):
     def __init__(self, root: str | Path):
         self.root = Path(root)
         _make_dirs(self.root)
+        for stale in self.root.glob(".tmp-*"):
+            stale.unlink(missing_ok=True)
         self._lock = threading.Lock()  # writes, and reads that go to disk
         # Committed non-terminal records, each with the length of its file.
         self._records: dict[str, tuple[ExperimentRecord, int]] = {}

@@ -8,7 +8,7 @@ import pytest
 from expforge import Director, MemoryStore, builtin_registry
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
 from expforge.errors import TransportError
-from expforge.executor import PipelineBundle, RetryPolicy
+from expforge.executor import PipelineBundle
 from expforge.model import Pipeline, Status, TaskSpec, TERMINAL_STATUSES
 
 # One server node, ten "campus" clients, ten "cloud" clients.
@@ -104,16 +104,15 @@ def sleep_pipeline(stages: int, tasks_per_stage: int,
 
 
 def make_bundle(pipeline: Pipeline, registry, node_id: str = "sim-000",
-                kind: str = "simulated", experiment_id: str = "exp",
-                retry: RetryPolicy | None = None) -> PipelineBundle:
+                kind: str = "simulated",
+                experiment_id: str = "exp") -> PipelineBundle:
     impl_ids = {
         task.name: registry.resolve(task.task_type, kind)
         for stage in pipeline.stages for task in stage.tasks}
     return PipelineBundle(
         experiment_id=experiment_id, node_id=node_id, node_kind=kind,
         pipeline=pipeline, pipeline_digest=pipeline.digest(),
-        impl_ids=impl_ids, early_stop=pipeline.early_stop,
-        report_retry=retry or RetryPolicy(base_delay_s=0.01, max_attempts=3))
+        impl_ids=impl_ids)
 
 
 class FencedStoreError(Exception):
@@ -211,9 +210,9 @@ class FakeGatewayClient:
     """Executor-facing stub: records deliveries, optionally failing first."""
 
     def __init__(self, fail_deliveries: int = 0,
-                 bundles: dict[str, dict] | None = None):
+                 bundles: dict[str, PipelineBundle] | None = None):
         self.fail_deliveries = fail_deliveries
-        self.bundles = dict(bundles or {})  # node id -> bundle doc
+        self.bundles = dict(bundles or {})  # node id -> bundle
         self.delivered: list[dict] = []
         self.attempts = 0
         self.flags: dict[tuple[str, str], dict] = {}
@@ -234,7 +233,8 @@ class FakeGatewayClient:
             self.delivered.append(report_doc)
             return "accepted"
 
-    def fetch_bundle(self, experiment_id: str, node_id: str) -> dict:
+    def fetch_bundle(self, experiment_id: str,
+                     node_id: str) -> PipelineBundle:
         if node_id not in self.bundles:
             raise TransportError(f"fake client has no bundle for {node_id}")
         return self.bundles[node_id]

@@ -34,7 +34,7 @@ from expforge.connectors.simulated import (
     SimulatedConnector,
 )
 from expforge.connectors.local import LocalConnector
-from expforge.executor import RetryPolicy, run_executor, run_pipeline
+from expforge.executor import ExecutorConfig, run_executor, run_pipeline
 from expforge.manifest import (
     load_bundled_example,
     parse_manifest,
@@ -447,16 +447,18 @@ def test_c10_report_idempotence_and_spool(tmp_path):
                          FaultModel(sleep_scale=0.01))
     bundle = make_bundle(
         Pipeline("p").then(TaskSpec("sleep", params={"seconds": 0.1})),
-        registry, retry=RetryPolicy(0.001, 2.0, 3))
+        registry)
+    config = ExecutorConfig("exp", "sim-000", registry=registry)
     spool_dir = tmp_path / "spool"
-    down = FakeGatewayClient(fail_deliveries=10**6)
-    assert run_executor(bundle, registry, runtime, down, spool_dir,
+    down = FakeGatewayClient(fail_deliveries=10**6,
+                             bundles={"sim-000": bundle})
+    assert run_executor(config, runtime, down, spool_dir,
                         sleeper=lambda _: None) == 0
     spooled = list(spool_dir.glob("*.report.json"))
     assert len(spooled) == 1, "no spool file with the gateway down"
 
-    up = FakeGatewayClient()
-    assert run_executor(bundle, registry, runtime, up, spool_dir) == 0
+    up = FakeGatewayClient(bundles={"sim-000": bundle})
+    assert run_executor(config, runtime, up, spool_dir) == 0
     assert list(spool_dir.glob("*.report.json")) == []
     assert len(up.delivered) == 1
     _mark(10, "(duplicates left state unchanged; spool file created and "

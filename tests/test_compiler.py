@@ -291,7 +291,7 @@ def test_dedup_matches_brute_force_property(seed):
 PINNED_PIPELINE_DIGEST = (
     "c6ba861d04a7c5f70bbd68a0293617410a7ebd16a3f2d39978fa861bd2a82ba6")
 PINNED_PLAN_DIGEST = (  # sha256 of the plan's canonical_json
-    "beeea3247b5381878a4e16c7e09cab1070dc0d1ee6ffe59f1132b066573a6e6b")
+    "9a25c2c53ba2df491b7c4fab9e27a8248a4c541f91b17c19e044f8c8cf79d9ac")
 
 
 def pinned_experiment() -> Experiment:

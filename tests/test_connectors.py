@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import FakeGatewayClient, make_bundle
+from conftest import FAST_SIM, FakeGatewayClient, make_bundle
 from expforge import Director, MemoryStore
 import expforge.connectors as connectors_module
 import expforge.connectors.local as local_module
@@ -523,7 +523,62 @@ def test_sim_executor_crash_is_logged_not_raised(caplog):
         gateway_client=FakeGatewayClient(), registry=builtin_registry()))
     handle.thread.join(timeout=10)
     assert not handle.thread.is_alive()
-    assert "simulated executor for sim-000 crashed" in caplog.text
+    assert "simulated executor for sim-000 exited with code 2" in caplog.text
+
+
+def test_sim_executor_that_crashes_ends_its_thread_quietly(caplog):
+    """An exception inside a simulated executor (here its spool write) ends
+    in EXIT_CRASHED: the thread logs it and nothing escapes the thread."""
+    registry = builtin_registry()
+    connector = SimulatedConnector("sim", node_count=1, fault=FAST_SIM)
+    node = connector.list_nodes().nodes[0]
+    (connector.spool_root / node.node_id).write_text("not a directory")
+    bundle = make_bundle(Pipeline("p").then(TaskSpec("sleep",
+                                                     params={"seconds": 0})),
+                         registry)
+    handle = connector.launch_executor(node, ExecutorConfig(
+        experiment_id="exp", node_id=node.node_id,
+        gateway_client=FakeGatewayClient(bundles={node.node_id: bundle}),
+        registry=registry))
+    handle.thread.join(timeout=10)
+    assert not handle.thread.is_alive()
+    assert "executor for exp/sim-000 crashed" in caplog.text
+    assert "simulated executor for sim-000 exited with code 4" in caplog.text
+
+
+# Ids a child must get back exactly: a slash, a space, quotes, non-ASCII.
+AWKWARD_IDS = ("exp/1 it's \"q\"", "nöde 1/ü")
+
+
+def test_child_config_round_trips_through_its_environment(tmp_path):
+    experiment_id, node_id = AWKWARD_IDS
+    config = ExecutorConfig(experiment_id, node_id,
+                            gateway_url="http://127.0.0.1:8714")
+    child = ExecutorConfig.from_env(config.to_env(str(tmp_path)))
+    assert (child.experiment_id, child.node_id, child.gateway_url) == (
+        experiment_id, node_id, "http://127.0.0.1:8714")
+    assert child.registry is not None
+
+
+def test_ssh_launch_environment_survives_the_shell():
+    runner = ScriptedRunner()
+    connector = SshConnector("lab", hosts=[SshHost("h1")], runner=runner)
+    node = connector.list_nodes().nodes[0]
+    experiment_id, node_id = AWKWARD_IDS
+    connector.launch_executor(node, ExecutorConfig(
+        experiment_id, node_id, gateway_url="http://director:8714"))
+    launch = runner.calls[-1][1]
+    assignments = launch[launch.index("(") + 1:launch.index(" nohup ")]
+    printed = subprocess.run(["sh", "-c", f"{assignments} env"],
+                             capture_output=True, text=True, check=True,
+                             encoding="utf-8",
+                             env={"PATH": os.environ["PATH"]}).stdout
+    env = dict(line.split("=", 1) for line in printed.splitlines()
+               if line.startswith("EXPFORGE_"))
+    child = ExecutorConfig.from_env(env)
+    assert (child.experiment_id, child.node_id, child.gateway_url) == (
+        experiment_id, node_id, "http://director:8714")
+    assert env["EXPFORGE_SCRATCH"] == "."
 
 
 @pytest.mark.parametrize("command, expected", [

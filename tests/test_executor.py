@@ -23,8 +23,10 @@ from expforge.connectors.simulated import (
 )
 from expforge.executor import (
     CANCEL_GRACE_S,
+    EXIT_CRASHED,
     EXIT_OK,
     EXIT_STARTUP_ERROR,
+    ExecutorConfig,
     LocalRuntime,
     PipelineBundle,
     PipelineReport,
@@ -287,9 +289,9 @@ class TestRunExecutor:
 
     def test_delivers_and_clears_spool(self, registry, sim_runtime, tmp_path):
         bundle = make_bundle(self.pipeline(), registry)
-        gateway = FakeGatewayClient()
-        code = run_executor(bundle, registry, sim_runtime, gateway,
-                            tmp_path / "spool")
+        gateway = FakeGatewayClient(bundles={"sim-000": bundle})
+        code = run_executor(ExecutorConfig("exp", "sim-000", registry=registry),
+                            sim_runtime, gateway, tmp_path / "spool")
         assert code == EXIT_OK
         assert len(gateway.delivered) == 1
         assert len(gateway.delivered[0]["results"]) == 2
@@ -297,17 +299,18 @@ class TestRunExecutor:
 
     def test_gateway_forever_down_spools_then_relaunch_delivers(
             self, registry, sim_runtime, tmp_path):
-        bundle = make_bundle(self.pipeline(), registry,
-                             retry=RetryPolicy(0.001, 2.0, 3))
-        down = FakeGatewayClient(fail_deliveries=10**6)
-        code = run_executor(bundle, registry, sim_runtime, down,
+        bundle = make_bundle(self.pipeline(), registry)
+        config = ExecutorConfig("exp", "sim-000", registry=registry)
+        down = FakeGatewayClient(fail_deliveries=10**6,
+                                 bundles={"sim-000": bundle})
+        code = run_executor(config, sim_runtime, down,
                             tmp_path / "spool", sleeper=lambda _: None)
         assert code == EXIT_OK
         spooled = list((tmp_path / "spool").glob("*.report.json"))
         assert len(spooled) == 1
 
-        up = FakeGatewayClient()
-        code = run_executor(bundle, registry, sim_runtime, up,
+        up = FakeGatewayClient(bundles={"sim-000": bundle})
+        code = run_executor(config, sim_runtime, up,
                             tmp_path / "spool")
         assert code == EXIT_OK
         # spool replay + this run's own report, same (exp, node) key
@@ -319,9 +322,9 @@ class TestRunExecutor:
         bundle = make_bundle(self.pipeline(), registry)
         tampered = PipelineBundle.from_doc(
             bundle.to_doc() | {"pipeline_digest": "0" * 64})
-        gateway = FakeGatewayClient()
-        code = run_executor(tampered, registry, sim_runtime, gateway,
-                            tmp_path / "spool")
+        gateway = FakeGatewayClient(bundles={"sim-000": tampered})
+        code = run_executor(ExecutorConfig("exp", "sim-000", registry=registry),
+                            sim_runtime, gateway, tmp_path / "spool")
         assert code == EXIT_STARTUP_ERROR
         assert gateway.delivered == []
 
@@ -330,10 +333,34 @@ class TestRunExecutor:
         stop = threading.Event()
         stop.set()
         bundle = make_bundle(self.pipeline(), registry)
-        gateway = FakeGatewayClient()
-        code = run_executor(bundle, registry, sim_runtime, gateway,
-                            tmp_path / "spool", stop=stop)
+        gateway = FakeGatewayClient(bundles={"sim-000": bundle})
+        code = run_executor(ExecutorConfig("exp", "sim-000", registry=registry),
+                            sim_runtime, gateway, tmp_path / "spool",
+                            stop=stop)
         assert code != EXIT_OK
+        assert gateway.delivered == []
+
+
+    def test_failed_fetch_is_startup_error(self, registry, sim_runtime,
+                                           tmp_path, caplog):
+        gateway = FakeGatewayClient()  # holds no bundle: the fetch raises
+        code = run_executor(ExecutorConfig("exp", "sim-000", registry=registry),
+                            sim_runtime, gateway, tmp_path / "spool")
+        assert code == EXIT_STARTUP_ERROR
+        assert "could not obtain bundle for exp/sim-000" in caplog.text
+        assert gateway.delivered == []
+
+    def test_unwritable_spool_is_a_logged_crash(self, registry, sim_runtime,
+                                                tmp_path, caplog):
+        spool_file = tmp_path / "spool"
+        spool_file.write_text("not a directory")
+        gateway = FakeGatewayClient(
+            bundles={"sim-000": make_bundle(self.pipeline(), registry)})
+        code = run_executor(ExecutorConfig("exp", "sim-000", registry=registry),
+                            sim_runtime, gateway, spool_file)
+        assert code == EXIT_CRASHED
+        assert "executor for exp/sim-000 crashed" in caplog.text
+        assert "Traceback" in caplog.text
         assert gateway.delivered == []
 
 

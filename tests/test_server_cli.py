@@ -31,7 +31,12 @@ from expforge.errors import (
     UnknownExperiment,
     WrongPhase,
 )
-from expforge.executor import EXIT_STARTUP_ERROR, LocalRuntime, run_executor
+from expforge.executor import (
+    EXIT_STARTUP_ERROR,
+    ExecutorConfig,
+    LocalRuntime,
+    run_executor,
+)
 from expforge.gateway import HttpGatewayClient
 from expforge.manifest import load_bundled_example
 from expforge.model import Status
@@ -240,8 +245,9 @@ class TestGatewayHttp:
                 return payload
 
         client = TamperingClient(server.url)
-        code = run_executor(client.fetch_bundle(eid, "sim-000"),
-                            builtin_registry(), LocalRuntime(tmp_path / "run"),
+        code = run_executor(ExecutorConfig(eid, "sim-000",
+                                           registry=builtin_registry()),
+                            LocalRuntime(tmp_path / "run"),
                             client, tmp_path / "spool")
         assert code == EXIT_STARTUP_ERROR
         assert server.director.gateway.fetch_bundle(

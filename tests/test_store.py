@@ -441,6 +441,32 @@ class TestStoreContract:
         assert finished.status is Status.FINISHED
         assert len(finished.results) == 2 * len(NODES)
 
+    def test_reopened_store_removes_temp_files(self, tmp_path, monkeypatch):
+        """A temp file that an interrupted terminal rewrite left in the root
+        is removed when a store opens the root; the record is untouched."""
+        store = FileStore(tmp_path / "records")
+        director = Director(store, builtin_registry(), {}, recover=False)
+        for step in lifecycle(director):
+            if step == f"report {NODES[-2]}":
+                break
+        record_file = store.root / "life.jsonl"
+        record_bytes = record_file.read_bytes()
+
+        def crash(path, data):
+            fd, _ = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+            os.close(fd)
+            raise OSError("crashed before the rename")
+
+        monkeypatch.setattr(store_module, "_write_file", crash)
+        with pytest.raises(OSError):
+            director.gateway.ingest_report(report(NODES[-1], 2))
+        monkeypatch.undo()
+        assert len(list(store.root.glob(".tmp-*"))) == 1
+
+        FileStore(store.root)
+        assert list(store.root.glob(".tmp-*")) == []
+        assert record_file.read_bytes() == record_bytes
+
     def test_terminal_record_is_one_line(self, tmp_path):
         store = FileStore(tmp_path / "records")
         director = Director(store, builtin_registry(), {}, recover=False)
