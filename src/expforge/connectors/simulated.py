@@ -6,6 +6,12 @@ decisions never depend on thread interleaving. The event trace is canonically
 ordered by (node, scope, sequence-within-scope); two runs with the same seed,
 fault model, and workload produce identical traces.
 
+The scratch filesystem also holds the node's report spool, under
+``.spool/``: an undelivered report stays on its node for the next executor
+launched there, also under a restarted director that reuses the connector,
+and the scratch wipe removes it with the rest, as a real node's cleanup
+does.
+
 Simulated command execution interprets a tiny vocabulary (true / false /
 exit N / echo) plus the scratch-wipe and capture-stop tokens; any other
 command "succeeds" with recorded intent, keeping simulation hermetic. Sleeps
@@ -19,18 +25,14 @@ import hashlib
 import logging
 import random
 import shlex
-import shutil
-import tempfile
 import threading
 import time
-import weakref
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from ..errors import LaunchFailed, TransportError
-from ..executor import EXIT_OK, NodeRuntime, run_executor
+from ..executor import EXIT_OK, NodeRuntime, ReportSpool, run_executor
 from ..model import NodeDescriptor, NodePool, StagedFile
 from . import Connector, ExecutorConfig, LaunchHandle, PrepareResult
 
@@ -120,6 +122,10 @@ class SimNode:
         with self._lock:
             return path in self.fs
 
+    def remove(self, path: str) -> None:
+        with self._lock:
+            self.fs.pop(path, None)
+
     def files(self) -> list[str]:
         with self._lock:
             return sorted(self.fs)
@@ -127,6 +133,29 @@ class SimNode:
     def wipe(self) -> None:
         with self._lock:
             self.fs.clear()
+
+
+class SimSpool(ReportSpool):
+    """A simulated node's report spool: ``.spool/<name>`` on its virtual
+    scratch filesystem."""
+
+    PREFIX = ".spool/"
+
+    def __init__(self, node: SimNode):
+        self.node = node
+
+    def write(self, name: str, data: bytes) -> None:
+        self.node.write(self.PREFIX + name, data)
+
+    def read(self, name: str) -> bytes:
+        return self.node.read(self.PREFIX + name)
+
+    def remove(self, name: str) -> None:
+        self.node.remove(self.PREFIX + name)
+
+    def names(self) -> list[str]:
+        return [path[len(self.PREFIX):] for path in self.node.files()
+                if path.startswith(self.PREFIX)]
 
 
 class SimulatedInfrastructure:
@@ -274,11 +303,6 @@ class SimulatedConnector(Connector):
             per_node_attributes=per_node_attributes, seed=seed, fault=fault,
             node_prefix=name)
         self.fault = self.infra.fault
-        self.spool_root = Path(tempfile.mkdtemp(prefix=f"expforge-{name}-spool-"))
-        # Removed with the connector, not at Director.close: a restarted
-        # director reuses the connector, and spooled reports with it.
-        weakref.finalize(self, shutil.rmtree, self.spool_root,
-                         ignore_errors=True)
 
     # -- inventory -------------------------------------------------------------
 
@@ -335,13 +359,13 @@ class SimulatedConnector(Connector):
         stop = threading.Event()
         proxy = _SimGatewayProxy(config.gateway_client, sim, self.fault)
         runtime = SimRuntime(sim, self.fault)
-        spool_dir = self.spool_root / sim.node_id
+        spool = SimSpool(sim)
         scale = self.fault.sleep_scale
 
         def run() -> None:
             sim.log("launch", "executor-launch",
                     {"experiment_id": config.experiment_id})
-            code = run_executor(config, runtime, proxy, spool_dir, stop=stop,
+            code = run_executor(config, runtime, proxy, spool, stop=stop,
                                 sleeper=lambda s: time.sleep(s * scale))
             if code != EXIT_OK:
                 log.warning("simulated executor for %s exited with code %d",

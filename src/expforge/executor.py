@@ -12,10 +12,13 @@ hands the tasks out and enforces their deadlines, each anchored at the
 moment its worker picked the task up: it fires each task's cancel event at
 that task's deadline and only then waits out the cancel grace of the tasks
 that timed out. Every task anomaly becomes a TaskResult; nothing
-propagates to the caller. The finished report is flushed to a local spool
-file before the first delivery attempt and removed only after the gateway
-acknowledged it, so a crash or an unreachable gateway never loses results.
-The spool is written as the store writes a file: temp file, fsync, rename.
+propagates to the caller. The finished report is written to the node's
+report spool before the first delivery attempt and removed only after the
+gateway acknowledged it, so a crash or an unreachable gateway never loses
+results. A spool (``ReportSpool``) holds named documents and has two
+backends: a process executor's ``DirectorySpool`` writes each one as the
+store writes a file (temp file, fsync, rename, then the directory fsynced),
+and a simulated node keeps its spool on its own virtual scratch filesystem.
 Spooled reports of earlier runs are retried at start; one the gateway
 refuses (unknown experiment, unassigned node) is kept and skipped.
 
@@ -27,8 +30,8 @@ Executors in the platform process share one decoded ``Pipeline`` per
 digest, so its digest is checked once; a child process decodes its own copy
 from the wire and checks that. ``ExecutorConfig.to_env`` and ``from_env``
 write and read a child's environment: EXPFORGE_GATEWAY,
-EXPFORGE_EXPERIMENT_ID, EXPFORGE_NODE_ID and EXPFORGE_SCRATCH; the report
-spool is ``<EXPFORGE_SCRATCH>/.spool``.
+EXPFORGE_EXPERIMENT_ID, EXPFORGE_NODE_ID and EXPFORGE_SCRATCH; a child's
+report spool is the directory ``<EXPFORGE_SCRATCH>/.spool``.
 """
 
 from __future__ import annotations
@@ -560,24 +563,66 @@ def run_pipeline(bundle: PipelineBundle, registry: TaskRegistry,
 # report delivery and spooling
 # ---------------------------------------------------------------------------
 
-def spool_path(spool_dir: str | Path, experiment_id: str, node_id: str) -> Path:
-    """One spool file per (experiment, node); distinct pairs never share one.
+class ReportSpool:
+    """Where a node keeps its undelivered reports: named documents."""
+
+    def write(self, name: str, data: bytes) -> None:
+        """Store ``data`` under ``name``, replacing what was there, as
+        durably as the node's storage allows."""
+        raise NotImplementedError
+
+    def read(self, name: str) -> bytes:
+        raise NotImplementedError
+
+    def remove(self, name: str) -> None:
+        """Forget ``name``; a name that is not there is no error."""
+        raise NotImplementedError
+
+    def names(self) -> list[str]:
+        """The stored names, sorted."""
+        raise NotImplementedError
+
+
+class DirectorySpool(ReportSpool):
+    """A process executor's spool: one file per document in ``directory``.
+
+    A write is the store's: the directory is made durably, the file written
+    to a temp file, fsynced and renamed, and then the directory fsynced, so
+    the rename survives a power loss as well."""
+
+    def __init__(self, directory: str | Path):
+        self.directory = Path(directory)
+
+    def write(self, name: str, data: bytes) -> None:
+        _make_dirs(self.directory)
+        _write_file(self.directory / name, data)
+
+    def read(self, name: str) -> bytes:
+        return (self.directory / name).read_bytes()
+
+    def remove(self, name: str) -> None:
+        (self.directory / name).unlink(missing_ok=True)
+
+    def names(self) -> list[str]:
+        return sorted(path.name
+                      for path in self.directory.glob("*.report.json"))
+
+
+def spool_name(experiment_id: str, node_id: str) -> str:
+    """One spool name per (experiment, node); distinct pairs never share one.
 
     ``path_component`` never emits ``+``, so the joined name is unambiguous.
     """
-    name = f"{path_component(experiment_id)}+{path_component(node_id)}"
-    return Path(spool_dir) / f"{name}.report.json"
+    return (f"{path_component(experiment_id)}+{path_component(node_id)}"
+            ".report.json")
 
 
-def write_spool(spool_dir: str | Path, report_doc: dict) -> Path:
-    """Durably persist an undelivered report; one document per report.
-    The spool directory is made durably; the file's rename is not followed
-    by a directory fsync."""
-    path = spool_path(spool_dir, report_doc["experiment_id"],
-                      report_doc["node_id"])
-    _make_dirs(path.parent)
-    _write_file(path, json.dumps(report_doc).encode("utf-8"))
-    return path
+def write_spool(spool: ReportSpool, report_doc: dict) -> str:
+    """Persist an undelivered report in ``spool``; one document per report.
+    The name it is stored under."""
+    name = spool_name(report_doc["experiment_id"], report_doc["node_id"])
+    spool.write(name, json.dumps(report_doc).encode("utf-8"))
+    return name
 
 
 def deliver_report(report_doc: dict, gateway: "GatewayClient",
@@ -599,22 +644,19 @@ def deliver_report(report_doc: dict, gateway: "GatewayClient",
     return "undelivered"
 
 
-def redeliver_spooled(spool_dir: str | Path, gateway: "GatewayClient") -> int:
+def redeliver_spooled(spool: ReportSpool, gateway: "GatewayClient") -> int:
     """Try undelivered reports from previous runs once each; keep failures.
 
     A report the gateway refuses, because it does not know the experiment
     or the experiment does not assign the node, is kept and skipped too, so
     it never stops this executor's own pipeline."""
-    directory = Path(spool_dir)
-    if not directory.is_dir():
-        return 0
     delivered = 0
-    for path in sorted(directory.glob("*.report.json")):
+    for name in spool.names():
         try:
-            report_doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            log.warning("dropping corrupt spool file %s", path)
-            path.unlink(missing_ok=True)
+            report_doc = json.loads(spool.read(name))
+        except ValueError:
+            log.warning("dropping corrupt spooled report %s", name)
+            spool.remove(name)
             continue
         try:
             gateway.deliver_report(report_doc)
@@ -623,13 +665,13 @@ def redeliver_spooled(spool_dir: str | Path, gateway: "GatewayClient") -> int:
                         report_doc.get("experiment_id"),
                         report_doc.get("node_id"), exc)
             continue
-        path.unlink(missing_ok=True)
+        spool.remove(name)
         delivered += 1
     return delivered
 
 
 def run_executor(config: ExecutorConfig, runtime: NodeRuntime,
-                 gateway: "GatewayClient", spool_dir: str | Path,
+                 gateway: "GatewayClient", spool: ReportSpool,
                  stop: threading.Event | None = None,
                  sleeper=time.sleep) -> int:
     """Full executor run of one node: bundle fetch, spool replay, digest
@@ -641,7 +683,7 @@ def run_executor(config: ExecutorConfig, runtime: NodeRuntime,
                   config.experiment_id, config.node_id, exc)
         return EXIT_STARTUP_ERROR
     try:
-        redeliver_spooled(spool_dir, gateway)
+        redeliver_spooled(spool, gateway)
         if not bundle.digest_matches():
             log.error("bundle digest mismatch for %s/%s",
                       bundle.experiment_id, bundle.node_id)
@@ -656,10 +698,10 @@ def run_executor(config: ExecutorConfig, runtime: NodeRuntime,
             started_wall=started_wall, finished_wall=time.time(),
             started_mono=started_mono,
             finished_mono=time.monotonic()).to_doc()
-        path = write_spool(spool_dir, report_doc)
+        name = write_spool(spool, report_doc)
         if deliver_report(report_doc, gateway, REPORT_RETRY,
                           sleeper=sleeper) == "delivered":
-            path.unlink(missing_ok=True)
+            spool.remove(name)
         return EXIT_OK
     except Exception:  # noqa: BLE001 - a dead node, not a dead platform
         log.exception("executor for %s/%s crashed", config.experiment_id,
@@ -679,10 +721,14 @@ def main() -> int:
     if not config.gateway_url:
         log.error("EXPFORGE_GATEWAY is not set")
         return EXIT_STARTUP_ERROR
+    try:
+        gateway = HttpGatewayClient(config.gateway_url)
+    except TransportError as exc:
+        log.error("EXPFORGE_GATEWAY is unusable: %s", exc)
+        return EXIT_STARTUP_ERROR
     scratch = Path(os.environ.get("EXPFORGE_SCRATCH", "./expforge-scratch"))
-    return run_executor(config, LocalRuntime(scratch),
-                        HttpGatewayClient(config.gateway_url),
-                        scratch / ".spool")
+    return run_executor(config, LocalRuntime(scratch), gateway,
+                        DirectorySpool(scratch / ".spool"))
 
 
 if __name__ == "__main__":  # pragma: no cover

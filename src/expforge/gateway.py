@@ -9,10 +9,10 @@ monitor are committed together (group commit): one mutate, one save and one
 settle per batch, with each caller's own outcome. Bundle and flag reads look
 at the one field they need in the store's committed record and copy nothing
 else. A fetched bundle is an immutable ``PipelineBundle``; the gateway
-decodes each pipeline once, on the first fetch of its digest, and every
-bundle of that digest shares it for as long as one of them lives. Flags are
-monotone (set once, never unset within an experiment), namespaced per
-experiment, and destroyed at cleanup; their timestamps come from the
+decodes and digests each pipeline once, on the first fetch of its digest,
+and every bundle of that digest shares it for as long as one of them lives.
+Flags are monotone (set once, never unset within an experiment), namespaced
+per experiment, and destroyed at cleanup; their timestamps come from the
 gateway's clock so cross-node ordering has a single authority.
 
 Uploads, reports and node flag sets are accepted only from nodes the
@@ -54,7 +54,6 @@ from .executor import PipelineBundle
 from .model import LAUNCHED_NODE_STATES, NodeState, Pipeline, Status
 from .store import (
     ExperimentRecord,
-    _fsync_dir,
     _make_dirs,
     _write_file,
     path_component,
@@ -90,7 +89,8 @@ class Gateway:
     def fetch_bundle(self, experiment_id: str,
                      node_id: str) -> PipelineBundle:
         """The node's execution bundle; an idempotent read. Bundles of one
-        digest share one pipeline, decoded from the plan on the first fetch."""
+        digest share one pipeline, decoded from the plan and digested on the
+        first fetch."""
         def plan_entry(record) -> tuple[dict, dict]:
             if record.status is not Status.RUNNING:
                 raise WrongPhase(
@@ -105,10 +105,11 @@ class Gateway:
         entry, pipeline_docs = self._director.store.read(experiment_id,
                                                          plan_entry)
         digest = entry["pipeline_digest"]
-        with self._pipelines_lock:  # one decode per digest
+        with self._pipelines_lock:  # one decode and one digest per digest
             pipeline = self._pipelines.get(digest)
             if pipeline is None:
                 pipeline = Pipeline.from_doc(pipeline_docs[digest])
+                pipeline.digest()  # cached: its executors check it for free
                 self._pipelines[digest] = pipeline
         return PipelineBundle.join(entry, pipeline)
 
@@ -218,7 +219,6 @@ class Gateway:
         directory = self._artifact_dir(experiment_id, node_id)
         _make_dirs(directory)
         _write_file(directory / meta["digest"], data)
-        _fsync_dir(directory)
         with self._director.mutate(experiment_id) as record:
             record.artifacts = [e for e in record.artifacts if (
                 e["node_id"], e["name"]) != (node_id, name)] + [meta]

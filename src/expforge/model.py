@@ -202,10 +202,6 @@ class EnvironmentRequirement:
         object.__setattr__(self, "staged_files", tuple(self.staged_files))
         object.__setattr__(self, "verify_commands", tuple(self.verify_commands))
 
-    def is_empty(self) -> bool:
-        return not (self.setup_commands or self.binaries
-                    or self.staged_files or self.verify_commands)
-
     def to_doc(self) -> dict:
         """Sequences stay tuples, which JSON writes as arrays: the doc of an
         empty environment holds only the ``()`` singleton, so the cycle
@@ -356,9 +352,6 @@ class Pipeline:
 
     def task_names(self) -> list[str]:
         return [t.name for s in self.stages for t in s.tasks]
-
-    def task_count(self) -> int:
-        return sum(len(s.tasks) for s in self.stages)
 
     def then(self, tasks: TaskSpec | Iterable[TaskSpec]) -> "Pipeline":
         """Append a stage; pure composition, the receiver is unchanged.

@@ -74,9 +74,6 @@ class TaskRegistry:
         self._by_key[key] = impl
         self._by_id[impl.impl_id] = impl
 
-    def task_types(self) -> list[str]:
-        return sorted({t for t, _ in self._by_key})
-
     def resolve(self, task_type: str, kind: str) -> str:
         """Implementation id for (task_type, kind); exact match wins, then
         the kind's fallback chain. Deterministic by construction."""

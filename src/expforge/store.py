@@ -245,7 +245,8 @@ def _encode(doc: Any) -> bytes:
 
 
 def _write_file(path: Path, data: bytes) -> None:
-    """Replace ``path`` by ``data``: temp file, fsync, rename."""
+    """Replace ``path`` by ``data``: temp file, fsync, rename, then the
+    directory fsynced, so the new name survives a power loss too."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -257,6 +258,7 @@ def _write_file(path: Path, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    _fsync_dir(path.parent)
 
 
 def _append(path: Path, data: bytes, end: int) -> int:
@@ -405,7 +407,6 @@ class FileStore(Store):
         if base is None or new.status in TERMINAL_STATUSES:
             data = _encode(doc) + b"\n"
             _write_file(path, data)
-            _fsync_dir(self.root)
             end = len(data)
         else:
             end = _append(path, _encode(delta) + b"\n", end)

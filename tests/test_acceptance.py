@@ -34,7 +34,8 @@ from expforge.connectors.simulated import (
     SimulatedConnector,
 )
 from expforge.connectors.local import LocalConnector
-from expforge.executor import ExecutorConfig, run_executor, run_pipeline
+from expforge.executor import (DirectorySpool, ExecutorConfig, run_executor,
+                               run_pipeline)
 from expforge.manifest import (
     load_bundled_example,
     parse_manifest,
@@ -408,7 +409,7 @@ def test_c09_early_stop_skips_exactly_later_stages():
             f"{total_stages} stages, failure in {failing_stage}: expected "
             f"{expected} skips, saw {len(skipped)}")
         assert all(r.stage_index >= failing_stage for r in skipped)
-        assert len(results) == pipeline.task_count()
+        assert len(results) == sum(len(s.tasks) for s in pipeline.stages)
     _mark(9, "(skipped == tasks in stages past the failure, 3 shapes)")
 
 
@@ -452,13 +453,13 @@ def test_c10_report_idempotence_and_spool(tmp_path):
     spool_dir = tmp_path / "spool"
     down = FakeGatewayClient(fail_deliveries=10**6,
                              bundles={"sim-000": bundle})
-    assert run_executor(config, runtime, down, spool_dir,
+    assert run_executor(config, runtime, down, DirectorySpool(spool_dir),
                         sleeper=lambda _: None) == 0
     spooled = list(spool_dir.glob("*.report.json"))
     assert len(spooled) == 1, "no spool file with the gateway down"
 
     up = FakeGatewayClient(bundles={"sim-000": bundle})
-    assert run_executor(config, runtime, up, spool_dir) == 0
+    assert run_executor(config, runtime, up, DirectorySpool(spool_dir)) == 0
     assert list(spool_dir.glob("*.report.json")) == []
     assert len(up.delivered) == 1
     _mark(10, "(duplicates left state unchanged; spool file created and "

@@ -122,7 +122,9 @@ class TestResolveImplementation:
         impl_id = registry.resolve("capture-start", "simulated")
         assert impl_id == "capture-start@simulated"
         impl = registry.implementation(impl_id)
-        assert impl.environment.is_empty()  # stub needs no real binary
+        env = impl.environment  # the stub needs no real binary
+        assert not (env.setup_commands or env.binaries or env.staged_files
+                    or env.verify_commands)
 
     def test_unsupported_kind_raises(self, registry):
         with pytest.raises(UnsupportedTaskForKind):

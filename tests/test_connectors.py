@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import FAST_SIM, FakeGatewayClient, make_bundle
+from conftest import FAST_SIM, FakeGatewayClient, drive, make_bundle
 from expforge import Director, MemoryStore
 import expforge.connectors as connectors_module
 import expforge.connectors.local as local_module
@@ -23,13 +23,15 @@ from expforge.connectors import ExecutorConfig, LaunchHandle, load_connectors
 from expforge.connectors.local import LocalConnector
 from expforge.connectors.simulated import (
     FaultModel,
+    SimSpool,
     SimulatedConnector,
     SimulatedInfrastructure,
 )
 from expforge.connectors.ssh import SshConnector, SshHost
 from expforge.errors import ConnectorUnavailable, LaunchFailed, NodeUnreachable
-from expforge.executor import EXIT_STARTUP_ERROR
-from expforge.model import NodeDescriptor, Pipeline, StagedFile, TaskSpec
+from expforge.executor import EXIT_STARTUP_ERROR, spool_name, write_spool
+from expforge.model import (Experiment, NodeDescriptor, Pipeline, StagedFile,
+                            Status, TaskSpec)
 from expforge.store import path_component
 from expforge.tasks import builtin_registry
 
@@ -492,18 +494,34 @@ def test_infrastructure_seeded_attribute_layout():
 
 
 @pytest.mark.parametrize("make", [
-    lambda name: SimulatedConnector(name, node_count=2),
     LocalConnector,
     lambda name: Director(MemoryStore(), builtin_registry(), {}),
-], ids=["simulated", "local", "director-without-artifact-root"])
-def test_dropped_simulated_connectors_leave_no_spool_dir(tmp_path,
-                                                         monkeypatch, make):
+], ids=["local", "director-without-artifact-root"])
+def test_dropped_owners_leave_no_temp_dir(tmp_path, monkeypatch, make):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     connectors = [make(f"leak{i}") for i in range(3)]
     assert len(list(tmp_path.iterdir())) == 3
     del connectors
     gc.collect()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_simulated_connector_and_its_runs_leave_no_temp_files(
+        tmp_path, monkeypatch, make_director):
+    """A simulated node spools its reports on its own virtual scratch, so
+    neither the connector nor a run on it, spooled reports included, writes
+    under ``tempfile.tempdir``."""
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    connector = SimulatedConnector("sim", node_count=2, fault=FAST_SIM)
+    director = make_director({"sim": connector},
+                             artifact_root=tmp_path / "artifacts")
+    eid = director.submit(Experiment("exp").map(
+        Pipeline("p").then(TaskSpec("sleep", params={"seconds": 0})),
+        list(connector.list_nodes())))
+    assert drive(director, eid) is Status.FINISHED
+    assert list(temp.iterdir()) == []
 
 
 def test_sim_node_outside_the_connector_is_refused():
@@ -526,13 +544,19 @@ def test_sim_executor_crash_is_logged_not_raised(caplog):
     assert "simulated executor for sim-000 exited with code 2" in caplog.text
 
 
-def test_sim_executor_that_crashes_ends_its_thread_quietly(caplog):
+def test_sim_executor_that_crashes_ends_its_thread_quietly(caplog,
+                                                           monkeypatch):
     """An exception inside a simulated executor (here its spool write) ends
     in EXIT_CRASHED: the thread logs it and nothing escapes the thread."""
     registry = builtin_registry()
     connector = SimulatedConnector("sim", node_count=1, fault=FAST_SIM)
     node = connector.list_nodes().nodes[0]
-    (connector.spool_root / node.node_id).write_text("not a directory")
+
+    def full_disk(path, content):
+        raise OSError(f"no space left for {path}")
+
+    monkeypatch.setattr(connector.infra.node(node.node_id), "write",
+                        full_disk)
     bundle = make_bundle(Pipeline("p").then(TaskSpec("sleep",
                                                      params={"seconds": 0})),
                          registry)
@@ -544,6 +568,44 @@ def test_sim_executor_that_crashes_ends_its_thread_quietly(caplog):
     assert not handle.thread.is_alive()
     assert "executor for exp/sim-000 crashed" in caplog.text
     assert "simulated executor for sim-000 exited with code 4" in caplog.text
+
+
+def test_undelivered_sim_report_waits_in_its_nodes_spool():
+    """A report that every delivery attempt drops stays in its node's
+    spool; the next executor launched there redelivers it, and a scratch
+    wipe empties the spool."""
+    registry = builtin_registry()
+    connector = SimulatedConnector(
+        "sim", node_count=1,
+        fault=FaultModel(report_drop_prob=1.0, sleep_scale=0.01))
+    node = connector.list_nodes().nodes[0]
+    spool = SimSpool(connector.infra.node(node.node_id))
+    pipeline = Pipeline("p").then(TaskSpec("sleep", params={"seconds": 0}))
+
+    def launch(experiment_id: str) -> FakeGatewayClient:
+        gateway = FakeGatewayClient(bundles={node.node_id: make_bundle(
+            pipeline, registry, experiment_id=experiment_id)})
+        handle = connector.launch_executor(node, ExecutorConfig(
+            experiment_id=experiment_id, node_id=node.node_id,
+            gateway_client=gateway, registry=registry))
+        handle.thread.join(timeout=10)
+        assert not handle.thread.is_alive()
+        return gateway
+
+    dropped = launch("exp-1")
+    assert dropped.delivered == []
+    assert spool.names() == [spool_name("exp-1", node.node_id)]
+
+    connector.fault = FaultModel(sleep_scale=0.01)  # deliveries get through
+    healed = launch("exp-2")
+    assert [doc["experiment_id"] for doc in healed.delivered] \
+        == ["exp-1", "exp-2"]
+    assert spool.names() == []
+
+    write_spool(spool, {"experiment_id": "exp-3", "node_id": node.node_id,
+                        "results": []})
+    assert connector.run(node, CLEAN_SCRATCH_COMMAND) == (0, "")
+    assert spool.names() == []
 
 
 # Ids a child must get back exactly: a slash, a space, quotes, non-ASCII.

@@ -19,10 +19,12 @@ from expforge.connectors.simulated import (
     FaultModel,
     SimNode,
     SimRuntime,
+    SimSpool,
     SimulatedConnector,
 )
 from expforge.executor import (
     CANCEL_GRACE_S,
+    DirectorySpool,
     EXIT_CRASHED,
     EXIT_OK,
     EXIT_STARTUP_ERROR,
@@ -39,7 +41,7 @@ from expforge.executor import (
     run_pipeline,
     run_stage,
     run_task,
-    spool_path,
+    spool_name,
     write_spool,
 )
 from expforge.model import (
@@ -211,7 +213,7 @@ class TestRunPipeline:
                  for _ in range(3)])
         results = run_pipeline(make_bundle(pipeline, registry), registry,
                                sim_runtime)
-        assert len(results) == pipeline.task_count()
+        assert len(results) == sum(len(s.tasks) for s in pipeline.stages)
 
     def test_stage_barrier_on_trace(self, registry, sim_runtime):
         pipeline = Pipeline("p")
@@ -266,19 +268,19 @@ class TestReportDelivery:
 
     def test_spool_then_redeliver(self, tmp_path):
         spool_dir = tmp_path / "spool"
-        write_spool(spool_dir, small_report())
-        assert spool_path(spool_dir, "exp", "sim-000").exists()
+        write_spool(DirectorySpool(spool_dir), small_report())
+        assert (spool_dir / spool_name("exp", "sim-000")).exists()
         gateway = FakeGatewayClient()
-        assert redeliver_spooled(spool_dir, gateway) == 1
-        assert not spool_path(spool_dir, "exp", "sim-000").exists()
+        assert redeliver_spooled(DirectorySpool(spool_dir), gateway) == 1
+        assert not (spool_dir / spool_name("exp", "sim-000")).exists()
         assert gateway.delivered[0]["experiment_id"] == "exp"
 
     def test_redeliver_keeps_file_while_down(self, tmp_path):
         spool_dir = tmp_path / "spool"
-        write_spool(spool_dir, small_report())
+        write_spool(DirectorySpool(spool_dir), small_report())
         gateway = FakeGatewayClient(fail_deliveries=99)
-        assert redeliver_spooled(spool_dir, gateway) == 0
-        assert spool_path(spool_dir, "exp", "sim-000").exists()
+        assert redeliver_spooled(DirectorySpool(spool_dir), gateway) == 0
+        assert (spool_dir / spool_name("exp", "sim-000")).exists()
 
 
 class TestRunExecutor:
@@ -291,7 +293,8 @@ class TestRunExecutor:
         bundle = make_bundle(self.pipeline(), registry)
         gateway = FakeGatewayClient(bundles={"sim-000": bundle})
         code = run_executor(ExecutorConfig("exp", "sim-000", registry=registry),
-                            sim_runtime, gateway, tmp_path / "spool")
+                            sim_runtime, gateway,
+                            DirectorySpool(tmp_path / "spool"))
         assert code == EXIT_OK
         assert len(gateway.delivered) == 1
         assert len(gateway.delivered[0]["results"]) == 2
@@ -304,14 +307,15 @@ class TestRunExecutor:
         down = FakeGatewayClient(fail_deliveries=10**6,
                                  bundles={"sim-000": bundle})
         code = run_executor(config, sim_runtime, down,
-                            tmp_path / "spool", sleeper=lambda _: None)
+                            DirectorySpool(tmp_path / "spool"),
+                            sleeper=lambda _: None)
         assert code == EXIT_OK
         spooled = list((tmp_path / "spool").glob("*.report.json"))
         assert len(spooled) == 1
 
         up = FakeGatewayClient(bundles={"sim-000": bundle})
         code = run_executor(config, sim_runtime, up,
-                            tmp_path / "spool")
+                            DirectorySpool(tmp_path / "spool"))
         assert code == EXIT_OK
         # spool replay + this run's own report, same (exp, node) key
         assert len(up.delivered) == 1
@@ -324,7 +328,8 @@ class TestRunExecutor:
             bundle.to_doc() | {"pipeline_digest": "0" * 64})
         gateway = FakeGatewayClient(bundles={"sim-000": tampered})
         code = run_executor(ExecutorConfig("exp", "sim-000", registry=registry),
-                            sim_runtime, gateway, tmp_path / "spool")
+                            sim_runtime, gateway,
+                            DirectorySpool(tmp_path / "spool"))
         assert code == EXIT_STARTUP_ERROR
         assert gateway.delivered == []
 
@@ -335,8 +340,8 @@ class TestRunExecutor:
         bundle = make_bundle(self.pipeline(), registry)
         gateway = FakeGatewayClient(bundles={"sim-000": bundle})
         code = run_executor(ExecutorConfig("exp", "sim-000", registry=registry),
-                            sim_runtime, gateway, tmp_path / "spool",
-                            stop=stop)
+                            sim_runtime, gateway,
+                            DirectorySpool(tmp_path / "spool"), stop=stop)
         assert code != EXIT_OK
         assert gateway.delivered == []
 
@@ -345,7 +350,8 @@ class TestRunExecutor:
                                            tmp_path, caplog):
         gateway = FakeGatewayClient()  # holds no bundle: the fetch raises
         code = run_executor(ExecutorConfig("exp", "sim-000", registry=registry),
-                            sim_runtime, gateway, tmp_path / "spool")
+                            sim_runtime, gateway,
+                            DirectorySpool(tmp_path / "spool"))
         assert code == EXIT_STARTUP_ERROR
         assert "could not obtain bundle for exp/sim-000" in caplog.text
         assert gateway.delivered == []
@@ -357,7 +363,7 @@ class TestRunExecutor:
         gateway = FakeGatewayClient(
             bundles={"sim-000": make_bundle(self.pipeline(), registry)})
         code = run_executor(ExecutorConfig("exp", "sim-000", registry=registry),
-                            sim_runtime, gateway, spool_file)
+                            sim_runtime, gateway, DirectorySpool(spool_file))
         assert code == EXIT_CRASHED
         assert "executor for exp/sim-000 crashed" in caplog.text
         assert "Traceback" in caplog.text
@@ -527,13 +533,12 @@ def test_start_is_stamped_by_the_worker(registry, sim_runtime, monkeypatch):
 
 def test_spool_names_keep_distinct_ids_apart(tmp_path):
     pairs = [("a/b", "n"), ("a_b", "n"), ("a-b", "c"), ("a", "b-c")]
-    paths = {spool_path(tmp_path, eid, nid) for eid, nid in pairs}
+    paths = {tmp_path / spool_name(eid, nid) for eid, nid in pairs}
     assert len(paths) == len(pairs)
     assert all(path.parent == tmp_path for path in paths)
-    assert spool_path(tmp_path, "exp", "sim-000").name == \
-        "exp+sim-000.report.json"
+    assert spool_name("exp", "sim-000") == "exp+sim-000.report.json"
     for eid, nid in pairs:
-        write_spool(tmp_path, small_report(eid, nid))
+        write_spool(DirectorySpool(tmp_path), small_report(eid, nid))
     assert len(list(tmp_path.glob("*.report.json"))) == len(pairs)
 
 
@@ -561,17 +566,28 @@ def test_local_runtime_writes_text_and_bytes(local_runtime):
 
 def test_corrupt_spool_file_is_dropped(tmp_path):
     spool_dir = tmp_path / "spool"
-    write_spool(spool_dir, small_report())
+    write_spool(DirectorySpool(spool_dir), small_report())
     torn = spool_dir / "torn.report.json"
     torn.write_text('{"experiment_id": ')
     gateway = FakeGatewayClient()
-    assert redeliver_spooled(spool_dir, gateway) == 1
+    assert redeliver_spooled(DirectorySpool(spool_dir), gateway) == 1
     assert list(spool_dir.iterdir()) == []
 
 
 def test_child_without_a_gateway_is_a_startup_error(monkeypatch):
     monkeypatch.delenv("EXPFORGE_GATEWAY", raising=False)
     assert executor_main() == EXIT_STARTUP_ERROR
+
+
+def test_child_with_a_bad_gateway_url_is_a_startup_error(monkeypatch,
+                                                         caplog):
+    """A gateway URL the client refuses ends the child at startup with
+    one log line, not a traceback."""
+    monkeypatch.setenv("EXPFORGE_GATEWAY", "not-a-url")
+    assert executor_main() == EXIT_STARTUP_ERROR
+    [record] = caplog.records
+    assert "not-a-url" in record.getMessage()
+    assert record.exc_info is None
 
 
 @pytest.mark.parametrize("stale", [
@@ -587,8 +603,8 @@ def test_stale_spooled_report_does_not_stop_later_executors(
     sim_000, sim_001 = connector.list_nodes().take(2)
     pipeline = sleep_pipeline(1, 1, seconds=0)
     director.submit(Experiment("other").map(pipeline, [sim_001]))
-    spooled = write_spool(connector.spool_root / "sim-000",
-                          {**stale, "results": []})
+    spool = SimSpool(connector.infra.node("sim-000"))
+    spooled = write_spool(spool, {**stale, "results": []})
     eid = director.submit(Experiment(
         "exp", policies=Policies(experiment_timeout_s=3)).map(
         pipeline, [sim_000, sim_001]))
@@ -598,6 +614,6 @@ def test_stale_spooled_report_does_not_stop_later_executors(
     assert {node: state["state"] for node, state
             in director.record(eid).nodes.items()} \
         == {"sim-000": "reported", "sim-001": "reported"}
-    assert spooled.exists()
+    assert spool.names() == [spooled]
     assert (f"spooled report of {stale['experiment_id']} on sim-000 "
             "not redelivered") in caplog.text

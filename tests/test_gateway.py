@@ -104,19 +104,21 @@ def report_doc(experiment_id, node_id, *, task="sleep") -> dict:
 class TestFetchBundle:
     def test_valid_fetch_matches_digest(self, platform):
         director, connector = platform
-        eid = submit_sleep_experiment(director, connector)
+        eid = submit_held_experiment(director, connector)
         deploy_and_start(director, eid)
         node_id = connector.list_nodes().nodes[0].node_id
         bundle = director.gateway.fetch_bundle(eid, node_id)
         assert bundle.digest_matches()
+        director.gateway.set_flag(eid, "release", "test")
         wait_status(director, eid, {Status.FINISHED})
 
     def test_unknown_node(self, platform):
         director, connector = platform
-        eid = submit_sleep_experiment(director, connector)
+        eid = submit_held_experiment(director, connector)
         deploy_and_start(director, eid)
         with pytest.raises(UnknownAssignment):
             director.gateway.fetch_bundle(eid, "phantom-node")
+        director.gateway.set_flag(eid, "release", "test")
         wait_status(director, eid, {Status.FINISHED})
 
     def test_fetch_before_execute_wrong_phase(self, platform):
@@ -216,15 +218,17 @@ def join_executors(experiment_id: str) -> None:
 class TestIngestReport:
     def test_first_accepted_then_duplicate(self, platform):
         director, connector = platform
-        eid = submit_sleep_experiment(director, connector, name="dup")
+        eid = submit_held_experiment(director, connector, name="dup")
         deploy_and_start(director, eid)
-        doc = report_doc(eid, "sim-000")
+        doc = report_doc(eid, "sim-000", task="wait-flag")
         assert director.gateway.ingest_report(doc) == "accepted"
         before = len(director.record(eid).results)
         assert director.gateway.ingest_report(doc) == "duplicate"
         record = director.record(eid)
         assert len(record.results) == before
         assert record.nodes["sim-000"]["state"] == "reported"
+        director.gateway.set_flag(eid, "release", "test")
+        wait_status(director, eid, {Status.FINISHED})
 
     def test_n_duplicates_equal_one_report_state(self, platform):
         director, connector = platform

@@ -32,6 +32,7 @@ from expforge.errors import (
     WrongPhase,
 )
 from expforge.executor import (
+    DirectorySpool,
     EXIT_STARTUP_ERROR,
     ExecutorConfig,
     LocalRuntime,
@@ -248,7 +249,7 @@ class TestGatewayHttp:
         code = run_executor(ExecutorConfig(eid, "sim-000",
                                            registry=builtin_registry()),
                             LocalRuntime(tmp_path / "run"),
-                            client, tmp_path / "spool")
+                            client, DirectorySpool(tmp_path / "spool"))
         assert code == EXIT_STARTUP_ERROR
         assert server.director.gateway.fetch_bundle(
             eid, "sim-000").digest_matches()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import expforge.store as store_module
 from expforge import Director, builtin_registry
 from expforge.compiler import compile_experiment
-from expforge.executor import write_spool
+from expforge.executor import DirectorySpool, write_spool
 from expforge.errors import (
     DuplicateExperimentName,
     ExpforgeError,
@@ -638,7 +638,8 @@ def test_path_component_is_one_plain_name(name):
 
 class TestDurableDirectories:
     """Every directory the platform makes has its parent fsynced once it
-    exists; a directory that is already there costs no fsync."""
+    exists, and every file it renames into a directory has that directory
+    fsynced; a directory that is already there costs its parent no fsync."""
 
     @pytest.fixture
     def fsynced(self, monkeypatch) -> list[Path]:
@@ -666,11 +667,12 @@ class TestDurableDirectories:
     def test_spool_directory(self, tmp_path, fsynced):
         spool_dir = tmp_path / "spool" / "sim-000"
         doc = {"experiment_id": "exp", "node_id": "sim-000", "results": []}
-        write_spool(spool_dir, doc)
-        assert fsynced == [tmp_path, tmp_path / "spool"]
+        write_spool(DirectorySpool(spool_dir), doc)
+        assert fsynced == [tmp_path, tmp_path / "spool", spool_dir]
         fsynced.clear()
-        write_spool(spool_dir, {**doc, "experiment_id": "exp-2"})
-        assert fsynced == []
+        write_spool(DirectorySpool(spool_dir),
+                    {**doc, "experiment_id": "exp-2"})
+        assert fsynced == [spool_dir]
 
     def test_artifact_directories(self, tmp_path, fsynced):
         director = Director(MemoryStore(), builtin_registry(), {},
@@ -681,11 +683,12 @@ class TestDurableDirectories:
             Pipeline("p").then(TaskSpec("sleep", params={"seconds": 0})),
             [node]))
         director.gateway.store_artifact("exp", "sim-000", "a", b"1")
+        node_dir = tmp_path / "artifacts" / "exp" / "sim-000"
         assert fsynced == [tmp_path, tmp_path / "artifacts",
-                           tmp_path / "artifacts" / "exp"]
+                           tmp_path / "artifacts" / "exp", node_dir]
         fsynced.clear()
         director.gateway.store_artifact("exp", "sim-000", "b", b"2")
-        assert fsynced == []
+        assert fsynced == [node_dir]
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
