@@ -28,7 +28,7 @@ import shlex
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from ..errors import LaunchFailed, TransportError
@@ -63,8 +63,7 @@ class FaultModel:
         )
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     node_id: str
     scope: str
     seq: int
@@ -105,9 +104,8 @@ class SimNode:
             seq = self._seqs.get(scope, 0)
             self._seqs[scope] = seq + 1
             self.events.append(SimEvent(
-                node_id=self.node_id, scope=scope, seq=seq, name=name,
-                detail=tuple(sorted((detail or {}).items())),
-                wall=time.time()))
+                self.node_id, scope, seq, name,
+                tuple(sorted((detail or {}).items())), time.time()))
 
     def write(self, path: str, content: str | bytes) -> None:
         data = content.encode("utf-8") if isinstance(content, str) else content

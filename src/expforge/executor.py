@@ -7,11 +7,16 @@ event and timeout. The threads are workers of one call (``run_pipeline``,
 one, so a pipeline starts about as many threads as its widest stage has
 tasks. A worker whose task ignored its cancel is never reused and ends when
 that task returns; a worker of the last stage ends as soon as its task
-returns, and the others end when the call returns. The calling thread
-hands the tasks out and enforces their deadlines, each anchored at the
-moment its worker picked the task up: it fires each task's cancel event at
-that task's deadline and only then waits out the cancel grace of the tasks
-that timed out. Every task anomaly becomes a TaskResult; nothing
+returns, and the others end when the call returns. Each call owns one
+completion queue, on which a worker puts every task it ran once the task
+returns. The calling thread hands a stage's tasks out, then takes them off
+that queue, waiting no longer than the earliest deadline of the tasks still
+running, each deadline anchored at the moment its worker picked the task
+up: it fires each task's cancel event at that task's deadline and only then
+waits out the cancel grace of the tasks that timed out. A stopped executor
+(its ``stop`` event set, looked at every ``STOP_SLICE_S`` while tasks run)
+fires the cancel of every running task at once, waits out their graces and
+skips the later stages. Every task anomaly becomes a TaskResult; nothing
 propagates to the caller. The finished report is written to the node's
 report spool before the first delivery attempt and removed only after the
 gateway acknowledged it, so a crash or an unreachable gateway never loses
@@ -37,6 +42,7 @@ report spool is the directory ``<EXPFORGE_SCRATCH>/.spool``.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import json
 import logging
 import os
@@ -46,7 +52,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence, TYPE_CHECKING
@@ -78,6 +84,7 @@ EXIT_STOPPED = 3            # stopped before the pipeline finished
 EXIT_CRASHED = 4            # any other exception, logged with its traceback
 
 CANCEL_GRACE_S = 1.0
+STOP_SLICE_S = 0.1  # how often a waiting executor looks at its stop event
 
 
 @dataclass(frozen=True)
@@ -330,8 +337,10 @@ class _TaskRun:
     """One task, run by a worker thread of its executor call.
 
     The worker stamps the start when it picks the task up, which anchors the
-    deadline, and records the outcome and its own finish time; the thread
-    that handed the task over enforces the deadline (see ``_run_tasks``).
+    deadline, and records the outcome and its own finish time before it puts
+    the run on the call's completion queue. ``returned`` belongs to the
+    calling thread: it is set when that thread takes the run off the queue
+    (see ``_run_tasks``).
     """
 
     def __init__(self, task: TaskSpec, registry: TaskRegistry,
@@ -347,7 +356,7 @@ class _TaskRun:
         self.payload: Any = None
         self.error: str | None = None
         self.timed_out = False
-        self.done = threading.Event()
+        self.returned = False
         self._stamp_start()  # again when a worker picks the task up
 
     def _stamp_start(self) -> None:
@@ -369,15 +378,12 @@ class _TaskRun:
             self.error = f"{type(exc).__name__}: {exc}"
         finally:
             self.finished_wall, self.finished_mono = time.time(), time.monotonic()
-            self.done.set()
 
-    def outlived_deadline(self) -> bool:
-        """Wait for the task until its deadline, which its worker may still
-        move later by stamping the start; True when the deadline passed."""
-        while not self.done.wait(max(0.0, self.deadline - time.monotonic())):
-            if time.monotonic() >= self.deadline:
-                return True
-        return False
+    def cancel(self, graces: list[tuple["_TaskRun", float]]) -> None:
+        """Fire the task's cancel event; its grace ends ``CANCEL_GRACE_S``
+        from now."""
+        self.ctx.cancel.set()
+        graces.append((self, time.monotonic() + CANCEL_GRACE_S))
 
     def result(self) -> TaskResult:
         outcome, error_text, payload = Outcome.SUCCESS, None, self.payload
@@ -386,7 +392,7 @@ class _TaskRun:
                 Outcome.TIMEOUT, f"timed out after {self.task.timeout_s}s", None)
         elif self.error is not None:
             outcome, error_text = Outcome.FAILURE, self.error
-        if self.done.is_set():
+        if self.returned:
             finished_wall, finished_mono = self.finished_wall, self.finished_mono
         else:  # still running after its grace: it ignored the cancel
             finished_wall, finished_mono = time.time(), time.monotonic()
@@ -406,25 +412,34 @@ class _TaskRun:
         )
 
 
-def _serve(run: _TaskRun | None, inbox: queue.SimpleQueue) -> None:
-    """A worker thread: runs tasks from its inbox until it receives None."""
+def _serve(run: _TaskRun | None, inbox: queue.SimpleQueue,
+           finished: queue.SimpleQueue) -> None:
+    """A worker thread: runs tasks from its inbox until it receives None,
+    putting each on ``finished`` when it returns."""
     while run is not None:
         run.work()
+        finished.put(run)
         run = inbox.get()
 
 
 class _Workers:
-    """The task threads of one executor call, one task at a time each.
+    """The task threads of one executor call, one task at a time each, and
+    the call's completion queue.
 
     A task goes to an idle worker, or to a new one that takes it as its first
-    task. A task of the call's last stage is followed in its worker's inbox
-    by the None that ends the worker, so that worker exits as soon as the
-    task returns. A worker whose task ignored its cancel gets no other: it
-    ends when that task returns. Leaving the ``with`` block ends the rest,
-    so no worker outlives the call. Only the calling thread uses this object.
+    task; the worker puts the task on ``finished`` when it returns. A task of
+    the call's last stage is followed in its worker's inbox by the None that
+    ends the worker, so that worker exits as soon as the task returns. A
+    worker whose task has not returned when its stage ends (it ignored its
+    cancel) gets no other: it ends when that task returns. Leaving the
+    ``with`` block ends the rest, so no worker outlives the call. Only the
+    calling thread uses this object; ``stop``, when set, cancels the tasks
+    still running.
     """
 
-    def __init__(self):
+    def __init__(self, stop: threading.Event | None = None):
+        self.stop = stop
+        self.finished: queue.SimpleQueue[_TaskRun] = queue.SimpleQueue()
         self._idle: list[queue.SimpleQueue] = []
         self._busy: dict[_TaskRun, queue.SimpleQueue] = {}
 
@@ -435,13 +450,23 @@ class _Workers:
         for inbox in (*self._idle, *self._busy.values()):
             inbox.put(None)
 
+    def stopped(self) -> bool:
+        return self.stop is not None and self.stop.is_set()
+
+    def collect(self, timeout: float) -> None:
+        """Take one returned task off the completion queue, waiting at most
+        ``timeout``; queue.Empty when none returned. It may be a task of an
+        earlier stage that returned after its grace."""
+        self.finished.get(timeout=max(0.0, timeout)).returned = True
+
     def start(self, run: _TaskRun, last: bool) -> None:
         if self._idle:
             inbox = self._idle.pop()
             inbox.put(run)
         else:
             inbox = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(run, inbox), daemon=True,
+            threading.Thread(target=_serve, args=(run, inbox, self.finished),
+                             daemon=True,
                              name=f"task-{run.ctx.node.node_id}").start()
         if last:
             inbox.put(None)
@@ -452,7 +477,7 @@ class _Workers:
         inbox = self._busy.pop(run, None)
         if inbox is None:  # already told to end
             return
-        if run.done.is_set():
+        if run.returned:
             self._idle.append(inbox)
         else:
             inbox.put(None)
@@ -463,21 +488,46 @@ def _run_tasks(runs: list[_TaskRun], workers: _Workers,
     """Run tasks concurrently; results come back in the order of ``runs``.
     ``last`` says no later stage will use the workers.
 
-    Every task is handed out before any is awaited. Deadlines are checked in
-    deadline order, each task's cancel event firing at its own deadline. Only
-    then are the grace periods of the timed-out tasks waited out, so one
-    task's grace never delays another's cancel.
+    Every task is handed out before any is awaited. Then the returned tasks
+    are taken off the completion queue, each wait ending at the earliest
+    deadline of the tasks still running (a heap keyed by deadline; a worker
+    that stamps its start moves its task's deadline later, and the task's
+    entry moves with it), so each task's cancel event fires at its own
+    deadline. Only then are the grace periods of the cancelled tasks waited
+    out, so one task's grace never delays another's cancel. Once
+    ``workers.stop`` is set every task still running is cancelled at once.
     """
     for run in runs:
         workers.start(run, last)
+    running = [(run.deadline, index, run) for index, run in enumerate(runs)]
+    heapq.heapify(running)
     graces: list[tuple[_TaskRun, float]] = []
-    for run in sorted(runs, key=lambda r: r.deadline):
-        if run.outlived_deadline():
-            run.timed_out = True
-            run.ctx.cancel.set()
-            graces.append((run, time.monotonic() + CANCEL_GRACE_S))
+    while running:
+        deadline, index, run = running[0]
+        if run.returned:
+            heapq.heappop(running)
+        elif run.deadline > deadline:  # its worker stamped the start since
+            heapq.heapreplace(running, (run.deadline, index, run))
+        elif workers.stopped():
+            for _, _, pending in running:
+                if not pending.returned:
+                    pending.cancel(graces)
+            running.clear()
+        else:
+            wait = deadline - time.monotonic()
+            if workers.stop is not None:
+                wait = min(wait, STOP_SLICE_S)
+            try:
+                workers.collect(wait)
+            except queue.Empty:
+                if time.monotonic() >= run.deadline:
+                    heapq.heappop(running)
+                    run.timed_out = True
+                    run.cancel(graces)
     for run, grace_end in graces:
-        run.done.wait(max(0.0, grace_end - time.monotonic()))
+        with contextlib.suppress(queue.Empty):
+            while not run.returned:
+                workers.collect(grace_end - time.monotonic())
     results = [run.result() for run in runs]
     for run in runs:
         workers.take_back(run)
@@ -500,8 +550,13 @@ def _stage_runs(stage: Stage, stage_index: int, bundle: PipelineBundle,
                 registry: TaskRegistry,
                 base_ctx: TaskContext) -> list[_TaskRun]:
     return [_TaskRun(task, registry, bundle.impl_ids.get(task.name),
-                     replace(base_ctx, cancel=threading.Event(),
-                             stage_index=stage_index, task_name=task.name))
+                     TaskContext(experiment_id=base_ctx.experiment_id,
+                                 node=base_ctx.node, runtime=base_ctx.runtime,
+                                 gateway=base_ctx.gateway,
+                                 shared=base_ctx.shared,
+                                 shared_lock=base_ctx.shared_lock,
+                                 cancel=threading.Event(),
+                                 stage_index=stage_index, task_name=task.name))
             for task in stage.tasks]
 
 
@@ -531,7 +586,8 @@ def run_pipeline(bundle: PipelineBundle, registry: TaskRegistry,
 
     A failed or timed-out task aborts the remaining stages when the pipeline
     asked for early_stop; the unrun tasks still appear, marked skipped, so
-    the report always covers the full task count.
+    the report always covers the full task count. Once ``stop`` is set the
+    running tasks are cancelled and the later stages skipped.
     """
     base_ctx = TaskContext(
         experiment_id=bundle.experiment_id,
@@ -541,10 +597,9 @@ def run_pipeline(bundle: PipelineBundle, registry: TaskRegistry,
     )
     results: list[TaskResult] = []
     abort = False
-    with _Workers() as workers:
+    with _Workers(stop) as workers:
         for stage_index, stage in enumerate(bundle.pipeline.stages):
-            stopped = stop is not None and stop.is_set()
-            if abort or stopped:
+            if abort or workers.stopped():
                 results.extend(_skipped(t, stage_index, bundle.node_id)
                                for t in stage.tasks)
                 continue

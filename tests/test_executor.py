@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -14,6 +15,7 @@ from conftest import (
     drive,
     make_bundle,
     sleep_pipeline,
+    wait_status,
 )
 from expforge.connectors.simulated import (
     FaultModel,
@@ -28,6 +30,7 @@ from expforge.executor import (
     EXIT_CRASHED,
     EXIT_OK,
     EXIT_STARTUP_ERROR,
+    EXIT_STOPPED,
     ExecutorConfig,
     LocalRuntime,
     PipelineBundle,
@@ -529,6 +532,101 @@ def test_start_is_stamped_by_the_worker(registry, sim_runtime, monkeypatch):
                       sim_runtime, registry)
     assert result.outcome is Outcome.SUCCESS
     assert result.duration_s() < 0.05
+
+
+def test_a_tasks_only_event_is_its_cancel(registry, sim_runtime, monkeypatch):
+    """Tasks report their return on the call's completion queue, so a stage
+    of n tasks makes n events, the cancels, besides its threads' own."""
+    pipeline = Pipeline("p").then(
+        [TaskSpec("sleep", params={"seconds": 0}) for _ in range(4)])
+    bundle, ctx = make_bundle(pipeline, registry), make_ctx(sim_runtime)
+    made = []
+    real_event = threading.Event
+
+    def event(*args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_globals["__name__"] != "threading":  # not a Thread's own
+            made.append(caller.f_code.co_name)
+        return real_event(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Event", event)
+    results = run_stage(pipeline.stages[0], 0, bundle, registry, ctx)
+    assert [r.outcome for r in results] == [Outcome.SUCCESS] * 4
+    assert len(made) == 4, made
+
+
+def test_tasks_returning_in_reverse_deadline_order(registry, sim_runtime):
+    """The task with the first deadline returns last: the results keep the
+    stage's order, none timed out, and each carries its worker's own finish
+    stamp."""
+    sleeps = {"a": 0.45, "b": 0.3, "c": 0.15}
+    pipeline = Pipeline("p").then([
+        TaskSpec("sleep", name=name, params={"seconds": seconds},
+                 timeout_s=1.0 + index)
+        for index, (name, seconds) in enumerate(sleeps.items())])
+    results = run_stage(pipeline.stages[0], 0, make_bundle(pipeline, registry),
+                        registry, make_ctx(sim_runtime))
+    assert [r.task_name for r in results] == ["a", "b", "c"]
+    assert [r.outcome for r in results] == [Outcome.SUCCESS] * 3
+    for result in results:
+        seconds = sleeps[result.task_name]
+        assert seconds <= result.duration_s() < seconds + 0.14, \
+            result.task_name
+    a, b, c = results
+    assert c.finished_mono < b.finished_mono < a.finished_mono
+
+
+def test_stage_barriers_hold_under_fast_thread_switching(registry,
+                                                         sim_runtime,
+                                                         started_threads):
+    """With a thread switch every few bytecodes, each stage's tasks are all
+    collected before the next stage starts, by the same few workers."""
+    pipeline = sleep_pipeline(30, 8, seconds=0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = run_pipeline(make_bundle(pipeline, registry), registry,
+                               sim_runtime)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.outcome for r in results] == [Outcome.SUCCESS] * 240
+    stages = [results[start:start + 8] for start in range(0, 240, 8)]
+    for done, following in zip(stages, stages[1:]):
+        assert (min(r.started_mono for r in following)
+                >= max(r.finished_mono for r in done))
+    assert len(started_threads) == 8
+    assert_all_end_within(started_threads, 1.0)
+
+
+def test_cancel_ends_a_running_task(make_director, caplog):
+    """A cancelled experiment's running task is cancelled with it: the
+    task's worker and its executor thread end within the cancel grace, and
+    the executor stops without delivering a report."""
+    connector = SimulatedConnector("sim", node_count=1,
+                                   fault=FaultModel(sleep_scale=1))
+    director = make_director({"sim": connector})
+    pipeline = Pipeline("p").then(
+        TaskSpec("sleep", params={"seconds": 30}, timeout_s=60))
+    eid = director.submit(
+        Experiment("long").map(pipeline, connector.list_nodes().take(1)))
+    node = connector.infra.node("sim-000")
+    before = set(threading.enumerate())
+    director.deploy(eid)
+    wait_status(director, eid, {Status.READY})
+    director.execute(eid)
+    deadline = time.monotonic() + 10
+    while not any(e.name == "sleep" for e in node.events):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    threads = [t for t in threading.enumerate() if t not in before
+               and t.name in ("task-sim-000", f"sim-executor-{eid}-sim-000")]
+    assert len(threads) == 2
+    director.cancel(eid)
+    assert_all_end_within(threads, CANCEL_GRACE_S + 0.5)
+    assert (f"simulated executor for sim-000 exited with code {EXIT_STOPPED}"
+            in caplog.text)
+    assert not any(e.scope == "report" for e in node.events)
+    assert director.record(eid).reports == {}
 
 
 def test_spool_names_keep_distinct_ids_apart(tmp_path):
