@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .errors import ValidationFailed
-from .model import (Experiment, StagedFile, canonical_json, check_experiment,
-                    digest_doc)
+from .model import Experiment, StagedFile, canonical_json, check_experiment
 from .registry import TaskRegistry
 
 # Connector-interpreted token: wipe the node's scratch area. Kept symbolic so
@@ -114,9 +113,7 @@ def compile_experiment(exp: Experiment, registry: TaskRegistry) -> DeploymentPla
     cleanup: dict[str, list[str]] = {}
 
     for index, assignment in enumerate(exp.assignments):
-        pipeline = assignment.pipeline
-        pipeline_doc = pipeline.to_doc()
-        pipeline_digest = digest_doc(pipeline_doc)
+        pipeline_doc, pipeline_digest = assignment.pipeline.digested_doc()
         pipelines.setdefault(pipeline_digest, pipeline_doc)
         for node in assignment.nodes:
             impl_ids, body = resolved[(index, node.kind)]

@@ -22,6 +22,7 @@ speed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import random
 import shlex
@@ -72,8 +73,10 @@ class SimEvent(NamedTuple):
     wall: float
 
     def canonical(self) -> tuple:
-        """Timing-free view used for determinism comparisons."""
-        return (self.node_id, self.scope, self.seq, self.name, self.detail)
+        """Timing-free view used for determinism comparisons, its detail
+        sorted by key."""
+        return (self.node_id, self.scope, self.seq, self.name,
+                tuple(sorted(self.detail)))
 
 
 def _stream_seed(seed: int, node_id: str, purpose: str) -> int:
@@ -89,7 +92,7 @@ class SimNode:
         self.fs: dict[str, bytes] = {}
         self.events: list[SimEvent] = []
         self._lock = threading.Lock()
-        self._seqs: dict[str, int] = {}
+        self._seqs: dict[str, itertools.count] = {}
         self._streams: dict[str, random.Random] = {}
 
     def stream(self, purpose: str) -> random.Random:
@@ -100,12 +103,14 @@ class SimNode:
             return self._streams[purpose]
 
     def log(self, scope: str, name: str, detail: Mapping[str, Any] | None = None) -> None:
-        with self._lock:
-            seq = self._seqs.get(scope, 0)
-            self._seqs[scope] = seq + 1
-            self.events.append(SimEvent(
-                self.node_id, scope, seq, name,
-                tuple(sorted((detail or {}).items())), time.time()))
+        """Append an event, its detail's items in the given order. Takes no
+        lock: under the GIL ``setdefault``, ``next`` on a count and
+        ``append`` are each atomic, so every scope's numbers stay unique."""
+        seqs = self._seqs.get(scope) or self._seqs.setdefault(
+            scope, itertools.count())
+        self.events.append(SimEvent(
+            self.node_id, scope, next(seqs), name,
+            tuple(detail.items()) if detail else (), time.time()))
 
     def write(self, path: str, content: str | bytes) -> None:
         data = content.encode("utf-8") if isinstance(content, str) else content

@@ -123,7 +123,8 @@ class Director:
     def mutate(self, experiment_id: str) -> Iterator[ExperimentRecord]:
         """Load-modify-save under the experiment's monitor. A save that
         changes the status or the number of flags wakes the waiters; the
-        terminal save drops the launch handles (a late report still lands)."""
+        terminal save drops the launch handles (a late report still lands)
+        and the gateway's pipelines."""
         monitor = self.monitor(experiment_id)
         with monitor:
             record = self.store.load(experiment_id)
@@ -135,6 +136,7 @@ class Director:
             if record.status in TERMINAL_STATUSES \
                     and status not in TERMINAL_STATUSES:
                 self._pop_handles(experiment_id)
+                self.gateway.drop_pipelines(experiment_id)
 
     def settle(self, record: ExperimentRecord) -> None:
         """Inside a mutate: end a RUNNING record once no prepared node is
@@ -390,6 +392,9 @@ class Director:
                     return
                 rec.plan_doc = plan.to_doc()
                 rec.transition(Status.DEPLOYING)
+                # compile digested them: their executors check them for free
+                self.gateway.hold_pipelines(experiment_id, {
+                    a.pipeline.digest(): a.pipeline for a in exp.assignments})
 
         record = self.record(experiment_id)
         if record.status is not Status.DEPLOYING:

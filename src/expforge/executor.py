@@ -31,12 +31,14 @@ refuses (unknown experiment, unassigned node) is kept and skipped.
 node's thread and a child process (``python -m expforge.executor``) both
 call it with the node's ``ExecutorConfig``. It fetches the node's immutable
 ``PipelineBundle`` from the gateway and ends in one exit code (``EXIT_*``).
-Executors in the platform process share one decoded ``Pipeline`` per
-digest, so its digest is checked once; a child process decodes its own copy
-from the wire and checks that. ``ExecutorConfig.to_env`` and ``from_env``
-write and read a child's environment: EXPFORGE_GATEWAY,
-EXPFORGE_EXPERIMENT_ID, EXPFORGE_NODE_ID and EXPFORGE_SCRATCH; a child's
-report spool is the directory ``<EXPFORGE_SCRATCH>/.spool``.
+Executors of one experiment in the platform process share, per digest, the
+``Pipeline`` that compile built and digested (after a director restart, one
+the gateway decoded from the plan), so no digest is computed twice; a child
+process decodes its own copy from the wire and digests that.
+``ExecutorConfig.to_env`` and ``from_env`` write and read a child's
+environment: EXPFORGE_GATEWAY, EXPFORGE_EXPERIMENT_ID, EXPFORGE_NODE_ID and
+EXPFORGE_SCRATCH; a child's report spool is the directory
+``<EXPFORGE_SCRATCH>/.spool``.
 """
 
 from __future__ import annotations

@@ -8,9 +8,13 @@ keeps no flag state of its own. Reports that queue for one experiment's
 monitor are committed together (group commit): one mutate, one save and one
 settle per batch, with each caller's own outcome. Bundle and flag reads look
 at the one field they need in the store's committed record and copy nothing
-else. A fetched bundle is an immutable ``PipelineBundle``; the gateway
-decodes and digests each pipeline once, on the first fetch of its digest,
-and every bundle of that digest shares it for as long as one of them lives.
+else. A fetched bundle is an immutable ``PipelineBundle``. The gateway
+keeps each experiment's pipelines by digest from compile until the record
+turns terminal: the director hands it the ``Pipeline`` objects it compiled,
+already digested, and every in-process bundle of that experiment and digest
+shares one of them. Only a pipeline the gateway does not hold (after a
+director restart, or for a deployment recovered at DEPLOYING) is decoded
+from the plan, once, on its first fetch.
 Flags are monotone (set once, never unset within an experiment), namespaced
 per experiment, and destroyed at cleanup; their timestamps come from the
 gateway's clock so cross-node ordering has a single authority.
@@ -79,18 +83,30 @@ class Gateway:
         # Reports waiting for their experiment's monitor, with their outcomes.
         self._queued: dict[str, list[_QueuedReport]] = {}
         self._queue_guard = threading.Lock()
-        # Decoded pipelines by digest, alive while a bundle holds one.
-        self._pipelines: weakref.WeakValueDictionary[str, Pipeline] = \
-            weakref.WeakValueDictionary()
+        # Each live experiment's pipelines by digest, until its terminal save.
+        self._pipelines: dict[str, dict[str, Pipeline]] = {}
         self._pipelines_lock = threading.Lock()
 
     # -- bundles ---------------------------------------------------------------
 
+    def hold_pipelines(self, experiment_id: str,
+                       pipelines: Mapping[str, Pipeline]) -> None:
+        """Keep an experiment's compiled pipelines, by digest, for its
+        fetches; called in the mutate that commits DEPLOYING."""
+        with self._pipelines_lock:
+            self._pipelines[experiment_id] = dict(pipelines)
+
+    def drop_pipelines(self, experiment_id: str) -> None:
+        """Forget an experiment's pipelines; called after its terminal save."""
+        with self._pipelines_lock:
+            self._pipelines.pop(experiment_id, None)
+
     def fetch_bundle(self, experiment_id: str,
                      node_id: str) -> PipelineBundle:
         """The node's execution bundle; an idempotent read. Bundles of one
-        digest share one pipeline, decoded from the plan and digested on the
-        first fetch."""
+        experiment and digest share one pipeline: the one compiled, or else
+        one decoded from the plan and digested on the first fetch, and kept
+        only while the experiment is still RUNNING."""
         def plan_entry(record) -> tuple[dict, dict]:
             if record.status is not Status.RUNNING:
                 raise WrongPhase(
@@ -106,11 +122,16 @@ class Gateway:
                                                          plan_entry)
         digest = entry["pipeline_digest"]
         with self._pipelines_lock:  # one decode and one digest per digest
-            pipeline = self._pipelines.get(digest)
+            pipeline = self._pipelines.get(experiment_id, {}).get(digest)
             if pipeline is None:
                 pipeline = Pipeline.from_doc(pipeline_docs[digest])
                 pipeline.digest()  # cached: its executors check it for free
-                self._pipelines[digest] = pipeline
+                # Checked under the lock that drop_pipelines takes after the
+                # terminal save, so a fetch racing that save keeps nothing.
+                if self._director.store.read(
+                        experiment_id, lambda r: r.status) is Status.RUNNING:
+                    self._pipelines.setdefault(experiment_id, {})[digest] = \
+                        pipeline
         return PipelineBundle.join(entry, pipeline)
 
     def require_assigned(self, experiment_id: str, node_id: str) -> None:

@@ -416,14 +416,20 @@ class Pipeline:
             stages=tuple(Stage.from_doc(s) for s in doc.get("stages", ())),
         )
 
+    def digested_doc(self) -> tuple[dict, str]:
+        """``to_doc()`` and its digest, which is computed once per instance
+        and kept for :meth:`digest`."""
+        doc = self.to_doc()
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = digest_doc(doc)
+            object.__setattr__(self, "_digest", digest)
+        return doc, digest
+
     def digest(self) -> str:
         """Content identity over the canonical serialization, computed once
         per instance: its stages and tasks, params included, are read-only."""
-        digest = self.__dict__.get("_digest")
-        if digest is None:
-            digest = digest_doc(self.to_doc())
-            object.__setattr__(self, "_digest", digest)
-        return digest
+        return self.__dict__.get("_digest") or self.digested_doc()[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import expforge.connectors.simulated as simulated
 import expforge.gateway as gateway_module
-from conftest import drive, wait_status
+from conftest import drive, kill_director_at, wait_status
 from expforge import Director, FileStore, MemoryStore, builtin_registry
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
 from expforge.errors import (
@@ -25,7 +26,7 @@ from expforge.errors import (
     UnknownExperiment,
     WrongPhase,
 )
-from expforge.executor import PipelineReport
+from expforge.executor import EXIT_OK, EXIT_STARTUP_ERROR, PipelineReport
 from expforge.gateway import HttpGatewayClient, InProcessGatewayClient
 from expforge.model import (
     Experiment,
@@ -136,24 +137,14 @@ class TestFetchBundle:
             director.gateway.fetch_bundle("ghost", "sim-000")
 
     def test_nodes_share_one_pipeline_per_experiment(self, platform,
+                                                     make_director,
                                                      monkeypatch):
+        """The nodes of a compiled experiment share compile's pipeline, and
+        nothing is decoded; a restarted director decodes it once."""
         director, connector = platform
         gateway = director.gateway
-        fetched, decoded = [], []
-        fetch = gateway.fetch_bundle
-
-        def recording_fetch(experiment_id, node_id):
-            fetched.append(fetch(experiment_id, node_id))
-            return fetched[-1]
-
-        class CountingPipeline:
-            @staticmethod
-            def from_doc(doc):
-                decoded.append(doc)
-                return Pipeline.from_doc(doc)
-
-        monkeypatch.setattr(gateway, "fetch_bundle", recording_fetch)
-        monkeypatch.setattr(gateway_module, "Pipeline", CountingPipeline)
+        fetched = record_fetches(monkeypatch, gateway)
+        decoded = count_decodes(monkeypatch)
         for round_ in (1, 2):  # the same digest, one experiment after another
             eid = submit_sleep_experiment(director, connector,
                                           name=f"share-{round_}")
@@ -161,10 +152,21 @@ class TestFetchBundle:
             assert sorted(b.node_id for b in fetched) == ["sim-000",
                                                           "sim-001"]
             assert fetched[0].pipeline is fetched[1].pipeline
-            assert len(decoded) == round_
+            assert decoded == []
             fetched.clear()
             join_executors(eid)
             assert len(gateway._pipelines) == 0
+
+        eid = submit_held_experiment(director, connector, name="restart")
+        deploy_and_start(director, eid)
+        reborn = make_director({"sim": connector}, store=director.store,
+                               recover=False)
+        bundles = [reborn.gateway.fetch_bundle(eid, node_id)
+                   for node_id in ("sim-000", "sim-001")]
+        assert bundles[0].pipeline is bundles[1].pipeline
+        assert len(decoded) == 1
+        director.gateway.set_flag(eid, "release", "test")
+        wait_status(director, eid, {Status.FINISHED})
 
     def test_a_task_cannot_change_the_shared_params(self, platform):
         director, connector = platform
@@ -209,6 +211,163 @@ def join_executors(experiment_id: str) -> None:
         if thread.name.startswith(f"sim-executor-{experiment_id}-"):
             thread.join(timeout=10)
             assert not thread.is_alive()
+
+
+def record_fetches(monkeypatch, gateway) -> list:
+    """Every bundle ``gateway`` returns from now on, in order."""
+    fetched, fetch = [], gateway.fetch_bundle
+
+    def recording_fetch(experiment_id, node_id):
+        fetched.append(fetch(experiment_id, node_id))
+        return fetched[-1]
+
+    monkeypatch.setattr(gateway, "fetch_bundle", recording_fetch)
+    return fetched
+
+
+def count_decodes(monkeypatch) -> list:
+    """Every pipeline doc any gateway decodes from now on."""
+    decoded: list = []
+
+    class CountingPipeline:
+        @staticmethod
+        def from_doc(doc):
+            decoded.append(doc)
+            return Pipeline.from_doc(doc)
+
+    monkeypatch.setattr(gateway_module, "Pipeline", CountingPipeline)
+    return decoded
+
+
+# ---------------------------------------------------------------------------
+# pipeline lifetime
+# ---------------------------------------------------------------------------
+
+def holds_pipelines(director, experiment_id) -> bool:
+    return experiment_id in director.gateway._pipelines
+
+
+class TestPipelineLifetime:
+    """The gateway holds an experiment's compiled pipelines from the mutate
+    that commits DEPLOYING until its terminal save, however it ends."""
+
+    def test_finished(self, platform):
+        director, connector = platform
+        eid = submit_sleep_experiment(director, connector)
+        director.deploy(eid)
+        wait_status(director, eid, {Status.READY})
+        assert holds_pipelines(director, eid)
+        director.execute(eid)
+        wait_status(director, eid, {Status.FINISHED})
+        join_executors(eid)
+        assert not holds_pipelines(director, eid)
+
+    def test_failed_at_deploy_after_compile(self, make_director):
+        connector = SimulatedConnector("sim", node_count=2, fault=FaultModel(
+            sleep_scale=0.01, prepare_fail_nodes=frozenset({"sim-001"})))
+        director = make_director({"sim": connector})
+        eid = submit_sleep_experiment(director, connector)
+        assert drive(director, eid) is Status.FAILED
+        record = director.record(eid)
+        assert record.plan_doc["pipelines"]
+        assert [e["phase"] for e in record.errors] == ["deploy"]
+        assert not holds_pipelines(director, eid)
+
+    def test_cancelled_at_ready(self, platform):
+        director, connector = platform
+        eid = submit_sleep_experiment(director, connector)
+        director.deploy(eid)
+        wait_status(director, eid, {Status.READY})
+        assert holds_pipelines(director, eid)
+        director.cancel(eid)
+        assert not holds_pipelines(director, eid)
+
+    def test_cancelled_while_running(self, platform):
+        director, connector = platform
+        eid = submit_held_experiment(director, connector)
+        deploy_and_start(director, eid)
+        assert holds_pipelines(director, eid)
+        director.cancel(eid)
+        join_executors(eid)
+        assert not holds_pipelines(director, eid)
+
+    def test_a_fetch_racing_the_terminal_save_keeps_nothing(self, platform,
+                                                           monkeypatch):
+        """The fetch reads a RUNNING plan, then the experiment is cancelled
+        before the fetch looks for its pipeline: it decodes one for its
+        own bundle and keeps none."""
+        director, connector = platform
+        eid = submit_held_experiment(director, connector)
+        deploy_and_start(director, eid)
+        fetcher, read, raced = threading.current_thread(), \
+            director.store.read, []
+
+        def read_then_cancel(experiment_id, view):
+            value = read(experiment_id, view)
+            if threading.current_thread() is fetcher and not raced:
+                raced.append(experiment_id)
+                director.cancel(experiment_id)
+            return value
+
+        monkeypatch.setattr(director.store, "read", read_then_cancel)
+        decoded = count_decodes(monkeypatch)
+        bundle = director.gateway.fetch_bundle(eid, "sim-000")
+        assert raced == [eid]
+        assert director.record(eid).status is Status.CANCELLED
+        assert len(decoded) == 1 and bundle.digest_matches()
+        assert not holds_pipelines(director, eid)
+
+    @pytest.mark.parametrize("tampered", [False, True],
+                             ids=["intact", "tampered"])
+    def test_restart_decodes_the_plan_once(self, make_director, tmp_path,
+                                           monkeypatch, tampered):
+        """A director restarted over a RUNNING record with tokenless nodes
+        decodes its pipeline from the plan once, for both nodes; a plan
+        pipeline that no longer matches its digest key fails both nodes'
+        digest check, and their executors end in EXIT_STARTUP_ERROR."""
+        connector = SimulatedConnector("sim", node_count=2, fault=FAST)
+        raw_store = FileStore(tmp_path / "records")
+        pipeline = Pipeline("p").then(
+            TaskSpec("sleep", params={"seconds": 0.5}))
+        experiment = Experiment("restart", policies=Policies(
+            experiment_timeout_s=30)).map(pipeline, connector.list_nodes())
+        eid = kill_director_at(Status.RUNNING, experiment,
+                               {"sim": connector}, raw_store)
+        record = raw_store.load(eid)
+        assert sorted(record.nodes_in(("prepared",))) == ["sim-000",
+                                                          "sim-001"]
+        if tampered:
+            (doc,) = record.plan_doc["pipelines"].values()
+            doc["stages"][0]["tasks"][0]["params"]["seconds"] = 0.25
+            raw_store.save(record)
+
+        codes: list[int] = []
+        run_executor = simulated.run_executor
+
+        def recording_run_executor(*args, **kwargs) -> int:
+            codes.append(run_executor(*args, **kwargs))
+            return codes[-1]
+
+        monkeypatch.setattr(simulated, "run_executor", recording_run_executor)
+        decoded = count_decodes(monkeypatch)
+        reborn = make_director({"sim": connector}, store=raw_store,
+                               recover=False)
+        fetched = record_fetches(monkeypatch, reborn.gateway)
+        reborn.recover()
+        deadline = time.monotonic() + 10
+        while len(codes) < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert len(decoded) == 1
+        assert fetched[0].pipeline is fetched[1].pipeline
+        if tampered:
+            assert not fetched[0].digest_matches()
+            assert codes == [EXIT_STARTUP_ERROR] * 2
+            reborn.cancel(eid)
+        else:
+            assert codes == [EXIT_OK] * 2
+            wait_status(reborn, eid, {Status.FINISHED})
+        assert not holds_pipelines(reborn, eid)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +521,11 @@ class TestGroupCommit:
         connector = SimulatedConnector("sim", node_count=21, fault=FAST)
         store = ReportCommits()
         director = make_director({"sim": connector}, store=store)
+        entries_before = held_entries(director)
         eid = submit_held_experiment(director, connector, nodes=20,
                                      name="batch")
         director.deploy(eid)
         wait_status(director, eid, {Status.READY})
-        entries_before = held_entries(director)
         director.execute(eid)
         wait_status(director, eid, {Status.RUNNING})
         nodes = [f"sim-{index:03d}" for index in range(20)]
