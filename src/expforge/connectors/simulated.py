@@ -10,7 +10,8 @@ The scratch filesystem also holds the node's report spool, under
 ``.spool/``: an undelivered report stays on its node for the next executor
 launched there, also under a restarted director that reuses the connector,
 and the scratch wipe removes it with the rest, as a real node's cleanup
-does.
+does. The spool holds each report as the document object itself, never
+encoded: it lives in the same process as the gateway that reads it.
 
 Simulated command execution interprets a tiny vocabulary (true / false /
 exit N / echo) plus the scratch-wipe and capture-stop tokens; any other
@@ -33,7 +34,8 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from ..errors import LaunchFailed, TransportError
-from ..executor import EXIT_OK, NodeRuntime, ReportSpool, run_executor
+from ..executor import (EXIT_OK, SPOOL_SUFFIX, NodeRuntime, ReportSpool,
+                        run_executor)
 from ..model import NodeDescriptor, NodePool, StagedFile
 from . import Connector, ExecutorConfig, LaunchHandle, PrepareResult
 
@@ -89,7 +91,7 @@ class SimNode:
         self.node_id = node_id
         self.attributes = attributes
         self._seed = seed
-        self.fs: dict[str, bytes] = {}
+        self.fs: dict[str, bytes | Mapping[str, Any]] = {}
         self.events: list[SimEvent] = []
         self._lock = threading.Lock()
         self._seqs: dict[str, itertools.count] = {}
@@ -112,12 +114,15 @@ class SimNode:
             self.node_id, scope, next(seqs), name,
             tuple(detail.items()) if detail else (), time.time()))
 
-    def write(self, path: str, content: str | bytes) -> None:
+    def write(self, path: str,
+              content: str | bytes | Mapping[str, Any]) -> None:
+        """Store ``content``: a str UTF-8 encoded, bytes and a spooled
+        document as they are."""
         data = content.encode("utf-8") if isinstance(content, str) else content
         with self._lock:
             self.fs[path] = data
 
-    def read(self, path: str) -> bytes:
+    def read(self, path: str) -> bytes | Mapping[str, Any]:
         with self._lock:
             return self.fs[path]
 
@@ -139,26 +144,33 @@ class SimNode:
 
 
 class SimSpool(ReportSpool):
-    """A simulated node's report spool: ``.spool/<name>`` on its virtual
-    scratch filesystem."""
+    """A simulated node's report spool: each document object itself, kept
+    at ``.spool/<name>`` on the node's virtual scratch filesystem.
+
+    Nothing is encoded, so nothing can be torn; an entry that is not a
+    mapping, such as bytes a task wrote to that path, reads as corrupt."""
 
     PREFIX = ".spool/"
 
     def __init__(self, node: SimNode):
         self.node = node
 
-    def write(self, name: str, data: bytes) -> None:
-        self.node.write(self.PREFIX + name, data)
+    def write(self, name: str, doc: Mapping[str, Any]) -> None:
+        self.node.write(self.PREFIX + name, doc)
 
-    def read(self, name: str) -> bytes:
-        return self.node.read(self.PREFIX + name)
+    def read(self, name: str) -> Mapping[str, Any]:
+        doc = self.node.read(self.PREFIX + name)
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"spooled {name} is not a document")
+        return doc
 
     def remove(self, name: str) -> None:
         self.node.remove(self.PREFIX + name)
 
     def names(self) -> list[str]:
         return [path[len(self.PREFIX):] for path in self.node.files()
-                if path.startswith(self.PREFIX)]
+                if path.startswith(self.PREFIX)
+                and path.endswith(SPOOL_SUFFIX)]
 
 
 class SimulatedInfrastructure:
@@ -250,7 +262,10 @@ class SimRuntime(NodeRuntime):
 
     def sleep(self, seconds: float, cancel: threading.Event) -> bool:
         self.node.log(self._command_scope, "sleep", {"seconds": seconds})
-        return not cancel.wait(seconds * self.fault.sleep_scale)
+        scaled = seconds * self.fault.sleep_scale
+        if scaled <= 0:  # cancel.wait(0)'s answer, without its Condition
+            return not cancel.is_set()
+        return not cancel.wait(scaled)
 
     def write_file(self, path: str, content: str | bytes) -> None:
         self.node.write(path, content)

@@ -20,10 +20,12 @@ skips the later stages. Every task anomaly becomes a TaskResult; nothing
 propagates to the caller. The finished report is written to the node's
 report spool before the first delivery attempt and removed only after the
 gateway acknowledged it, so a crash or an unreachable gateway never loses
-results. A spool (``ReportSpool``) holds named documents and has two
-backends: a process executor's ``DirectorySpool`` writes each one as the
-store writes a file (temp file, fsync, rename, then the directory fsynced),
-and a simulated node keeps its spool on its own virtual scratch filesystem.
+results. A spool (``ReportSpool``) holds named documents, and each backend
+decides how to keep them: a process executor's ``DirectorySpool`` encodes
+each one as JSON and writes it as the store writes a file (temp file,
+fsync, rename, then the directory fsynced), and a simulated node keeps the
+document object itself on its own virtual scratch filesystem, so it never
+encodes its report.
 Spooled reports of earlier runs are retried at start; one the gateway
 refuses (unknown experiment, unassigned node) is kept and skipped.
 
@@ -620,15 +622,25 @@ def run_pipeline(bundle: PipelineBundle, registry: TaskRegistry,
 # report delivery and spooling
 # ---------------------------------------------------------------------------
 
-class ReportSpool:
-    """Where a node keeps its undelivered reports: named documents."""
+SPOOL_SUFFIX = ".report.json"  # ends every report's spool name
 
-    def write(self, name: str, data: bytes) -> None:
-        """Store ``data`` under ``name``, replacing what was there, as
+
+class ReportSpool:
+    """Where a node keeps its undelivered reports: named documents.
+
+    Once a document is written to a spool, nobody changes it: a backend may
+    keep the object itself, and a later ``read`` hands that object out. The
+    executor leaves a report alone after spooling it, and the gateway copies
+    each result it ingests, so a record never aliases a node's spool."""
+
+    def write(self, name: str, doc: Mapping[str, Any]) -> None:
+        """Store ``doc`` under ``name``, replacing what was there, as
         durably as the node's storage allows."""
         raise NotImplementedError
 
-    def read(self, name: str) -> bytes:
+    def read(self, name: str) -> Mapping[str, Any]:
+        """The document stored under ``name``; ``ValueError`` for an entry
+        that is not a report document."""
         raise NotImplementedError
 
     def remove(self, name: str) -> None:
@@ -636,12 +648,13 @@ class ReportSpool:
         raise NotImplementedError
 
     def names(self) -> list[str]:
-        """The stored names, sorted."""
+        """The stored names that end in ``SPOOL_SUFFIX``, sorted."""
         raise NotImplementedError
 
 
 class DirectorySpool(ReportSpool):
-    """A process executor's spool: one file per document in ``directory``.
+    """A process executor's spool: one JSON file per document in
+    ``directory``.
 
     A write is the store's: the directory is made durably, the file written
     to a temp file, fsynced and renamed, and then the directory fsynced, so
@@ -650,19 +663,22 @@ class DirectorySpool(ReportSpool):
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
 
-    def write(self, name: str, data: bytes) -> None:
+    def write(self, name: str, doc: Mapping[str, Any]) -> None:
         _make_dirs(self.directory)
-        _write_file(self.directory / name, data)
+        _write_file(self.directory / name, json.dumps(doc).encode("utf-8"))
 
-    def read(self, name: str) -> bytes:
-        return (self.directory / name).read_bytes()
+    def read(self, name: str) -> Mapping[str, Any]:
+        doc = json.loads((self.directory / name).read_bytes())
+        if not isinstance(doc, dict):
+            raise ValueError(f"spooled {name} is not a document")
+        return doc
 
     def remove(self, name: str) -> None:
         (self.directory / name).unlink(missing_ok=True)
 
     def names(self) -> list[str]:
         return sorted(path.name
-                      for path in self.directory.glob("*.report.json"))
+                      for path in self.directory.glob("*" + SPOOL_SUFFIX))
 
 
 def spool_name(experiment_id: str, node_id: str) -> str:
@@ -671,14 +687,14 @@ def spool_name(experiment_id: str, node_id: str) -> str:
     ``path_component`` never emits ``+``, so the joined name is unambiguous.
     """
     return (f"{path_component(experiment_id)}+{path_component(node_id)}"
-            ".report.json")
+            + SPOOL_SUFFIX)
 
 
 def write_spool(spool: ReportSpool, report_doc: dict) -> str:
     """Persist an undelivered report in ``spool``; one document per report.
-    The name it is stored under."""
+    The name it is stored under. Nobody changes ``report_doc`` after this."""
     name = spool_name(report_doc["experiment_id"], report_doc["node_id"])
-    spool.write(name, json.dumps(report_doc).encode("utf-8"))
+    spool.write(name, report_doc)
     return name
 
 
@@ -710,7 +726,7 @@ def redeliver_spooled(spool: ReportSpool, gateway: "GatewayClient") -> int:
     delivered = 0
     for name in spool.names():
         try:
-            report_doc = json.loads(spool.read(name))
+            report_doc = spool.read(name)
         except ValueError:
             log.warning("dropping corrupt spooled report %s", name)
             spool.remove(name)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 import signal
 import socket
@@ -13,7 +14,8 @@ import time
 
 import pytest
 
-from conftest import FAST_SIM, FakeGatewayClient, drive, make_bundle
+from conftest import (FAST_SIM, FakeGatewayClient, drive, make_bundle,
+                      sleep_pipeline)
 from expforge import Director, MemoryStore
 import expforge.connectors as connectors_module
 import expforge.connectors.local as local_module
@@ -30,8 +32,8 @@ from expforge.connectors.simulated import (
 from expforge.connectors.ssh import SshConnector, SshHost
 from expforge.errors import ConnectorUnavailable, LaunchFailed, NodeUnreachable
 from expforge.executor import EXIT_STARTUP_ERROR, spool_name, write_spool
-from expforge.model import (Experiment, NodeDescriptor, Pipeline, StagedFile,
-                            Status, TaskSpec)
+from expforge.model import (Experiment, NodeDescriptor, Pipeline, Policies,
+                            StagedFile, Status, TaskSpec)
 from expforge.store import path_component
 from expforge.tasks import builtin_registry
 
@@ -606,6 +608,77 @@ def test_undelivered_sim_report_waits_in_its_nodes_spool():
                         "results": []})
     assert connector.run(node, CLEAN_SCRATCH_COMMAND) == (0, "")
     assert spool.names() == []
+
+
+def launch_and_join(connector: SimulatedConnector,
+                    experiment_id: str) -> FakeGatewayClient:
+    """Run one sleep-0 executor on the connector's first node to its end;
+    the gateway it delivered to."""
+    registry = builtin_registry()
+    node = connector.list_nodes().nodes[0]
+    gateway = FakeGatewayClient(bundles={node.node_id: make_bundle(
+        Pipeline("p").then(TaskSpec("sleep", params={"seconds": 0})),
+        registry, experiment_id=experiment_id)})
+    handle = connector.launch_executor(node, ExecutorConfig(
+        experiment_id=experiment_id, node_id=node.node_id,
+        gateway_client=gateway, registry=registry))
+    handle.thread.join(timeout=10)
+    assert not handle.thread.is_alive()
+    return gateway
+
+
+def test_task_files_in_the_sim_spool_are_not_reports():
+    """A task's own file under ``.spool/`` survives a launch, as it does
+    in a directory spool, and an undelivered report next to it is still
+    redelivered."""
+    connector = SimulatedConnector("sim", node_count=1, fault=FAST_SIM)
+    sim = connector.infra.node("sim-000")
+    sim.write(".spool/notes.txt", b"a task's own notes")
+    write_spool(SimSpool(sim), {"experiment_id": "exp-1",
+                                "node_id": "sim-000", "results": []})
+    gateway = launch_and_join(connector, "exp-2")
+    assert [doc["experiment_id"] for doc in gateway.delivered] \
+        == ["exp-1", "exp-2"]
+    assert sim.files() == [".spool/notes.txt"]
+    assert sim.read(".spool/notes.txt") == b"a task's own notes"
+
+
+def test_bytes_in_a_sim_spool_entry_are_dropped_as_corrupt(caplog):
+    """A simulated spool keeps document objects; bytes under a report's
+    name, even a valid encoding of one, are dropped as corrupt, and the
+    node's executor still delivers its own report."""
+    connector = SimulatedConnector("sim", node_count=1, fault=FAST_SIM)
+    sim = connector.infra.node("sim-000")
+    name = spool_name("exp-1", "sim-000")
+    sim.write(SimSpool.PREFIX + name, json.dumps(
+        {"experiment_id": "exp-1", "node_id": "sim-000", "results": []}))
+    with pytest.raises(ValueError):
+        SimSpool(sim).read(name)
+    gateway = launch_and_join(connector, "exp-2")
+    assert [doc["experiment_id"] for doc in gateway.delivered] == ["exp-2"]
+    assert f"dropping corrupt spooled report {name}" in caplog.text
+    assert sim.files() == []
+
+
+def test_simulated_reports_are_never_json_encoded(monkeypatch, make_director):
+    """Simulated nodes spool and deliver their reports as documents: an
+    experiment finishes with every JSON encoding of a report refused."""
+    encode = json.dumps
+
+    def refuse_reports(obj, *args, **kwargs):
+        if isinstance(obj, dict) and {"results", "executor_version"} <= \
+                obj.keys():
+            raise AssertionError("a report document was JSON-encoded")
+        return encode(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", refuse_reports)
+    connector = SimulatedConnector("sim", node_count=2, fault=FAST_SIM)
+    director = make_director({"sim": connector})
+    eid = director.submit(Experiment(
+        "exp", policies=Policies(experiment_timeout_s=5)).map(
+        sleep_pipeline(2, 2, seconds=0), list(connector.list_nodes())))
+    assert drive(director, eid) is Status.FINISHED
+    assert len(director.record(eid).results) == 8
 
 
 # Ids a child must get back exactly: a slash, a space, quotes, non-ASCII.

@@ -672,6 +672,21 @@ def test_corrupt_spool_file_is_dropped(tmp_path):
     assert list(spool_dir.iterdir()) == []
 
 
+def test_directory_spool_keeps_each_document_as_its_json(tmp_path):
+    """A directory spool's file is exactly the document's JSON, read back
+    as an equal document; JSON that is not an object is no document."""
+    spool = DirectorySpool(tmp_path)
+    doc = small_report()
+    name = write_spool(spool, doc)
+    assert (tmp_path / name).read_bytes() == json.dumps(doc).encode("utf-8")
+    assert spool.read(name) == doc
+    (tmp_path / "list.report.json").write_text("[]")
+    with pytest.raises(ValueError):
+        spool.read("list.report.json")
+    assert redeliver_spooled(spool, FakeGatewayClient()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_child_without_a_gateway_is_a_startup_error(monkeypatch):
     monkeypatch.delenv("EXPFORGE_GATEWAY", raising=False)
     assert executor_main() == EXIT_STARTUP_ERROR

@@ -53,6 +53,17 @@ def test_sleep_negative_rejected(registry, sim_ctx):
         impl(registry, "sleep", "simulated").run({"seconds": -1}, sim_ctx)
 
 
+def test_zero_sleep_with_its_cancel_set_is_cancelled(registry, sim_ctx,
+                                                     sim_node):
+    """A zero-length simulated sleep takes no wait, yet answers a cancel
+    that is already set, and logs its event as every sleep does."""
+    sim_ctx.cancel.set()
+    with pytest.raises(TaskError, match="sleep cancelled"):
+        impl(registry, "sleep", "simulated").run({"seconds": 0}, sim_ctx)
+    assert [(e.name, dict(e.detail)) for e in sim_node.events] \
+        == [("sleep", {"seconds": 0})]
+
+
 def test_shell_sim_vocabulary(registry, sim_ctx):
     shell = impl(registry, "shell", "simulated")
     assert shell.run({"command": "echo hello there"}, sim_ctx) \
