@@ -10,10 +10,11 @@ identical experiment and registry yield a byte-identical plan document.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Mapping
 
 from .errors import ValidationFailed
-from .model import Experiment, StagedFile, canonical_json, check_experiment
+from .model import (DocCodec, Experiment, StagedFile, canonical_json,
+                    check_experiment)
 from .registry import TaskRegistry
 
 # Connector-interpreted token: wipe the node's scratch area. Kept symbolic so
@@ -23,7 +24,7 @@ CLEAN_SCRATCH_COMMAND = "expforge-clean-scratch"
 
 
 @dataclass(frozen=True)
-class EnvironmentSpec:
+class EnvironmentSpec(DocCodec):
     """Setup and verification for one (pipeline digest, node kind) pair."""
 
     pipeline_digest: str
@@ -36,29 +37,9 @@ class EnvironmentSpec:
     def key(self) -> tuple[str, str]:
         return (self.pipeline_digest, self.node_kind)
 
-    def to_doc(self) -> dict:
-        return {
-            "pipeline_digest": self.pipeline_digest,
-            "node_kind": self.node_kind,
-            "setup_commands": list(self.setup_commands),
-            "staged_files": [f.to_doc() for f in self.staged_files],
-            "verify_commands": list(self.verify_commands),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "EnvironmentSpec":
-        return cls(
-            pipeline_digest=doc["pipeline_digest"],
-            node_kind=doc["node_kind"],
-            setup_commands=tuple(doc.get("setup_commands", ())),
-            staged_files=tuple(StagedFile.from_doc(f)
-                               for f in doc.get("staged_files", ())),
-            verify_commands=tuple(doc.get("verify_commands", ())),
-        )
-
 
 @dataclass(frozen=True)
-class DeploymentPlan:
+class DeploymentPlan(DocCodec):
     environment_specs: tuple[EnvironmentSpec, ...]
     pipelines: Mapping[str, dict]  # pipeline digest -> pipeline doc
     node_bundles: Mapping[str, dict]
@@ -69,26 +50,6 @@ class DeploymentPlan:
             if spec.key == (pipeline_digest, kind):
                 return spec
         raise KeyError((pipeline_digest, kind))
-
-    def to_doc(self) -> dict:
-        return {
-            "environment_specs": [s.to_doc() for s in self.environment_specs],
-            "pipelines": dict(self.pipelines),
-            "node_bundles": {n: dict(b) for n, b in self.node_bundles.items()},
-            "cleanup_commands": {k: list(v)
-                                 for k, v in self.cleanup_commands.items()},
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "DeploymentPlan":
-        return cls(
-            environment_specs=tuple(EnvironmentSpec.from_doc(s)
-                                    for s in doc.get("environment_specs", ())),
-            pipelines=dict(doc.get("pipelines", {})),
-            node_bundles=dict(doc.get("node_bundles", {})),
-            cleanup_commands={k: tuple(v) for k, v in
-                              doc.get("cleanup_commands", {}).items()},
-        )
 
     def canonical(self) -> str:
         return canonical_json(self.to_doc())

@@ -36,7 +36,7 @@ from ..compiler import CLEAN_SCRATCH_COMMAND, EnvironmentSpec
 from ..errors import LaunchFailed, TransportError
 from ..executor import (EXIT_OK, SPOOL_SUFFIX, NodeRuntime, ReportSpool,
                         run_executor)
-from ..model import NodeDescriptor, NodePool, StagedFile
+from ..model import DocCodec, NodeDescriptor, NodePool, StagedFile
 from . import Connector, ExecutorConfig, LaunchHandle, PrepareResult
 
 log = logging.getLogger("expforge.sim")
@@ -45,7 +45,7 @@ FAULT_INJECTION_COMMAND = "<fault-injection>"
 
 
 @dataclass(frozen=True)
-class FaultModel:
+class FaultModel(DocCodec):
     """Injected faults. Probabilistic knobs draw from per-node seeded streams
     (deterministic given the seed); the node sets are exact."""
 
@@ -54,16 +54,6 @@ class FaultModel:
     silent_nodes: frozenset[str] = frozenset()
     report_drop_prob: float = 0.0
     sleep_scale: float = 1.0
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "FaultModel":
-        return cls(
-            prepare_fail_prob=float(doc.get("prepare_fail_prob", 0.0)),
-            prepare_fail_nodes=frozenset(doc.get("prepare_fail_nodes", ())),
-            silent_nodes=frozenset(doc.get("silent_nodes", ())),
-            report_drop_prob=float(doc.get("report_drop_prob", 0.0)),
-            sleep_scale=float(doc.get("sleep_scale", 1.0)),
-        )
 
 
 class SimEvent(NamedTuple):

@@ -18,7 +18,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ..compiler import CLEAN_SCRATCH_COMMAND
 from ..errors import LaunchFailed, NodeUnreachable
-from ..model import NodeDescriptor, NodePool, StagedFile
+from ..model import DocCodec, NodeDescriptor, NodePool, StagedFile
 from . import TIMED_OUT, Connector, ExecutorConfig, LaunchHandle, run_bounded
 
 log = logging.getLogger("expforge.ssh")
@@ -32,7 +32,7 @@ SSH_CONNECTION_FAILED = 255
 
 
 @dataclass(frozen=True)
-class SshHost:
+class SshHost(DocCodec):
     host: str
     port: int = 22
     node_id: str = ""
@@ -40,11 +40,8 @@ class SshHost:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any] | str) -> "SshHost":
-        if isinstance(doc, str):
-            return cls(host=doc)
-        return cls(host=doc["host"], port=int(doc.get("port", 22)),
-                   node_id=doc.get("node_id", ""),
-                   attributes=dict(doc.get("attributes", {})))
+        """Also takes a bare host name."""
+        return cls(host=doc) if isinstance(doc, str) else super().from_doc(doc)
 
 
 class SshConnector(Connector):

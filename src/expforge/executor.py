@@ -64,6 +64,7 @@ from typing import Any, Mapping, Sequence, TYPE_CHECKING
 from .errors import (LaunchFailed, TransportError, UnknownAssignment,
                      UnknownExperiment)
 from .model import (
+    DocCodec,
     NodeDescriptor,
     Outcome,
     Pipeline,
@@ -134,7 +135,7 @@ class ExecutorConfig:
 
 
 @dataclass(frozen=True)
-class PipelineBundle:
+class PipelineBundle(DocCodec):
     """Everything a node needs to run its pipeline, shipped by the compiler.
 
     Immutable: ``impl_ids`` is a read-only copy, and ``pipeline`` may be
@@ -156,20 +157,6 @@ class PipelineBundle:
         """Tamper/skew check: the shipped digest must match the pipeline."""
         return self.pipeline.digest() == self.pipeline_digest
 
-    def to_doc(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "node_id": self.node_id,
-            "node_kind": self.node_kind,
-            "pipeline": self.pipeline.to_doc(),
-            "pipeline_digest": self.pipeline_digest,
-            "impl_ids": dict(self.impl_ids),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "PipelineBundle":
-        return cls.join(doc, Pipeline.from_doc(doc["pipeline"]))
-
     @classmethod
     def join(cls, doc: Mapping[str, Any],
              pipeline: Pipeline) -> "PipelineBundle":
@@ -186,7 +173,7 @@ class PipelineBundle:
 
 
 @dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(DocCodec):
     """Single end-of-pipeline report for one (experiment, node)."""
 
     experiment_id: str
@@ -197,18 +184,6 @@ class PipelineReport:
     finished_wall: float = 0.0
     started_mono: float = 0.0
     finished_mono: float = 0.0
-
-    def to_doc(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "node_id": self.node_id,
-            "results": [r.to_doc() for r in self.results],
-            "executor_version": self.executor_version,
-            "started_wall": self.started_wall,
-            "finished_wall": self.finished_wall,
-            "started_mono": self.started_mono,
-            "finished_mono": self.finished_mono,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,12 @@ per experiment, and destroyed at cleanup; their timestamps come from the
 gateway's clock so cross-node ordering has a single authority.
 
 Uploads, reports and node flag sets are accepted only from nodes the
-experiment assigns. An artifact's bytes are written durably, outside any
-lock, to ``artifact_root/<experiment>/<node>/<sha256>`` before a short mutate
-lists them in the record. Without an ``artifact_root`` the gateway writes to
-a temporary directory removed with it; ``expforge-server`` passes one, so
-its artifacts survive a restart.
+experiment assigns, and a report's results only for its own node. An
+artifact's bytes are written durably, outside any lock, to
+``artifact_root/<experiment>/<node>/<sha256>`` before a short mutate lists
+them in the record. Without an ``artifact_root`` the gateway writes to a
+temporary directory removed with it; ``expforge-server`` passes one, so its
+artifacts survive a restart.
 
 Executors in the platform process call the gateway through
 ``InProcessGatewayClient``; executors in other processes use
@@ -49,6 +50,7 @@ from typing import Any, Mapping, TYPE_CHECKING
 
 from .errors import (
     ExpforgeError,
+    ManifestError,
     TransportError,
     UnknownAssignment,
     UnknownExperiment,
@@ -269,10 +271,20 @@ class _QueuedReport:
     outcome: str | BaseException | None = None
 
 
-def _add_report(record: ExperimentRecord,
-                report_doc: Mapping[str, Any]) -> str | UnknownAssignment:
-    """Add one report to a record being mutated; its caller's outcome."""
+def _add_report(record: ExperimentRecord, report_doc: Mapping[str, Any]
+                ) -> str | ManifestError | UnknownAssignment:
+    """Add one report to a record being mutated; its caller's outcome. The
+    report's shape is checked before the record changes, so a malformed one
+    fails only its own caller, and a node files results under itself only."""
     node_id = report_doc.get("node_id", "")
+    results = report_doc.get("results", ())
+    if not isinstance(node_id, str) or not isinstance(results, (list, tuple)) \
+            or not all(isinstance(result, dict)
+                       and result.get("node_id") == node_id
+                       for result in results):
+        return ManifestError(
+            f"report of node {node_id!r} to {record.experiment_id!r}: "
+            "results must be a list of that node's task results")
     if node_id not in record.nodes:
         return _unassigned(record.experiment_id, node_id)
     if node_id in record.reports:
@@ -292,8 +304,7 @@ def _add_report(record: ExperimentRecord,
         record.node_transition(node_id, NodeState.REPORTED)
     if late:
         record.nodes[node_id] = {**record.nodes[node_id], "late": True}
-    record.results.extend(dict(result)
-                          for result in report_doc.get("results", ()))
+    record.results.extend(dict(result) for result in results)
     return "accepted"
 
 

@@ -106,7 +106,7 @@ class TaskEntry:
                     f"{doc['timeout_s']!r}")
         environment = None
         if doc.get("environment") is not None:
-            environment = EnvironmentRequirement.from_doc(doc["environment"])
+            environment = _environment(doc["environment"], where)
         return cls(
             type=str(doc["type"]),
             name=str(doc.get("name", "")),
@@ -136,6 +136,35 @@ class TaskEntry:
                        else DEFAULT_TASK_TIMEOUT_S),
             environment=self.environment or EnvironmentRequirement(),
         )
+
+
+def _environment(doc: Any, where: str) -> EnvironmentRequirement:
+    """A task's environment, checked as user input: command lists hold
+    strings, a binary has a string name and an optional string version, and
+    a staged file a string path and content."""
+    if not isinstance(doc, Mapping):
+        raise ManifestError(f"environment must be a mapping in {where}")
+    _check_keys(doc, {"setup_commands", "binaries", "staged_files",
+                      "verify_commands"}, f"environment in {where}")
+
+    def check(key: str, valid: Callable[[Any], bool], what: str) -> None:
+        items = doc.get(key, [])
+        if not isinstance(items, list) or not all(map(valid, items)):
+            raise ManifestError(
+                f"environment {key} must be a list of {what} in {where}")
+
+    def is_str(value: Any) -> bool:
+        return isinstance(value, str)
+
+    check("setup_commands", is_str, "strings")
+    check("verify_commands", is_str, "strings")
+    check("binaries", lambda b: isinstance(b, Mapping) and is_str(
+        b.get("name")) and isinstance(b.get("version"), (str, type(None))),
+        "mappings with a string name and version")
+    check("staged_files", lambda f: isinstance(f, Mapping) and is_str(
+        f.get("path")) and is_str(f.get("content", "")),
+        "mappings with a string path and content")
+    return EnvironmentRequirement.from_doc(doc)
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,28 @@ threads. Composition operators (``Pipeline.then``, ``Experiment.map``,
 ``NodePool.filter``) return new values and never mutate their inputs, so two
 structurally identical construction sequences always produce identical
 canonical serializations and digests.
+
+Each value has a JSON document (``to_doc``/``from_doc``), which records,
+plans, bundles and reports carry between layers. One codec,
+:class:`DocCodec`, writes and reads them: it walks the dataclass's fields
+and converts each by its type hint. A class whose document is not just its
+fields overrides the two methods, and the walk calls the override wherever
+the class is nested: ``StagedFile`` adds a derived ``digest``,
+``EnvironmentRequirement`` shares one empty value and keeps tuples, and
+``TaskResult`` carries a bytes payload as base64.
 """
 
 from __future__ import annotations
 
 import base64
+import collections.abc
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import (Any, Callable, Iterable, Mapping, Sequence, TYPE_CHECKING,
+                    get_args, get_origin, get_type_hints)
 
 from .errors import (
     DuplicateTaskName,
@@ -74,12 +85,102 @@ def digest_doc(doc: Any) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
+class DocCodec:
+    """A dataclass's JSON document, one key per field.
+
+    Each field converts by its resolved type hint: a nested ``DocCodec``
+    class through its own ``to_doc``/``from_doc``, so that an override is
+    called wherever its class is nested; a ``tuple`` to a list, a
+    ``frozenset`` to a sorted list, a mapping to a dict of converted values
+    and an enum to its value. Decoding coerces ``float``, ``int`` and
+    ``bool`` fields, so an integer timeout decodes to the float it was
+    written as; it ignores unknown keys, and a missing key takes its field's
+    default. Any other value is its own document.
+
+    A class's encoder and decoder are generated from its fields on first
+    use, as ``dataclasses`` generates ``__init__``, so no value is
+    dispatched on its type and they cost what hand-written ones cost. They
+    replace the methods here on a class that does not override them.
+    """
+
+    def to_doc(self) -> dict:
+        return _codec(type(self))[0](self)
+
+    @classmethod
+    def from_doc(cls, doc: Mapping[str, Any]) -> Any:
+        return _codec(cls)[1](cls, doc)
+
+
+def _codec(cls: type) -> tuple[Callable, Callable]:
+    """``cls``'s generated encoder and decoder."""
+    codec = cls.__dict__.get("_doc_codec")
+    if codec is not None:
+        return codec
+    hints = get_type_hints(cls)
+    namespace: dict[str, Any] = {}
+
+    def ref(value: Any) -> str:
+        """The name the generated code reads ``value`` under."""
+        name = f"_{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    encoded, decoded = [], []
+    for f in fields(cls):
+        hint, key = hints[f.name], repr(f.name)
+        encoded.append(f"{key}: {_convert(hint, f'self.{f.name}', ref, True)}")
+        value = _convert(hint, f"doc[{key}]", ref, False)
+        if f.default is not MISSING:
+            value += f" if {key} in doc else {ref(f.default)}"
+        elif f.default_factory is not MISSING:
+            value += f" if {key} in doc else {ref(f.default_factory)}()"
+        decoded.append(f"{f.name}={value}")
+    exec(f"def to_doc(self):\n    return {{{', '.join(encoded)}}}\n"
+         f"def from_doc(cls, doc):\n    return cls({', '.join(decoded)})\n",
+         namespace)
+    codec = cls._doc_codec = namespace["to_doc"], namespace["from_doc"]
+    if "to_doc" not in cls.__dict__:
+        cls.to_doc = codec[0]
+    if "from_doc" not in cls.__dict__:
+        cls.from_doc = classmethod(codec[1])
+    return codec
+
+
+def _convert(hint: Any, value: str, ref: Callable[[Any], str], encode: bool,
+             depth: int = 0) -> str:
+    """Source of an expression that converts ``value``, an expression of
+    type ``hint``, to its document (``encode``) or from it."""
+    origin, args = get_origin(hint), get_args(hint)
+    item = f"v{depth}"
+    if isinstance(hint, type) and issubclass(hint, DocCodec):
+        return (f"{value}.to_doc()" if encode
+                else f"{ref(hint)}.from_doc({value})")
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return f"{value}.value" if encode else f"{ref(hint)}({value})"
+    if hint in (float, int, bool) and not encode:
+        return f"{hint.__name__}({value})"
+    if origin in (tuple, frozenset):
+        container = origin.__name__ if not encode \
+            else "list" if origin is tuple else "sorted"
+        items = _convert(args[0], item, ref, encode, depth + 1)
+        if items == item:
+            return f"{container}({value})"
+        listed = f"[{items} for {item} in {value}]"
+        return listed if container == "list" else f"{container}({listed})"
+    if origin is collections.abc.Mapping:
+        items = _convert(args[1], item, ref, encode, depth + 1)
+        if items == item:
+            return f"dict({value})"
+        return f"{{k{depth}: {items} for k{depth}, {item} in {value}.items()}}"
+    return value
+
+
 # ---------------------------------------------------------------------------
 # nodes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NodeDescriptor:
+class NodeDescriptor(DocCodec):
     """One data-collection endpoint owned by a connector."""
 
     node_id: str
@@ -90,23 +191,6 @@ class NodeDescriptor:
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
             raise ValueError(f"unknown node kind {self.kind!r}")
-
-    def to_doc(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "kind": self.kind,
-            "attributes": dict(self.attributes),
-            "connector_ref": self.connector_ref,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "NodeDescriptor":
-        return cls(
-            node_id=doc["node_id"],
-            kind=doc["kind"],
-            attributes=dict(doc.get("attributes", {})),
-            connector_ref=doc.get("connector_ref", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -157,20 +241,13 @@ class NodePool:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BinaryRequirement:
+class BinaryRequirement(DocCodec):
     name: str
     version: str | None = None
 
-    def to_doc(self) -> dict:
-        return {"name": self.name, "version": self.version}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "BinaryRequirement":
-        return cls(name=doc["name"], version=doc.get("version"))
-
 
 @dataclass(frozen=True)
-class StagedFile:
+class StagedFile(DocCodec):
     path: str
     content: str = ""
 
@@ -182,13 +259,9 @@ class StagedFile:
         return {"path": self.path, "content": self.content,
                 "digest": self.content_digest}
 
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "StagedFile":
-        return cls(path=doc["path"], content=doc.get("content", ""))
-
 
 @dataclass(frozen=True)
-class EnvironmentRequirement:
+class EnvironmentRequirement(DocCodec):
     """What a task needs on the node before the pipeline may start."""
 
     setup_commands: tuple[str, ...] = ()
@@ -217,16 +290,8 @@ class EnvironmentRequirement:
     def from_doc(cls, doc: Mapping[str, Any]) -> "EnvironmentRequirement":
         """An empty doc, the common case, decodes to the shared
         :data:`EMPTY_ENVIRONMENT`."""
-        if not any(doc.values()):
-            return EMPTY_ENVIRONMENT
-        return cls(
-            setup_commands=tuple(doc.get("setup_commands", ())),
-            binaries=tuple(BinaryRequirement.from_doc(b)
-                           for b in doc.get("binaries", ())),
-            staged_files=tuple(StagedFile.from_doc(f)
-                               for f in doc.get("staged_files", ())),
-            verify_commands=tuple(doc.get("verify_commands", ())),
-        )
+        return super().from_doc(doc) if any(doc.values()) \
+            else EMPTY_ENVIRONMENT
 
 
 EMPTY_ENVIRONMENT = EnvironmentRequirement()
@@ -280,7 +345,7 @@ def merge_requirements(reqs: Sequence[EnvironmentRequirement]) -> EnvironmentReq
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(DocCodec):
     """One unit of data-collection work inside a stage.
 
     ``name`` may be left empty; ``Pipeline.then`` assigns a unique one
@@ -300,28 +365,9 @@ class TaskSpec:
             raise ValueError(
                 f"timeout_s must be a finite number > 0: {self.timeout_s!r}")
 
-    def to_doc(self) -> dict:
-        return {
-            "task_type": self.task_type,
-            "name": self.name,
-            "params": dict(self.params),
-            "timeout_s": self.timeout_s,
-            "environment": self.environment.to_doc(),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "TaskSpec":
-        return cls(
-            task_type=doc["task_type"],
-            name=doc.get("name", ""),
-            params=dict(doc.get("params", {})),
-            timeout_s=float(doc.get("timeout_s", DEFAULT_TASK_TIMEOUT_S)),
-            environment=EnvironmentRequirement.from_doc(doc.get("environment", {})),
-        )
-
 
 @dataclass(frozen=True)
-class Stage:
+class Stage(DocCodec):
     """Tasks executed concurrently; the stage ends when all of them end."""
 
     tasks: tuple[TaskSpec, ...]
@@ -331,16 +377,9 @@ class Stage:
         if not self.tasks:
             raise EmptyStage("a stage requires at least one task")
 
-    def to_doc(self) -> dict:
-        return {"tasks": [t.to_doc() for t in self.tasks]}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "Stage":
-        return cls(tasks=tuple(TaskSpec.from_doc(t) for t in doc["tasks"]))
-
 
 @dataclass(frozen=True)
-class Pipeline:
+class Pipeline(DocCodec):
     """Ordered stages executed on one node; the unit of deployment and reporting."""
 
     pipeline_id: str = "pipeline"
@@ -400,21 +439,6 @@ class Pipeline:
         pipeline = replace(self, stages=self.stages + (Stage(tuple(named)),))
         object.__setattr__(pipeline, "_names", (used, free_from))
         return pipeline
-
-    def to_doc(self) -> dict:
-        return {
-            "pipeline_id": self.pipeline_id,
-            "early_stop": self.early_stop,
-            "stages": [s.to_doc() for s in self.stages],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "Pipeline":
-        return cls(
-            pipeline_id=doc["pipeline_id"],
-            early_stop=bool(doc.get("early_stop", False)),
-            stages=tuple(Stage.from_doc(s) for s in doc.get("stages", ())),
-        )
 
     def digested_doc(self) -> tuple[dict, str]:
         """``to_doc()`` and its digest, which is computed once per instance
@@ -513,7 +537,7 @@ class Outcome(str, Enum):
 
 
 @dataclass(frozen=True)
-class TaskResult:
+class TaskResult(DocCodec):
     """Outcome of one task execution, buffered on the node until pipeline end.
 
     Timestamps are captured twice: wall clock for humans and cross-node
@@ -548,6 +572,8 @@ class TaskResult:
         return self.finished_mono - self.started_mono
 
     def to_doc(self) -> dict:
+        """A bytes payload travels base64-encoded, as ``payload_b64``.
+        Written out by hand: every report encodes each of its results."""
         doc: dict[str, Any] = {
             "task_name": self.task_name,
             "node_id": self.node_id,
@@ -567,23 +593,9 @@ class TaskResult:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "TaskResult":
-        payload: str | bytes | None
         if doc.get("payload_b64") is not None:
-            payload = base64.b64decode(doc["payload_b64"])
-        else:
-            payload = doc.get("payload")
-        return cls(
-            task_name=doc["task_name"],
-            node_id=doc["node_id"],
-            stage_index=int(doc["stage_index"]),
-            outcome=Outcome(doc["outcome"]),
-            started_wall=doc.get("started_wall"),
-            finished_wall=doc.get("finished_wall"),
-            started_mono=doc.get("started_mono"),
-            finished_mono=doc.get("finished_mono"),
-            payload=payload,
-            error_text=doc.get("error_text"),
-        )
+            doc = {**doc, "payload": base64.b64decode(doc["payload_b64"])}
+        return super().from_doc(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +603,7 @@ class TaskResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Policies:
+class Policies(DocCodec):
     deploy_strictness: str = "all-or-nothing"  # or "best-effort"
     experiment_timeout_s: float = DEFAULT_EXPERIMENT_TIMEOUT_S
 
@@ -603,36 +615,15 @@ class Policies:
             raise ValueError("experiment_timeout_s must be a finite number "
                              f"> 0: {self.experiment_timeout_s!r}")
 
-    def to_doc(self) -> dict:
-        return {"deploy_strictness": self.deploy_strictness,
-                "experiment_timeout_s": self.experiment_timeout_s}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "Policies":
-        return cls(
-            deploy_strictness=doc.get("deploy_strictness", "all-or-nothing"),
-            experiment_timeout_s=float(
-                doc.get("experiment_timeout_s", DEFAULT_EXPERIMENT_TIMEOUT_S)),
-        )
-
 
 @dataclass(frozen=True)
-class Assignment:
+class Assignment(DocCodec):
     pipeline: Pipeline
     nodes: tuple[NodeDescriptor, ...]
 
-    def to_doc(self) -> dict:
-        return {"pipeline": self.pipeline.to_doc(),
-                "nodes": [n.to_doc() for n in self.nodes]}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "Assignment":
-        return cls(pipeline=Pipeline.from_doc(doc["pipeline"]),
-                   nodes=tuple(NodeDescriptor.from_doc(n) for n in doc["nodes"]))
-
 
 @dataclass(frozen=True)
-class Experiment:
+class Experiment(DocCodec):
     """Named mapping of pipelines to node lists plus run policies.
 
     The description is immutable; lifecycle status lives in the director's
@@ -671,39 +662,19 @@ class Experiment:
         return replace(self, assignments=self.assignments
                        + (Assignment(pipeline, nodes),))
 
-    def to_doc(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "assignments": [a.to_doc() for a in self.assignments],
-            "policies": self.policies.to_doc(),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "Experiment":
-        return cls(
-            experiment_id=doc["experiment_id"],
-            assignments=tuple(Assignment.from_doc(a)
-                              for a in doc.get("assignments", ())),
-            policies=Policies.from_doc(doc.get("policies", {})),
-        )
-
 
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(DocCodec):
     code: str
     subject: str
     message: str
 
     def __str__(self) -> str:
         return f"[{self.code}] {self.subject}: {self.message}"
-
-    def to_doc(self) -> dict:
-        return {"code": self.code, "subject": self.subject,
-                "message": self.message}
 
 
 # For one (assignment index, node kind): the implementation id of each task

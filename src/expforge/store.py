@@ -7,9 +7,11 @@ function to the committed record without copying it. The documents inside
 a record (experiment and plan docs, transition entries, results, report
 metadata, flags, errors, cleanup outcomes, artifact metadata) are never
 changed in place, so snapshots share them, and a committed record is never
-changed at all: a save replaces it. Environment docs hold their sequences
-as tuples (``EnvironmentRequirement.to_doc``), which nothing can change in
-place; JSON writes them as arrays, so a record read from disk holds lists.
+changed at all: a save replaces it. The task environments inside the
+experiment and plan docs hold their sequences as tuples, which nothing can
+change in place: the model's doc codec writes each task's environment
+through ``EnvironmentRequirement.to_doc``. JSON writes them as arrays, so a
+record read from disk holds lists.
 Serializing writers per experiment is the director's job.
 
 ``MemoryStore`` keeps records as objects. ``FileStore`` keeps one file per

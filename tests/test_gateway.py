@@ -21,6 +21,7 @@ from expforge import Director, FileStore, MemoryStore, builtin_registry
 from expforge.connectors.simulated import FaultModel, SimulatedConnector
 from expforge.errors import (
     ExpforgeError,
+    ManifestError,
     TransportError,
     UnknownAssignment,
     UnknownExperiment,
@@ -413,6 +414,22 @@ class TestIngestReport:
         with pytest.raises(UnknownAssignment):
             director.gateway.ingest_report(report_doc(eid, "sim-002"))
 
+    def test_node_cannot_file_results_under_another_node(self, platform):
+        """A report whose results name another node is refused, and the
+        record does not change."""
+        director, connector = platform
+        eid = submit_held_experiment(director, connector, name="forged")
+        deploy_and_start(director, eid)
+        forged = {**report_doc(eid, "sim-001"),
+                  "results": report_doc(eid, "sim-000")["results"]}
+        before = director.record(eid).to_doc()
+        with pytest.raises(ManifestError, match="'sim-001'"):
+            director.gateway.ingest_report(forged)
+        assert director.record(eid).to_doc() == before
+        assert director.results(eid)["pipelines"] == {}
+        director.gateway.set_flag(eid, "release", "test")
+        wait_status(director, eid, {Status.FINISHED})
+
     def test_never_launched_node_refused(self, make_director, tmp_path):
         """A report from an assigned node that never got its token, while
         READY or once cancelled, is refused as an unassigned node's is, and
@@ -583,6 +600,27 @@ class TestGroupCommit:
         assert sorted(r["node_id"] for r in record.results) == nodes
         join_executors(eid)  # released executors deliver duplicates
         assert director.gateway._queued == {}
+
+    def test_malformed_report_fails_only_its_caller(self, make_director):
+        """A report whose results are not task results is refused before
+        the record changes; the valid report committed with it is
+        stored."""
+        connector = SimulatedConnector("sim", node_count=2, fault=FAST)
+        director = make_director({"sim": connector})
+        eid = start_held(director, connector, nodes=2, name="malformed")
+        docs = [report_doc(eid, "sim-000"),
+                {**report_doc(eid, "sim-001"), "results": [1]}]
+
+        outcomes = ingest_together(director, eid, docs)
+        assert outcomes[0] == "accepted"
+        assert isinstance(outcomes[1], ManifestError), outcomes
+        record = director.record(eid)
+        assert list(record.reports) == ["sim-000"]
+        assert record.nodes["sim-001"]["state"] == "running"
+        assert director.gateway.ingest_report(
+            report_doc(eid, "sim-001")) == "accepted"
+        assert director.record(eid).status is Status.FINISHED
+        join_executors(eid)  # released executors deliver duplicates
 
     def test_failed_save_fails_the_whole_batch(self, make_director):
         class FailsOnce(MemoryStore):

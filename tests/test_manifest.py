@@ -303,6 +303,23 @@ def valid_manifest_doc() -> dict:
      "params must be a mapping"),
     (("pipelines", "p", "stages", 0), {"type": "sleep"},
      "must be a non-empty task list"),
+    (("pipelines", "p", "stages", 0, 0, "environment"),
+     {"setup_commands": "apt-get install x"},
+     "environment setup_commands must be a list of strings in "
+     "pipeline 'p' stage 0"),
+    (("pipelines", "p", "stages", 0, 0, "environment"), ["install-x"],
+     "environment must be a mapping in pipeline 'p' stage 0"),
+    (("pipelines", "p", "stages", 0, 0, "environment"), {"binaries": ["curl"]},
+     "environment binaries must be a list of mappings .* in "
+     "pipeline 'p' stage 0"),
+    (("pipelines", "p", "stages", 0, 0, "environment"),
+     {"binaries": [{"name": "curl", "version": 8.1}]},
+     "environment binaries must be a list of mappings .* in "
+     "pipeline 'p' stage 0"),
+    (("pipelines", "p", "stages", 0, 0, "environment"),
+     {"staged_files": [{"path": "probe.cfg", "content": 5}]},
+     "environment staged_files must be a list of mappings .* in "
+     "pipeline 'p' stage 0"),
     (("assignments",), [], "at least one assignment"),
     (("assignments", 0), "p->all", "assignment 0 must be a mapping"),
     (("assignments", 0, "nodes"), "nobody", "unknown selector 'nobody'"),

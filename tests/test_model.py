@@ -6,7 +6,7 @@ import json
 import math
 import random
 import time
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +20,10 @@ from expforge.errors import (
     NodeAlreadyAssigned,
 )
 import expforge.model as model_module
+from expforge.compiler import DeploymentPlan, EnvironmentSpec, compile_experiment
+from expforge.connectors.simulated import FaultModel
+from expforge.connectors.ssh import SshHost
+from expforge.executor import PipelineBundle, PipelineReport
 from expforge.model import (
     EMPTY_ENVIRONMENT,
     BinaryRequirement,
@@ -635,3 +639,72 @@ def test_environment_with_staged_files_round_trips():
     decoded = EnvironmentRequirement.from_doc(
         json.loads(json.dumps(environment.to_doc())))
     assert decoded == environment
+
+
+# ---------------------------------------------------------------------------
+# the doc codec, over every class it serves
+# ---------------------------------------------------------------------------
+
+def codec_cases() -> list:
+    """A value of each class the codec serves with every field set, and
+    one built from its required fields alone."""
+    node = NodeDescriptor("sim-000", "simulated", {"site": "a"}, "sim")
+    staged = model_module.StagedFile("probe.cfg", "interval=5\n")
+    environment = EnvironmentRequirement(
+        ("apt-get install x",), (BinaryRequirement("curl", "8.1"),),
+        (staged,), ("test -d x",))
+    task = TaskSpec("shell", "probe", {"command": "true"}, 5.0, environment)
+    pipeline = Pipeline("p", (Stage((task,)),), early_stop=True)
+    assignment = model_module.Assignment(pipeline, (node,))
+    experiment = Experiment("e", (assignment,), Policies("best-effort", 60.0))
+    result = TaskResult("probe", "sim-000", 0, Outcome.FAILURE, 1.0, 2.0,
+                        3.0, 4.0, b"\x00\xff", "exit 1")
+    plan = compile_experiment(experiment, builtin_registry())
+    # The pipeline docs a plan holds pass through as they are; these are
+    # as a plan read back from a record holds them.
+    plan = replace(plan, pipelines=json.loads(json.dumps(plan.pipelines)))
+    bundle = PipelineBundle("e", "sim-000", "simulated", pipeline,
+                            pipeline.digest(), {"probe": "shell.local"})
+    return [
+        (node, NodeDescriptor("sim-000", "simulated")),
+        (BinaryRequirement("curl", "8.1"), BinaryRequirement("curl")),
+        (staged, model_module.StagedFile("probe.cfg")),
+        (environment, EnvironmentRequirement()),
+        (task, TaskSpec("sleep")),
+        (Stage((task,)), Stage((TaskSpec("sleep"),))),
+        (pipeline, Pipeline()),
+        (result, TaskResult("probe", "sim-000", 0, Outcome.SKIPPED)),
+        (Policies("best-effort", 60.0), Policies()),
+        (assignment, model_module.Assignment(Pipeline(), ())),
+        (experiment, Experiment("e")),
+        (model_module.ValidationIssue("code", "subject", "message"),) * 2,
+        (EnvironmentSpec("digest", "simulated", ("a",), (staged,), ("v",)),
+         EnvironmentSpec("digest", "simulated")),
+        (plan, DeploymentPlan((), {}, {}, {})),
+        (bundle,) * 2,
+        (PipelineReport("e", "sim-000", (result,), "v1", 1.0, 2.0, 3.0, 4.0),
+         PipelineReport("e", "sim-000", ())),
+        (FaultModel(0.5, frozenset({"b", "a"}), frozenset({"c"}), 0.25, 2.0),
+         FaultModel()),
+        (SshHost("probe.example", 2222, "ssh-000", {"site": "a"}),
+         SshHost("probe.example")),
+    ]
+
+
+@pytest.mark.parametrize("value, minimal", [
+    pytest.param(*case, id=type(case[0]).__name__) for case in codec_cases()])
+def test_codec_round_trips_and_defaults_missing_keys(value, minimal):
+    cls = type(value)
+    assert cls.from_doc(json.loads(json.dumps(value.to_doc()))) == value
+    optional = {f.name for f in fields(cls) if f.default is not MISSING
+                or f.default_factory is not MISSING}
+    doc = {key: item for key, item in minimal.to_doc().items()
+           if key not in optional}
+    assert cls.from_doc(doc) == minimal
+
+
+def test_int_timeout_decodes_to_the_float_timeout_digest():
+    pipeline = Pipeline("p").then(TaskSpec("sleep", timeout_s=5.0))
+    doc = pipeline.to_doc()
+    doc["stages"][0]["tasks"][0]["timeout_s"] = 5
+    assert Pipeline.from_doc(doc).digest() == pipeline.digest()
